@@ -19,7 +19,13 @@ from .coloring import (
     validate_coloring,
 )
 from .detour import detour_profile
-from .errors import BudgetExceededError, HamcolorError, NegativeGapError, NotSymmetricError
+from .errors import (
+    BudgetExceededError,
+    HamcolorError,
+    InvalidSpecError,
+    NegativeGapError,
+    NotSymmetricError,
+)
 from .exact import SearchBudget, exact_hc, greedy_min_coloring_for_ordering
 from .families import (
     SymmetricSpec,
@@ -58,9 +64,9 @@ def _load_graph(path: str) -> BlockGraph:
 def _load_colors(path: str) -> list[int]:
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    if not isinstance(doc, dict) or "colors" not in doc:
-        raise HamcolorError('coloring JSON must be an object with a "colors" list')
-    return list(doc["colors"])
+    if not isinstance(doc, dict) or not isinstance(doc.get("colors"), list):
+        raise InvalidSpecError('coloring JSON must be an object with a "colors" list')
+    return doc["colors"]
 
 
 def _parse_range(text: str) -> list[int]:
@@ -152,7 +158,7 @@ def _cmd_color(args: argparse.Namespace) -> int:
 
     coords = None
     try:
-        coords = symmetric_coordinates(g)
+        coords = symmetric_coordinates(g, profile)
     except NotSymmetricError:
         coords = None
 

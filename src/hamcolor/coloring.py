@@ -25,8 +25,7 @@ from .detour import (
     RELATION_OPPOSITE,
     DetourProfile,
     branch_relation,
-    detour_distance,
-    detour_matrix,
+    tree_metric,
 )
 from .errors import (
     InvalidSpecError,
@@ -112,11 +111,8 @@ def check_ordering_conditions(
             first_violation = i
             break
 
-    halfp_violations: list[tuple[int, int]] = []
-    for i in range(g.p - 1):
-        d = detour_distance(g, order[i], order[i + 1])
-        if 2 * d > g.p:
-            halfp_violations.append((i, d))
+    steps = tree_metric(g).distance(order[:-1], order[1:])
+    halfp_violations = [(int(i), int(steps[i])) for i in np.flatnonzero(2 * steps > g.p)]
 
     return ConditionReport(
         cond1_endpoints=cond1,
@@ -149,37 +145,64 @@ def coloring_from_ordering(
     return HamColoring(tuple(colors))
 
 
+_INT64_MAX = np.iinfo(np.int64).max
+
+# Candidate pairs checked per numpy batch.  Larger batches cost memory
+# (an all-equal coloring makes every pair a candidate) without saving time.
+_PAIR_CHUNK = 1 << 16
+
+
 def validate_coloring(
     g: BlockGraph, colors: Sequence[int], dmatrix: np.ndarray | None = None
 ) -> list[tuple[int, int, int]]:
-    """Check every vertex pair; return (u, v, deficit) for each violation.
+    """Check every vertex pair; return (u, v, deficit) for each violation, sorted.
 
-    An empty list means the coloring is a hamiltonian coloring.  The
-    check is vectorized over a precomputed detour matrix and processes
-    row chunks to bound memory on large graphs.
+    An empty list means the coloring is a hamiltonian coloring.  Since
+    D(u, v) >= 1, only pairs whose colors differ by at most p - 3 can
+    fall short, so the vertices are sorted by color and each is paired
+    with the later vertices inside that window.  Those candidate pairs
+    are checked in batches of at most ``_PAIR_CHUNK``, with distances
+    from the tree-metric core or from ``dmatrix`` when one is given:
+    O(p log p + candidates) time and O(p + violations) memory.
     """
     if len(colors) != g.p:
         raise SizeMismatchError(f"expected {g.p} colors, got {len(colors)}")
     if any(
-        not isinstance(c, (int, np.integer)) or isinstance(c, bool) or c < 0 for c in colors
+        not isinstance(c, (int, np.integer)) or isinstance(c, bool) or not 0 <= c <= _INT64_MAX
+        for c in colors
     ):
-        raise InvalidSpecError("colors must be non-negative integers")
-    d = detour_matrix(g) if dmatrix is None else dmatrix
-    c = np.asarray(colors, dtype=np.int64)
+        raise InvalidSpecError("colors must be integers from 0 to 2**63 - 1")
+    distance = tree_metric(g).distance if dmatrix is None else lambda u, v: dmatrix[u, v]
     need = g.p - 1
-    violations: list[tuple[int, int, int]] = []
-    chunk = 2048
-    for i0 in range(0, g.p, chunk):
-        i1 = min(g.p, i0 + chunk)
-        deficit = need - d[i0:i1] - np.abs(c[i0:i1, None] - c[None, :])
-        rows, cols = np.nonzero(deficit > 0)
-        for r, col in zip(rows, cols):
-            u = i0 + int(r)
-            v = int(col)
-            if u < v:
-                violations.append((u, v, int(deficit[r, col])))
-    violations.sort()
-    return violations
+    reach = max(g.p - 3, 0)
+    c = np.asarray(colors, dtype=np.int64)
+    order = np.argsort(c, kind="stable")
+    sorted_colors = c[order]
+    # sorted positions i + 1 .. end[i] - 1 hold the candidates for position i;
+    # clipping keeps color + reach inside int64 without changing the window
+    end = np.searchsorted(
+        sorted_colors, np.minimum(sorted_colors, _INT64_MAX - reach) + reach, side="right"
+    )
+    count = end - np.arange(1, g.p + 1)
+    row_end = np.cumsum(count)
+    row_start = row_end - count
+    total = int(row_end[-1])
+    found: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    for s in range(0, total, _PAIR_CHUNK):
+        k = np.arange(s, min(s + _PAIR_CHUNK, total))
+        i = np.searchsorted(row_end, k, side="right")
+        j = i + 1 + (k - row_start[i])
+        u, v = order[i], order[j]
+        deficit = need - distance(u, v) - (sorted_colors[j] - sorted_colors[i])
+        bad = deficit > 0
+        if bad.any():
+            u, v = u[bad], v[bad]
+            found.append((np.minimum(u, v), np.maximum(u, v), deficit[bad]))
+    if not found:
+        return []
+    lo, hi, deficit = (np.concatenate(parts) for parts in zip(*found))
+    by_pair = np.lexsort((hi, lo))
+    return list(zip(lo[by_pair].tolist(), hi[by_pair].tolist(), deficit[by_pair].tolist()))
 
 
 def sym_ordering(g: BlockGraph, coords: SymmetricCoordinates) -> list[int]:

@@ -10,6 +10,12 @@ Equivalently D is the metric of the block-cut tree with weight
 (|B| - 1)/2 on every (cut vertex, block) edge, plus an endpoint
 correction of (|B_u| - 1)/2 for each non-cut endpoint.  All code below
 works in doubled weights so everything stays integral.
+
+Batched distance queries go through :class:`TreeMetric`: the block-cut
+tree rooted at node 0, the doubled weighted depth of every node, and an
+Euler tour with a sparse table for range minima, so that any number of
+pairs costs O(1) numpy work each after an O(n log n) build (Bender and
+Farach-Colton, "The LCA problem revisited", 2000).
 """
 
 from __future__ import annotations
@@ -18,11 +24,9 @@ import heapq
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra as _sp_dijkstra
 
 from .errors import SameVertexError
-from .graphs import BlockCutTree, BlockGraph, blocks_on_path
+from .graphs import BlockCutTree, BlockGraph
 
 RELATION_SAME = "same"
 RELATION_DIFFERENT = "different"
@@ -30,11 +34,87 @@ RELATION_OPPOSITE = "opposite"
 RELATION_INVOLVES_CENTRAL = "involves_central"
 
 
+class TreeMetric:
+    """The detour metric of a block graph as a rooted block-cut tree with LCA.
+
+    ``dep2[x]`` is the doubled weighted depth of tree node x below the
+    root; every edge weighs |B| - 1 >= 1, so depth rises strictly away
+    from the root and the minimum of ``dep2`` over the Euler tour between
+    two nodes is ``dep2`` of their lowest common ancestor.  Per vertex,
+    ``first[v]`` is the tour position of v's anchor and ``root2[v]`` is
+    ``dep2[anchor(v)] + half2(v)``, so for distinct u and v
+
+        2 D(u, v) = root2[u] + root2[v] - 2 dep2[lca(anchor(u), anchor(v))].
+    """
+
+    __slots__ = ("first", "root2", "_table")
+
+    def __init__(self, g: BlockGraph):
+        bct = g.block_cut_tree()
+        n = bct.node_count
+        dep2 = [0] * n
+        first = [0] * n
+        tour = [0]
+        stack = [0]
+        next_child = [0] * n
+        while stack:
+            x = stack[-1]
+            adj = bct.adj[x]
+            i = next_child[x]
+            if i < len(adj) and adj[i] == bct.parent[x]:
+                i += 1
+            if i < len(adj):
+                next_child[x] = i + 1
+                y = adj[i]
+                dep2[y] = dep2[x] + bct.edge_weight2(x if bct.is_block_node(x) else y)
+                first[y] = len(tour)
+                tour.append(y)
+                stack.append(y)
+            else:
+                stack.pop()
+                if stack:
+                    tour.append(stack[-1])
+
+        node_dep2 = np.array(dep2, dtype=np.int64)
+        anchors = np.array([bct.anchor(v) for v in range(g.p)], dtype=np.intp)
+        half2 = np.array([bct.half2(v) for v in range(g.p)], dtype=np.int64)
+        self.first = np.array(first, dtype=np.intp)[anchors]
+        self.root2 = node_dep2[anchors] + half2
+
+        # _table[k, i] = min of dep2 over tour[i : i + 2**k]
+        m = len(tour)
+        table = np.zeros((m.bit_length(), m), dtype=np.int64)
+        table[0] = node_dep2[tour]
+        for k in range(1, len(table)):
+            half = 1 << (k - 1)
+            width = m - 2 * half + 1
+            np.minimum(table[k - 1, :width], table[k - 1, half : half + width], out=table[k, :width])
+        self._table = table
+
+    def distance(self, u, v) -> np.ndarray:
+        """D(u, v) elementwise over broadcastable vertex-id arrays; 0 where u == v."""
+        u = np.asarray(u)
+        v = np.asarray(v)
+        fu = self.first[u]
+        fv = self.first[v]
+        lo = np.minimum(fu, fv)
+        hi = np.maximum(fu, fv)
+        k = np.frexp(hi - lo + 1)[1] - 1
+        lca2 = np.minimum(self._table[k, lo], self._table[k, hi - (1 << k) + 1])
+        d2 = self.root2[u] + self.root2[v] - 2 * lca2
+        return np.where(u == v, 0, d2 // 2)
+
+
+def tree_metric(g: BlockGraph) -> TreeMetric:
+    """The detour metric core of g, built on first use and cached on the graph."""
+    if g._metric is None:
+        g._metric = TreeMetric(g)
+    return g._metric
+
+
 def detour_distance(g: BlockGraph, u: int, v: int) -> int:
     """Length of a longest simple u-v path; 0 when u == v."""
-    if u == v:
-        return 0
-    return sum(len(g.blocks[bi]) - 1 for bi in blocks_on_path(g, u, v))
+    return int(tree_metric(g).distance(u, v))
 
 
 @dataclass(frozen=True)
@@ -231,29 +311,8 @@ def branch_relation(g: BlockGraph, profile: DetourProfile, u: int, v: int) -> st
 def detour_matrix(g: BlockGraph) -> np.ndarray:
     """All-pairs detour distances as a p x p int64 array.
 
-    Tree distances between block-cut-tree nodes come from one sparse
-    Dijkstra sweep; vertex pairs add their endpoint corrections.
+    Quadratic in p by construction: meant for small graphs (the exact
+    search) and for tests; larger callers query :func:`tree_metric`.
     """
-    bct = g.block_cut_tree()
-    p = g.p
-    half2 = np.array([bct.half2(v) for v in range(p)], dtype=np.int64)
-    anchors = np.array([bct.anchor(v) for v in range(p)], dtype=np.intp)
-    if bct.node_count == 1:
-        d2 = half2[:, None] + half2[None, :]
-    else:
-        rows, cols, data = [], [], []
-        for x in range(bct.node_count):
-            for y in bct.adj[x]:
-                block = x if bct.is_block_node(x) else y
-                rows.append(x)
-                cols.append(y)
-                data.append(bct.edge_weight2(block))
-        mat = csr_matrix(
-            (data, (rows, cols)), shape=(bct.node_count, bct.node_count)
-        )
-        nd = _sp_dijkstra(mat, directed=False)
-        nd2 = np.rint(nd).astype(np.int64)
-        d2 = nd2[np.ix_(anchors, anchors)] + half2[:, None] + half2[None, :]
-    d = d2 // 2
-    np.fill_diagonal(d, 0)
-    return d
+    ids = np.arange(g.p)
+    return tree_metric(g).distance(ids[:, None], ids[None, :])

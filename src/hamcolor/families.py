@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .detour import detour_profile
+from .detour import DetourProfile, detour_profile
 from .errors import InvalidSpecError, NotSymmetricError
 from .graphs import BlockGraph, build_block_graph
 
@@ -88,11 +88,15 @@ def _round_robin(member_lists: list[list[int]]) -> list[int]:
     return [member_lists[i % width][i // width] for i in range(width * length)]
 
 
-def symmetric_coordinates(g: BlockGraph) -> SymmetricCoordinates:
+def symmetric_coordinates(
+    g: BlockGraph, profile: DetourProfile | None = None
+) -> SymmetricCoordinates:
     """Derive canonical coordinates from the structure of g.
 
     Works for any vertex labeling; raises NotSymmetricError when g is not
-    a symmetric block graph with at least two blocks.
+    a symmetric block graph with at least two blocks.  ``profile`` is g's
+    detour profile when the caller already has it; otherwise it is
+    computed here.
     """
     if len(g.blocks) < 2:
         raise NotSymmetricError("a symmetric block graph has at least two blocks")
@@ -105,7 +109,8 @@ def symmetric_coordinates(g: BlockGraph) -> SymmetricCoordinates:
         raise NotSymmetricError(f"cut vertices have mixed block degrees {sorted(degrees)}")
     kappa = degrees.pop()
 
-    profile = detour_profile(g)
+    if profile is None:
+        profile = detour_profile(g)
     used_blocks: set[int] = set()
     depth = [-1] * g.p
     branch = [0] * g.p

@@ -39,7 +39,9 @@ class BlockGraph:
     tie-breaking.
     """
 
-    __slots__ = ("p", "blocks", "vertex_blocks", "cut_vertices", "meta", "_adjacency", "_bct")
+    __slots__ = (
+        "p", "blocks", "vertex_blocks", "cut_vertices", "meta", "_adjacency", "_bct", "_metric",
+    )
 
     def __init__(self, p: int, blocks: Iterable[Iterable[int]], meta: dict | None = None):
         if p < 1:
@@ -53,13 +55,17 @@ class BlockGraph:
             if b[0] < 0 or b[-1] >= p:
                 raise InvalidSpecError(f"block {b} uses ids outside 0..{p - 1}")
 
+        # Coverage first, in time and memory proportional to the input, so a
+        # huge p with few blocks is rejected before any per-vertex list exists.
+        members = sorted(set().union(*canon))
+        if len(members) < p:
+            missing = next((i for i, v in enumerate(members) if i != v), len(members))
+            raise DanglingVertexError(f"vertex {missing} appears in no block")
+
         vertex_blocks: list[list[int]] = [[] for _ in range(p)]
         for bi, b in enumerate(canon):
             for v in b:
                 vertex_blocks[v].append(bi)
-        for v in range(p):
-            if not vertex_blocks[v]:
-                raise DanglingVertexError(f"vertex {v} appears in no block")
 
         # No two blocks may share >= 2 vertices: a repeated block pair in some
         # two vertices' membership lists is exactly such an overlap.
@@ -105,6 +111,7 @@ class BlockGraph:
         self.meta = dict(meta) if meta else {}
         self._adjacency: tuple[tuple[int, ...], ...] | None = None
         self._bct: BlockCutTree | None = None
+        self._metric = None  # detour.TreeMetric, built by detour.tree_metric
 
     @property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:

@@ -1,8 +1,25 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from hamcolor.cli import run
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def _python(*args: str) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter that imports hamcolor from this checkout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120
+    )
 
 
 def test_gen_color_verify_pipeline(tmp_path, capsys) -> None:
@@ -26,6 +43,44 @@ def test_verify_corrupted_coloring_exits_one(tmp_path, capsys) -> None:
     coloring.write_text(json.dumps({"colors": [0, 0, 0, 0]}))
     assert run(["verify", str(graph), str(coloring)]) == 1
     assert "invalid" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [{"colors": 5}, {"colors": [0, 2**63, 0, 0]}, {"colors": None}, [0, 1, 2, 3]],
+    ids=["not-a-list", "above-int64", "null", "bare-list"],
+)
+def test_verify_malformed_coloring_exits_two(tmp_path, capsys, doc) -> None:
+    graph = tmp_path / "g.json"
+    coloring = tmp_path / "c.json"
+    run(["gen", "star", "-n", "3", "-o", str(graph)])
+    coloring.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["verify", str(graph), str(coloring)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+
+def test_python_dash_m_runs_the_cli(tmp_path) -> None:
+    graph = tmp_path / "g.json"
+    done = _python("-m", "hamcolor", "gen", "star", "-n", "3", "-o", str(graph))
+    assert done.returncode == 0, done.stderr
+    done = _python("-m", "hamcolor", "bound", str(graph))
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["lower_bound"] == 4
+    done = _python("-m", "hamcolor", "verify", str(graph), str(tmp_path / "missing.json"))
+    assert done.returncode == 2 and done.stderr.startswith("error: ")
+
+
+def test_cli_import_loads_no_scipy() -> None:
+    done = _python(
+        "-c",
+        "import sys, hamcolor.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def test_exact_budget_exit_code(tmp_path, capsys) -> None:

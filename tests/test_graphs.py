@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import time
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -56,6 +58,31 @@ def test_build_rejects_cyclic_block_structure() -> None:
 def test_build_rejects_dangling_vertex() -> None:
     with pytest.raises(DanglingVertexError):
         build_block_graph(3, [{0, 1}])
+
+
+def test_dangling_rejection_is_proportional_to_input() -> None:
+    # 30 million declared vertices, one block: rejecting it must not
+    # allocate per-vertex structures
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(DanglingVertexError, match="vertex 2 appears in no block"):
+            build_block_graph(30_000_000, [[0, 1]])
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 0.5
+    assert peak < 1_000_000
+
+
+def test_dangling_reports_smallest_missing_vertex() -> None:
+    with pytest.raises(DanglingVertexError, match="vertex 0 appears"):
+        build_block_graph(4, [[1, 2], [2, 3]])
+    with pytest.raises(DanglingVertexError, match="vertex 2 appears"):
+        build_block_graph(6, [[0, 1], [1, 3], [3, 4, 5]])
+    with pytest.raises(DanglingVertexError, match="vertex 4 appears"):
+        build_block_graph(5, [[0, 1], [1, 2, 3]])
 
 
 def test_build_rejects_tiny_blocks_and_bad_ids() -> None:
