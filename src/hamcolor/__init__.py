@@ -21,13 +21,9 @@ from .coloring import (
 from .detour import (
     DetourProfile,
     branch_relation,
-    detour_center,
     detour_distance,
-    detour_level,
     detour_matrix,
     detour_profile,
-    total_detour_level,
-    xi,
 )
 from .errors import (
     BudgetExceededError,
@@ -71,9 +67,7 @@ from .formulas import (
 from .graphs import (
     BlockCutTree,
     BlockGraph,
-    block_cut_tree,
     blocks_on_path,
-    build_block_graph,
     from_json,
     to_dot,
     to_json,
@@ -90,16 +84,12 @@ __all__ = [
     "SearchBudget",
     "SymmetricCoordinates",
     "SymmetricSpec",
-    "block_cut_tree",
     "blocks_on_path",
     "branch_relation",
     "brute_longest_path",
-    "build_block_graph",
     "check_ordering_conditions",
     "coloring_from_ordering",
-    "detour_center",
     "detour_distance",
-    "detour_level",
     "detour_matrix",
     "detour_profile",
     "exact_hc",
@@ -123,11 +113,9 @@ __all__ = [
     "symmetric_coordinates",
     "to_dot",
     "to_json",
-    "total_detour_level",
     "union_coloring",
     "union_hc",
     "validate_coloring",
-    "xi",
     "BudgetExceededError",
     "CyclicBlockStructureError",
     "DanglingVertexError",

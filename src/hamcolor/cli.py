@@ -12,6 +12,7 @@ import sys
 
 from . import __version__
 from .coloring import (
+    check_colors,
     coloring_from_ordering,
     greedy_ordering,
     sym_ordering,
@@ -256,6 +257,8 @@ def _cmd_table(args: argparse.Namespace) -> int:
 def _cmd_export(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
     colors = _load_colors(args.coloring) if args.coloring else None
+    if colors is not None:
+        check_colors(g, colors)
     if args.format == "dot":
         _write(args.output, to_dot(g, colors, clusters=args.clusters))
     elif args.format == "json":

@@ -152,19 +152,8 @@ _INT64_MAX = np.iinfo(np.int64).max
 _PAIR_CHUNK = 1 << 16
 
 
-def validate_coloring(
-    g: BlockGraph, colors: Sequence[int], dmatrix: np.ndarray | None = None
-) -> list[tuple[int, int, int]]:
-    """Check every vertex pair; return (u, v, deficit) for each violation, sorted.
-
-    An empty list means the coloring is a hamiltonian coloring.  Since
-    D(u, v) >= 1, only pairs whose colors differ by at most p - 3 can
-    fall short, so the vertices are sorted by color and each is paired
-    with the later vertices inside that window.  Those candidate pairs
-    are checked in batches of at most ``_PAIR_CHUNK``, with distances
-    from the tree-metric core or from ``dmatrix`` when one is given:
-    O(p log p + candidates) time and O(p + violations) memory.
-    """
+def check_colors(g: BlockGraph, colors: Sequence[int]) -> None:
+    """Raise unless colors holds one integer from 0 to 2**63 - 1 per vertex."""
     if len(colors) != g.p:
         raise SizeMismatchError(f"expected {g.p} colors, got {len(colors)}")
     if any(
@@ -172,7 +161,21 @@ def validate_coloring(
         for c in colors
     ):
         raise InvalidSpecError("colors must be integers from 0 to 2**63 - 1")
-    distance = tree_metric(g).distance if dmatrix is None else lambda u, v: dmatrix[u, v]
+
+
+def validate_coloring(g: BlockGraph, colors: Sequence[int]) -> list[tuple[int, int, int]]:
+    """Check every vertex pair; return (u, v, deficit) for each violation, sorted.
+
+    An empty list means the coloring is a hamiltonian coloring.  Since
+    D(u, v) >= 1, only pairs whose colors differ by at most p - 3 can
+    fall short, so the vertices are sorted by color and each is paired
+    with the later vertices inside that window.  Those candidate pairs
+    are checked in batches of at most ``_PAIR_CHUNK``, with distances
+    from the tree-metric core: O(p log p + candidates) time and
+    O(p + violations) memory.
+    """
+    check_colors(g, colors)
+    distance = tree_metric(g).distance
     need = g.p - 1
     reach = max(g.p - 3, 0)
     c = np.asarray(colors, dtype=np.int64)

@@ -15,12 +15,13 @@ Batched distance queries go through :class:`TreeMetric`: the block-cut
 tree rooted at node 0, the doubled weighted depth of every node, and an
 Euler tour with a sparse table for range minima, so that any number of
 pairs costs O(1) numpy work each after an O(n log n) build (Bender and
-Farach-Colton, "The LCA problem revisited", 2000).
+Farach-Colton, "The LCA problem revisited", 2000).  The per-vertex
+:class:`DetourProfile` instead comes from four breadth-first sweeps of
+the same tree, O(n) each, the last one rooted at the detour center.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,8 +77,7 @@ class TreeMetric:
                     tour.append(stack[-1])
 
         node_dep2 = np.array(dep2, dtype=np.int64)
-        anchors = np.array([bct.anchor(v) for v in range(g.p)], dtype=np.intp)
-        half2 = np.array([bct.half2(v) for v in range(g.p)], dtype=np.int64)
+        anchors, half2 = _vertex_anchors(g, bct)
         self.first = np.array(first, dtype=np.intp)[anchors]
         self.root2 = node_dep2[anchors] + half2
 
@@ -137,156 +137,102 @@ class DetourProfile:
     diameter_d: int
 
 
-def _node_dist2(bct: BlockCutTree, start: int) -> list[int]:
-    """Doubled tree distance from a tree node to every tree node."""
-    dist = [-1] * bct.node_count
-    dist[start] = 0
-    stack = [start]
-    while stack:
-        x = stack.pop()
-        dx = dist[x]
+def _vertex_anchors(g: BlockGraph, bct: BlockCutTree) -> tuple[np.ndarray, np.ndarray]:
+    """Per vertex: its anchor tree node and its doubled endpoint correction.
+
+    The anchor is v's cut node, or its unique block node; the correction
+    is |B| - 1 for a non-cut vertex and 0 for a cut vertex.
+    """
+    anchor = np.fromiter((vb[0] for vb in g.vertex_blocks), dtype=np.intp, count=g.p)
+    half2 = np.array([len(b) - 1 for b in g.blocks], dtype=np.int64)[anchor]
+    cuts = np.array(bct.cut_list, dtype=np.intp)
+    anchor[cuts] = bct.block_count + np.arange(len(cuts))
+    half2[cuts] = 0
+    return anchor, half2
+
+
+def _sweep(bct: BlockCutTree, root: int) -> tuple[list[int], list[int], np.ndarray]:
+    """Breadth-first order, parents and doubled distances of the tree nodes from root."""
+    parent = [-1] * bct.node_count
+    dist = [0] * bct.node_count
+    order = [root]
+    for x in order:
         for y in bct.adj[x]:
-            if dist[y] < 0:
-                block = x if bct.is_block_node(x) else y
-                dist[y] = dx + bct.edge_weight2(block)
-                stack.append(y)
-    return dist
-
-
-def _vertex_dist2(g: BlockGraph, bct: BlockCutTree, u: int) -> list[int]:
-    """Doubled detour distances from vertex u to every vertex (0 at u itself)."""
-    nd = _node_dist2(bct, bct.anchor(u))
-    hu = bct.half2(u)
-    out = [0] * g.p
-    for v in range(g.p):
-        if v != u:
-            out[v] = nd[bct.anchor(v)] + hu + bct.half2(v)
-    return out
-
-
-def detour_center(g: BlockGraph) -> tuple[tuple[int, ...], int]:
-    """Vertices of minimum detour eccentricity and their count omega."""
-    ecc = _eccentricities2(g)
-    m = min(ecc)
-    center = tuple(v for v in range(g.p) if ecc[v] == m)
-    return center, len(center)
-
-
-def _eccentricities2(g: BlockGraph) -> list[int]:
-    """Doubled detour eccentricities via a two-sweep on the tree metric."""
-    bct = g.block_cut_tree()
-    if g.p == 1:
-        return [0]
-    d0 = _vertex_dist2(g, bct, 0)
-    a = max(range(g.p), key=lambda v: (d0[v], -v))
-    da = _vertex_dist2(g, bct, a)
-    b = max(range(g.p), key=lambda v: (da[v], -v))
-    db = _vertex_dist2(g, bct, b)
-    return [max(da[v], db[v]) for v in range(g.p)]
-
-
-def xi(g: BlockGraph, profile: "DetourProfile") -> int:
-    """min(|B| - 1) over blocks at the central vertex when omega is 1, else 0."""
-    return _xi(g, profile.center, profile.omega)
-
-
-def _xi(g: BlockGraph, center: tuple[int, ...], omega: int) -> int:
-    if omega != 1:
-        return 0
-    w = center[0]
-    return min(len(g.blocks[bi]) - 1 for bi in g.vertex_blocks[w])
+            if y != parent[x]:
+                parent[y] = x
+                dist[y] = dist[x] + bct.edge_weight2(x if bct.is_block_node(x) else y)
+                order.append(y)
+    return order, parent, np.array(dist, dtype=np.int64)
 
 
 def detour_profile(g: BlockGraph) -> DetourProfile:
-    """Compute eccentricities, center, levels, branch ownership in one pass."""
+    """Eccentricities, center, levels and branch ownership from four tree sweeps.
+
+    A two-sweep (from vertex 0, then from the farthest vertex a, then from
+    b, the farthest from a) gives every eccentricity as max(D(v, a),
+    D(v, b)).  The center is then one cut vertex or one whole block, and a
+    last sweep rooted there gives each vertex its level, its nearest
+    central vertex and the first block on the way to it.
+    """
     bct = g.block_cut_tree()
-    ecc2 = _eccentricities2(g)
-    m = min(ecc2)
-    center = tuple(v for v in range(g.p) if ecc2[v] == m)
+    anchor, half2 = _vertex_anchors(g, bct)
+
+    def from_vertex(u: int) -> np.ndarray:
+        # in-place updates keep extra p-sized arrays out of the peak memory
+        d2 = _sweep(bct, int(anchor[u]))[2][anchor]
+        d2 += half2
+        d2 += half2[u]
+        d2[u] = 0
+        return d2
+
+    d_a = from_vertex(int(np.argmax(from_vertex(0))))
+    ecc2 = np.maximum(d_a, from_vertex(int(np.argmax(d_a))))
+    center = tuple(np.flatnonzero(ecc2 == ecc2.min()).tolist())
     omega = len(center)
-    central = set(center)
+    w = center[0]
+    if omega == 1:
+        root = bct.cut_node[w]
+        xi = min(len(g.blocks[bi]) - 1 for bi in g.vertex_blocks[w])
+    else:
+        root = next((bi for bi in g.vertex_blocks[w] if g.blocks[bi] == center), -1)
+        if root < 0:
+            raise AssertionError("detour center is not one whole block")
+        xi = 0
 
-    common = set(g.vertex_blocks[center[0]])
-    for w in center[1:]:
-        common &= set(g.vertex_blocks[w])
-    if not common:
-        raise AssertionError("detour center does not lie in a single block")
-
-    # Multi-source shortest paths over the tree, seeded at the centers'
-    # anchors, carrying (owner, first block) labels outward.
-    cost = [-1] * bct.node_count
+    order, parent, dist = _sweep(bct, root)
+    # Nodes anchoring central vertices (the root, and the cut nodes just
+    # below a root block) keep owner -1.  Below a central cut vertex each
+    # block starts a branch, which its whole subtree inherits.
     owner_at = [-1] * bct.node_count
-    fblock_at = [-1] * bct.node_count
-    pred = [-1] * bct.node_count
-    ambiguous = [False] * bct.node_count
-    settle_order: list[int] = []
-    heap: list[tuple[int, int, int, int, int]] = []
-    for w in center:
-        a = bct.anchor(w)
-        fb = a if bct.is_block_node(a) else -1
-        heapq.heappush(heap, (bct.half2(w), w, a, fb, -1))
-    while heap:
-        c, w, node, fb, came_from = heapq.heappop(heap)
-        if cost[node] >= 0:
-            if c == cost[node] and w != owner_at[node]:
-                ambiguous[node] = True
-            continue
-        cost[node] = c
-        owner_at[node] = w
-        fblock_at[node] = fb
-        pred[node] = came_from
-        settle_order.append(node)
-        for y in bct.adj[node]:
-            if cost[y] < 0:
-                block = node if bct.is_block_node(node) else y
-                nfb = fb if fb >= 0 else (y if bct.is_block_node(y) else -1)
-                heapq.heappush(heap, (c + bct.edge_weight2(block), w, y, nfb, node))
-    # a tie anywhere on the route to the winning seed makes every node
-    # beyond it ambiguous too; predecessors settle first, so one sweep works
-    for node in settle_order:
-        if pred[node] >= 0 and ambiguous[pred[node]]:
-            ambiguous[node] = True
+    block_at = [-1] * bct.node_count
+    for x in order[1:]:
+        y = parent[x]
+        if owner_at[y] >= 0:
+            owner_at[x] = owner_at[y]
+            block_at[x] = block_at[y]
+        elif bct.is_block_node(x):
+            owner_at[x] = bct.cut_list[y - bct.block_count]
+            block_at[x] = x
 
-    level = [0] * g.p
-    owner = [-1] * g.p
-    owner_block = [-1] * g.p
-    for v in range(g.p):
-        if v in central:
-            continue
-        a = bct.anchor(v)
-        if ambiguous[a]:
-            raise AssertionError(f"tied branch ownership at vertex {v}")
-        lvl2 = cost[a] + bct.half2(v)
-        if lvl2 % 2:
-            raise AssertionError("odd doubled level")
-        level[v] = lvl2 // 2
-        owner[v] = owner_at[a]
-        owner_block[v] = fblock_at[a]
-        if owner_block[v] < 0:
-            raise AssertionError(f"no owning block for vertex {v}")
-
-    ecc = [e // 2 for e in ecc2]
+    level2 = dist[anchor]
+    level2 += half2
+    if omega > 1:
+        level2 -= omega - 1
+    level2 //= 2
+    ecc2 //= 2
+    level = tuple(level2.tolist())
+    ecc = tuple(ecc2.tolist())
     return DetourProfile(
-        ecc=tuple(ecc),
+        ecc=ecc,
         center=center,
         omega=omega,
-        xi=_xi(g, center, omega),
-        level=tuple(level),
+        xi=xi,
+        level=level,
         total_level=sum(level),
-        owner=tuple(owner),
-        owner_block=tuple(owner_block),
+        owner=tuple(owner_at[a] for a in anchor),
+        owner_block=tuple(block_at[a] for a in anchor),
         diameter_d=max(ecc),
     )
-
-
-def detour_level(g: BlockGraph, profile: DetourProfile, u: int) -> int:
-    """Minimum detour distance from u to a central vertex."""
-    return profile.level[u]
-
-
-def total_detour_level(g: BlockGraph, profile: DetourProfile) -> int:
-    """Sum of the detour levels over all vertices."""
-    return profile.total_level
 
 
 def branch_relation(g: BlockGraph, profile: DetourProfile, u: int, v: int) -> str:

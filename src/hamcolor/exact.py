@@ -76,20 +76,18 @@ def brute_longest_path(g: BlockGraph, u: int, v: int, budget: SearchBudget | Non
     return best
 
 
-def greedy_min_coloring_for_ordering(
-    g: BlockGraph, ordering: Sequence[int], dmatrix=None
-) -> HamColoring:
+def greedy_min_coloring_for_ordering(g: BlockGraph, ordering: Sequence[int]) -> HamColoring:
     """Cheapest valid coloring whose nondecreasing color order follows the ordering.
 
     Each next color is the maximum over placed vertices u of
     c(u) + p - 1 - D(u, next).  Colors never decrease along the ordering
     and D >= 1, so only placed vertices with c(u) >= c(last) - (p - 3)
     can raise the next color above c(last): a suffix of the placed
-    prefix, whose distances come from the tree-metric core (or from
-    ``dmatrix`` when one is given) in one vectorized query per step.
+    prefix, whose distances come from the tree-metric core in one
+    vectorized query per step.
     """
     order = _as_permutation(g.p, ordering)
-    distance = tree_metric(g).distance if dmatrix is None else lambda u, v: dmatrix[u, v]
+    distance = tree_metric(g).distance
     need = g.p - 1
     placed = np.array(order)
     placed_colors = np.zeros(g.p, dtype=np.int64)  # by ordering position
@@ -161,7 +159,7 @@ def exact_hc(g: BlockGraph, budget: SearchBudget | None = None) -> tuple[int, Ha
     d = detour_matrix(g)
     rows = [list(map(int, d[v])) for v in range(p)]
 
-    seed = greedy_min_coloring_for_ordering(g, greedy_ordering(g, profile), d)
+    seed = greedy_min_coloring_for_ordering(g, greedy_ordering(g, profile))
     best_span = seed.span
     best_colors: tuple[int, ...] | None = seed.colors
     if budget.incumbent is not None and budget.incumbent < best_span:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .detour import DetourProfile, detour_profile
 from .errors import InvalidSpecError, NotSymmetricError
-from .graphs import BlockGraph, build_block_graph
+from .graphs import BlockGraph
 
 
 @dataclass(frozen=True)
@@ -243,7 +243,7 @@ def gen_symmetric(spec: SymmetricSpec) -> tuple[BlockGraph, SymmetricCoordinates
         for c in range(m):
             next_id = grow_branch(c, 1, next_id)
 
-    g = build_block_graph(
+    g = BlockGraph(
         next_id,
         blocks,
         meta={"family": "symmetric", "block_size": m, "cut_degree": kappa, "diameter": d},
@@ -263,14 +263,14 @@ def gen_union(n: int, k: int) -> BlockGraph:
     for _ in range(k):
         blocks.append([0] + list(range(nxt, nxt + n - 1)))
         nxt += n - 1
-    return build_block_graph(nxt, blocks, meta={"family": "union", "n": n, "k": k})
+    return BlockGraph(nxt, blocks, meta={"family": "union", "n": n, "k": k})
 
 
 def gen_path(p: int) -> BlockGraph:
     """Path on p vertices as a chain of edge blocks."""
     if p < 2:
         raise InvalidSpecError(f"a path needs >= 2 vertices, got {p}")
-    return build_block_graph(
+    return BlockGraph(
         p, [[i, i + 1] for i in range(p - 1)], meta={"family": "path", "p": p}
     )
 
@@ -279,7 +279,7 @@ def gen_star(leaves: int) -> BlockGraph:
     """Star with the given number of leaves around hub 0."""
     if leaves < 2:
         raise InvalidSpecError(f"a star needs >= 2 leaves, got {leaves}")
-    return build_block_graph(
+    return BlockGraph(
         leaves + 1,
         [[0, i] for i in range(1, leaves + 1)],
         meta={"family": "star", "leaves": leaves},
@@ -313,4 +313,4 @@ def gen_random_block_graph(
         blocks_at[attach] += 1
         blocks_at.extend([1] * (size - 1))
         p += size - 1
-    return build_block_graph(p, blocks, meta={"family": "random", "seed": seed})
+    return BlockGraph(p, blocks, meta={"family": "random", "seed": seed})

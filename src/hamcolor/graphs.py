@@ -147,11 +147,6 @@ class BlockGraph:
         return f"BlockGraph(p={self.p}, blocks={len(self.blocks)})"
 
 
-def build_block_graph(p: int, blocks: Iterable[Iterable[int]], meta: dict | None = None) -> BlockGraph:
-    """Validate and build a :class:`BlockGraph` from p and a block list."""
-    return BlockGraph(p, blocks, meta)
-
-
 class BlockCutTree:
     """The bipartite tree of blocks and cut vertices.
 
@@ -208,12 +203,6 @@ class BlockCutTree:
             return cn
         return self.graph.vertex_blocks[v][0]
 
-    def half2(self, v: int) -> int:
-        """Twice the endpoint correction for v: |B|-1 for a non-cut vertex, 0 for a cut vertex."""
-        if v in self.cut_node:
-            return 0
-        return len(self.graph.blocks[self.graph.vertex_blocks[v][0]]) - 1
-
     def edge_weight2(self, block_node: int) -> int:
         """Twice the weight of any tree edge incident to this block node."""
         return len(self.graph.blocks[block_node]) - 1
@@ -237,11 +226,6 @@ class BlockCutTree:
             a = self.parent[a]
             b = self.parent[b]
         return left + [a] + right[::-1]
-
-
-def block_cut_tree(g: BlockGraph) -> BlockCutTree:
-    """The block-cut tree of g (cached on the graph)."""
-    return g.block_cut_tree()
 
 
 def blocks_on_path(g: BlockGraph, u: int, v: int) -> list[int]:

@@ -62,6 +62,20 @@ def test_verify_malformed_coloring_exits_two(tmp_path, capsys, doc) -> None:
     assert captured.err.startswith("error: ") and "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize(
+    "doc", [{"colors": ["a", "b", "c", "d"]}, {"colors": [0]}], ids=["strings", "too-short"]
+)
+def test_export_malformed_coloring_exits_two(tmp_path, capsys, doc) -> None:
+    graph = tmp_path / "g.json"
+    coloring = tmp_path / "c.json"
+    run(["gen", "star", "-n", "3", "-o", str(graph)])
+    coloring.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["export", str(graph), "--coloring", str(coloring)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+
 def test_python_dash_m_runs_the_cli(tmp_path) -> None:
     graph = tmp_path / "g.json"
     done = _python("-m", "hamcolor", "gen", "star", "-n", "3", "-o", str(graph))

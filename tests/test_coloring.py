@@ -7,12 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hamcolor import (
+    BlockGraph,
     HamColoring,
     InvalidSpecError,
     NotAPermutationError,
     SizeMismatchError,
     SymmetricSpec,
-    build_block_graph,
     check_ordering_conditions,
     coloring_from_ordering,
     detour_matrix,
@@ -98,7 +98,7 @@ def test_construction_spans_match_goldens() -> None:
 
 
 def test_construction_on_complete_graph_is_all_zero() -> None:
-    g = build_block_graph(5, [range(5)])
+    g = BlockGraph(5, [range(5)])
     profile = detour_profile(g)
     coloring = coloring_from_ordering(g, profile, [3, 1, 4, 0, 2])
     assert coloring.colors == (0,) * 5 and coloring.span == 0
@@ -157,7 +157,7 @@ def test_validate_union_explicit_coloring() -> None:
 
 
 def test_validate_all_zero() -> None:
-    k5 = build_block_graph(5, [range(5)])
+    k5 = BlockGraph(5, [range(5)])
     assert validate_coloring(k5, [0] * 5) == []
     star = gen_star(3)
     violations = validate_coloring(star, [0] * 4)
@@ -211,7 +211,7 @@ def test_greedy_ordering_produces_usable_colorings() -> None:
     assert star_order[0] == 0
     assert greedy_min_coloring_for_ordering(star, star_order).span >= 4
 
-    k4 = build_block_graph(4, [range(4)])
+    k4 = BlockGraph(4, [range(4)])
     k4_profile = detour_profile(k4)
     assert coloring_from_ordering(k4, k4_profile, greedy_ordering(k4, k4_profile)).span == 0
 

@@ -7,13 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hamcolor import (
+    BlockGraph,
+    DetourProfile,
     SymmetricSpec,
+    blocks_on_path,
     branch_relation,
     brute_longest_path,
-    build_block_graph,
-    detour_center,
     detour_distance,
-    detour_level,
     detour_matrix,
     detour_profile,
     gen_path,
@@ -21,8 +21,6 @@ from hamcolor import (
     gen_star,
     gen_symmetric,
     gen_union,
-    total_detour_level,
-    xi,
 )
 
 
@@ -99,20 +97,20 @@ def test_detour_matrix_agrees_with_pairwise() -> None:
 
 def test_center_even_diameter_is_single_vertex() -> None:
     g, _ = gen_symmetric(SymmetricSpec(4, 2, 4))
-    center, omega = detour_center(g)
-    assert center == (0,) and omega == 1
+    profile = detour_profile(g)
+    assert profile.center == (0,) and profile.omega == 1
 
 
 def test_center_odd_diameter_is_central_block() -> None:
     g, _ = gen_symmetric(SymmetricSpec(4, 2, 5))
-    center, omega = detour_center(g)
-    assert center == (0, 1, 2, 3) and omega == 4
+    profile = detour_profile(g)
+    assert profile.center == (0, 1, 2, 3) and profile.omega == 4
 
 
 def test_center_of_complete_graph_is_everything() -> None:
-    g = build_block_graph(6, [range(6)])
-    center, omega = detour_center(g)
-    assert omega == 6 and center == tuple(range(6))
+    g = BlockGraph(6, [range(6)])
+    profile = detour_profile(g)
+    assert profile.omega == 6 and profile.center == tuple(range(6))
 
 
 def test_center_lies_in_one_block(corpus) -> None:
@@ -124,13 +122,61 @@ def test_center_lies_in_one_block(corpus) -> None:
         assert shared
 
 
+def _reference_profile(g) -> DetourProfile:
+    """The profile by definition, from the full detour matrix."""
+    d = detour_matrix(g)
+    ecc = d.max(axis=1)
+    center = tuple(v for v in range(g.p) if ecc[v] == ecc.min())
+    level = d[:, center].min(axis=1)
+    owner = [-1] * g.p
+    owner_block = [-1] * g.p
+    for v in range(g.p):
+        if v not in center:
+            (owner[v],) = (w for w in center if d[w, v] == level[v])
+            owner_block[v] = blocks_on_path(g, owner[v], v)[0]
+    omega = len(center)
+    xi = min(len(g.blocks[b]) - 1 for b in g.vertex_blocks[center[0]]) if omega == 1 else 0
+    return DetourProfile(
+        ecc=tuple(ecc.tolist()),
+        center=center,
+        omega=omega,
+        xi=xi,
+        level=tuple(level.tolist()),
+        total_level=int(level.sum()),
+        owner=tuple(owner),
+        owner_block=tuple(owner_block),
+        diameter_d=int(ecc.max()),
+    )
+
+
+def test_profile_matches_reference_and_center_is_a_cut_vertex_or_a_block() -> None:
+    shapes = [(5, 3), (2, 2), (3, 6), (6, 2)]
+    graphs = [
+        gen_random_block_graph(seed, 14, *shapes[seed % len(shapes)]) for seed in range(3000)
+    ]
+    graphs += [BlockGraph(n, [range(n)]) for n in range(2, 7)]
+    graphs += [gen_path(n) for n in range(2, 10)] + [gen_star(n) for n in range(2, 7)]
+    graphs += [gen_union(n, k) for n in range(2, 5) for k in range(2, 5)]
+    graphs += [
+        gen_symmetric(SymmetricSpec(*spec))[0]
+        for spec in ((4, 2, 4), (4, 2, 5), (3, 2, 3), (3, 3, 3), (2, 3, 4))
+    ]
+    for g in graphs:
+        profile = detour_profile(g)
+        assert profile == _reference_profile(g), g
+        if profile.omega == 1:
+            assert profile.center[0] in g.cut_vertices
+        else:
+            assert profile.center in (g.blocks[b] for b in g.vertex_blocks[profile.center[0]])
+
+
 def test_xi_values() -> None:
     g4, _ = gen_symmetric(SymmetricSpec(4, 2, 4))
-    assert xi(g4, detour_profile(g4)) == 3
+    assert detour_profile(g4).xi == 3
     g5, _ = gen_symmetric(SymmetricSpec(4, 2, 5))
-    assert xi(g5, detour_profile(g5)) == 0
+    assert detour_profile(g5).xi == 0
     star = gen_star(3)
-    assert xi(star, detour_profile(star)) == 1
+    assert detour_profile(star).xi == 1
 
 
 def test_levels_even_case() -> None:
@@ -140,8 +186,8 @@ def test_levels_even_case() -> None:
     direct = [min(detour_distance(g, w, u) for w in profile.center) for u in range(g.p)]
     assert list(profile.level) == direct
     assert sorted(direct).count(3) == 6 and sorted(direct).count(6) == 18
-    assert total_detour_level(g, profile) == sum(direct) == 126
-    assert detour_level(g, profile, profile.center[0]) == 0
+    assert profile.total_level == sum(direct) == 126
+    assert profile.level[profile.center[0]] == 0
 
 
 def test_levels_odd_case() -> None:
@@ -149,7 +195,7 @@ def test_levels_odd_case() -> None:
     profile = detour_profile(g)
     direct = [min(detour_distance(g, w, u) for w in profile.center) for u in range(g.p)]
     assert list(profile.level) == direct
-    assert total_detour_level(g, profile) == 12 * 3 + 36 * 6 == 252
+    assert profile.total_level == 12 * 3 + 36 * 6 == 252
 
 
 def test_profile_level_zero_iff_central(corpus) -> None:

@@ -3,12 +3,12 @@ from __future__ import annotations
 import pytest
 
 from hamcolor import (
+    BlockGraph,
     BudgetExceededError,
     InvalidSpecError,
     SearchBudget,
     SymmetricSpec,
     brute_longest_path,
-    build_block_graph,
     detour_profile,
     exact_hc,
     gen_path,
@@ -25,7 +25,7 @@ def test_brute_longest_path_basics() -> None:
     p4 = gen_path(4)
     assert brute_longest_path(p4, 0, 3) == 3
     assert brute_longest_path(p4, 1, 2) == 1
-    k4 = build_block_graph(4, [range(4)])
+    k4 = BlockGraph(4, [range(4)])
     assert brute_longest_path(k4, 0, 2) == 3
     assert brute_longest_path(k4, 1, 1) == 0
 
@@ -43,7 +43,7 @@ def test_budget_refuses_above_hard_cap() -> None:
 
 
 def test_greedy_min_on_complete_graph_is_zero() -> None:
-    k5 = build_block_graph(5, [range(5)])
+    k5 = BlockGraph(5, [range(5)])
     assert greedy_min_coloring_for_ordering(k5, [4, 2, 0, 1, 3]).colors == (0,) * 5
 
 
@@ -141,7 +141,7 @@ def _all_valid_colorings_dominated(g, span_cap: int) -> int:
         yield from extend(1, [0])
 
     for order in permutations(range(g.p)):
-        greedy = greedy_min_coloring_for_ordering(g, list(order), d)
+        greedy = greedy_min_coloring_for_ordering(g, list(order))
         if greedy.span > span_cap:
             continue
         for col_by_pos in colorings_for(order):
@@ -153,7 +153,7 @@ def _all_valid_colorings_dominated(g, span_cap: int) -> int:
                 colors = [0] * g.p
                 for pos, v in enumerate(order):
                     colors[v] = col_by_pos[pos]
-                assert validate_coloring(g, colors, d) == []
+                assert validate_coloring(g, colors) == []
     return best_seen
 
 
@@ -172,15 +172,12 @@ def test_exact_matches_unpruned_enumeration(corpus) -> None:
     # no twin reduction; the solver must agree exactly
     from itertools import permutations
 
-    from hamcolor import detour_matrix
-
     checked = 0
     for g in corpus:
         if g.p > 6 or checked >= 12:
             continue
-        d = detour_matrix(g)
         reference = min(
-            greedy_min_coloring_for_ordering(g, list(order), d).span
+            greedy_min_coloring_for_ordering(g, list(order)).span
             for order in permutations(range(g.p))
         )
         assert exact_hc(g)[0] == reference, g.meta

@@ -5,10 +5,10 @@ from collections import deque
 import pytest
 
 from hamcolor import (
+    BlockGraph,
     InvalidSpecError,
     NotSymmetricError,
     SymmetricSpec,
-    build_block_graph,
     detour_profile,
     gen_path,
     gen_random_block_graph,
@@ -116,9 +116,9 @@ def test_coordinates_reject_non_symmetric() -> None:
     with pytest.raises(NotSymmetricError):
         symmetric_coordinates(gen_random_block_graph(0, max_p=9))
     with pytest.raises(NotSymmetricError):
-        symmetric_coordinates(build_block_graph(5, [range(5)]))
+        symmetric_coordinates(BlockGraph(5, [range(5)]))
     # uniform block size and cut degree, but end vertices at unequal depths
-    lopsided = build_block_graph(
+    lopsided = BlockGraph(
         8, [{0, 1}, {1, 2}, {1, 3}, {3, 4}, {3, 5}, {4, 6}, {4, 7}]
     )
     with pytest.raises(NotSymmetricError):
@@ -158,7 +158,7 @@ def test_random_generator_is_deterministic() -> None:
 
 
 def test_random_corpus_all_valid_and_varied(corpus) -> None:
-    # construction went through build_block_graph, so validity is implied;
+    # construction went through BlockGraph, so validity is implied;
     # spot-check the distribution covers the intended shapes
     assert all(2 <= g.p <= 9 for g in corpus)
     assert any(len(g.blocks) == 1 for g in corpus)

@@ -3,11 +3,11 @@ from __future__ import annotations
 import pytest
 
 from hamcolor import (
+    BlockGraph,
     FamilyKind,
     InvalidSpecError,
     OutOfStatedRangeWarning,
     SymmetricSpec,
-    build_block_graph,
     detour_profile,
     family_hc,
     gen_symmetric,
@@ -44,7 +44,7 @@ def test_lower_bound_golden_even_case() -> None:
 
 
 def test_lower_bound_complete_graph_is_zero() -> None:
-    g = build_block_graph(6, [range(6)])
+    g = BlockGraph(6, [range(6)])
     assert lower_bound(g, detour_profile(g)) == 0
 
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hamcolor import (
+    BlockGraph,
     CyclicBlockStructureError,
     DanglingVertexError,
     DisconnectedError,
@@ -16,7 +17,6 @@ from hamcolor import (
     OverlappingBlocksError,
     SameVertexError,
     blocks_on_path,
-    build_block_graph,
     from_json,
     gen_path,
     gen_random_block_graph,
@@ -28,36 +28,36 @@ from hamcolor import (
 
 
 def test_build_star_k13() -> None:
-    g = build_block_graph(4, [{0, 1}, {0, 2}, {0, 3}])
+    g = BlockGraph(4, [{0, 1}, {0, 2}, {0, 3}])
     assert len(g.blocks) == 3
     assert g.cut_vertices == {0}
     assert g.adjacency[0] == (1, 2, 3)
 
 
 def test_build_two_cliques_sharing_one_vertex() -> None:
-    g = build_block_graph(7, [{0, 1, 2, 3}, {3, 4, 5, 6}])
+    g = BlockGraph(7, [{0, 1, 2, 3}, {3, 4, 5, 6}])
     assert g.cut_vertices == {3}
     assert len(g.blocks) == 2
 
 
 def test_build_rejects_overlapping_blocks() -> None:
     with pytest.raises(OverlappingBlocksError):
-        build_block_graph(5, [{0, 1, 2}, {1, 2, 3, 4}])
+        BlockGraph(5, [{0, 1, 2}, {1, 2, 3, 4}])
 
 
 def test_build_rejects_disconnected() -> None:
     with pytest.raises(DisconnectedError):
-        build_block_graph(4, [{0, 1}, {2, 3}])
+        BlockGraph(4, [{0, 1}, {2, 3}])
 
 
 def test_build_rejects_cyclic_block_structure() -> None:
     with pytest.raises(CyclicBlockStructureError):
-        build_block_graph(3, [{0, 1}, {1, 2}, {0, 2}])
+        BlockGraph(3, [{0, 1}, {1, 2}, {0, 2}])
 
 
 def test_build_rejects_dangling_vertex() -> None:
     with pytest.raises(DanglingVertexError):
-        build_block_graph(3, [{0, 1}])
+        BlockGraph(3, [{0, 1}])
 
 
 def test_dangling_rejection_is_proportional_to_input() -> None:
@@ -67,7 +67,7 @@ def test_dangling_rejection_is_proportional_to_input() -> None:
     start = time.perf_counter()
     try:
         with pytest.raises(DanglingVertexError, match="vertex 2 appears in no block"):
-            build_block_graph(30_000_000, [[0, 1]])
+            BlockGraph(30_000_000, [[0, 1]])
         elapsed = time.perf_counter() - start
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -78,18 +78,18 @@ def test_dangling_rejection_is_proportional_to_input() -> None:
 
 def test_dangling_reports_smallest_missing_vertex() -> None:
     with pytest.raises(DanglingVertexError, match="vertex 0 appears"):
-        build_block_graph(4, [[1, 2], [2, 3]])
+        BlockGraph(4, [[1, 2], [2, 3]])
     with pytest.raises(DanglingVertexError, match="vertex 2 appears"):
-        build_block_graph(6, [[0, 1], [1, 3], [3, 4, 5]])
+        BlockGraph(6, [[0, 1], [1, 3], [3, 4, 5]])
     with pytest.raises(DanglingVertexError, match="vertex 4 appears"):
-        build_block_graph(5, [[0, 1], [1, 2, 3]])
+        BlockGraph(5, [[0, 1], [1, 2, 3]])
 
 
 def test_build_rejects_tiny_blocks_and_bad_ids() -> None:
     with pytest.raises(InvalidSpecError):
-        build_block_graph(2, [{0}])
+        BlockGraph(2, [{0}])
     with pytest.raises(InvalidSpecError):
-        build_block_graph(2, [{0, 5}])
+        BlockGraph(2, [{0, 5}])
 
 
 def test_block_cut_tree_shapes() -> None:
@@ -99,7 +99,7 @@ def test_block_cut_tree_shapes() -> None:
     star = gen_star(3).block_cut_tree()
     assert star.block_count == 3 and len(star.cut_list) == 1
 
-    k5 = build_block_graph(5, [range(5)]).block_cut_tree()
+    k5 = BlockGraph(5, [range(5)]).block_cut_tree()
     assert k5.block_count == 1 and not k5.cut_list
 
 

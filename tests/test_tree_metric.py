@@ -11,9 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hamcolor import (
+    BlockGraph,
+    SymmetricSpec,
     blocks_on_path,
     brute_longest_path,
-    build_block_graph,
     detour_distance,
     detour_matrix,
     detour_profile,
@@ -21,7 +22,6 @@ from hamcolor import (
     gen_symmetric,
     greedy_min_coloring_for_ordering,
     greedy_ordering,
-    SymmetricSpec,
     validate_coloring,
 )
 from hamcolor.detour import tree_metric
@@ -97,11 +97,9 @@ def _colorings(g, seed: int) -> dict[str, list[int]]:
 @settings(max_examples=40, deadline=None)
 def test_windowed_validation_matches_all_pairs(seed: int) -> None:
     g = gen_random_block_graph(seed, max_p=40)
-    d = detour_matrix(g)
     for name, colors in _colorings(g, seed).items():
         want = _all_pairs_violations(g, colors)
         assert validate_coloring(g, colors) == want, name
-        assert validate_coloring(g, colors, d) == want, name
     assert validate_coloring(g, _colorings(g, seed)["valid"]) == []
 
 
@@ -128,7 +126,6 @@ def test_windowed_greedy_matches_quadratic_reference(seed: int, shuffle_seed: in
     random.Random(shuffle_seed).shuffle(order)
     want = _quadratic_greedy(g, order)
     assert greedy_min_coloring_for_ordering(g, order).colors == want
-    assert greedy_min_coloring_for_ordering(g, order, detour_matrix(g)).colors == want
 
 
 def test_windowed_greedy_matches_reference_on_greedy_ordering() -> None:
@@ -141,7 +138,7 @@ def test_windowed_greedy_matches_reference_on_greedy_ordering() -> None:
 def test_all_equal_coloring_memory_is_bounded() -> None:
     # every one of the ~2 million pairs of K_2000 is a candidate and none
     # violates; unchunked, the candidate arrays alone would take ~100 MB
-    g = build_block_graph(2000, [range(2000)])
+    g = BlockGraph(2000, [range(2000)])
     tree_metric(g)
     tracemalloc.start()
     try:
