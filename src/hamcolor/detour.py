@@ -168,11 +168,11 @@ def _sweep(bct: BlockCutTree, root: int) -> tuple[list[int], list[int], np.ndarr
 def detour_profile(g: BlockGraph) -> DetourProfile:
     """Eccentricities, center, levels and branch ownership from four tree sweeps.
 
-    A two-sweep (from vertex 0, then from the farthest vertex a, then from
-    b, the farthest from a) gives every eccentricity as max(D(v, a),
-    D(v, b)).  The center is then one cut vertex or one whole block, and a
-    last sweep rooted there gives each vertex its level, its nearest
-    central vertex and the first block on the way to it.
+    Three sweeps (from vertex 0, from the vertex a farthest from it, and
+    from b, the vertex farthest from a) give every eccentricity as
+    max(D(v, a), D(v, b)).  The center is then one cut vertex or one whole
+    block, and a last sweep rooted there gives each vertex its level, its
+    nearest central vertex and the first block on the way to it.
     """
     bct = g.block_cut_tree()
     anchor, half2 = _vertex_anchors(g, bct)
