@@ -9,10 +9,13 @@ everything against brute-force oracles at small scale.
 __version__ = "0.1.0"
 
 from .coloring import (
+    ColorResult,
     ConditionReport,
     HamColoring,
     check_ordering_conditions,
+    color_graph,
     coloring_from_ordering,
+    greedy_min_coloring_for_ordering,
     greedy_ordering,
     sym_ordering,
     union_coloring,
@@ -41,7 +44,7 @@ from .errors import (
     SameVertexError,
     SizeMismatchError,
 )
-from .exact import SearchBudget, brute_longest_path, exact_hc, greedy_min_coloring_for_ordering
+from .exact import SearchBudget, brute_longest_path, exact_hc
 from .families import (
     SymmetricCoordinates,
     SymmetricSpec,
@@ -53,8 +56,6 @@ from .families import (
     symmetric_coordinates,
 )
 from .formulas import (
-    FamilyKind,
-    family_hc,
     lower_bound,
     path_hc,
     phi,
@@ -77,9 +78,9 @@ __all__ = [
     "__version__",
     "BlockCutTree",
     "BlockGraph",
+    "ColorResult",
     "ConditionReport",
     "DetourProfile",
-    "FamilyKind",
     "HamColoring",
     "SearchBudget",
     "SymmetricCoordinates",
@@ -88,12 +89,12 @@ __all__ = [
     "branch_relation",
     "brute_longest_path",
     "check_ordering_conditions",
+    "color_graph",
     "coloring_from_ordering",
     "detour_distance",
     "detour_matrix",
     "detour_profile",
     "exact_hc",
-    "family_hc",
     "from_json",
     "gen_path",
     "gen_random_block_graph",

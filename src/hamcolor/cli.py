@@ -11,23 +11,10 @@ import json
 import sys
 
 from . import __version__
-from .coloring import (
-    check_colors,
-    coloring_from_ordering,
-    greedy_ordering,
-    sym_ordering,
-    union_coloring,
-    validate_coloring,
-)
+from .coloring import check_colors, color_graph, validate_coloring
 from .detour import detour_profile
-from .errors import (
-    BudgetExceededError,
-    HamcolorError,
-    InvalidSpecError,
-    NegativeGapError,
-    NotSymmetricError,
-)
-from .exact import SearchBudget, exact_hc, greedy_min_coloring_for_ordering
+from .errors import BudgetExceededError, HamcolorError, InvalidSpecError
+from .exact import SearchBudget, exact_hc
 from .families import (
     SymmetricSpec,
     gen_path,
@@ -35,7 +22,6 @@ from .families import (
     gen_star,
     gen_symmetric,
     gen_union,
-    symmetric_coordinates,
 )
 from .formulas import (
     lower_bound,
@@ -134,66 +120,15 @@ def _cmd_formula(args: argparse.Namespace) -> int:
     return 0
 
 
-def _union_colors_for(g: BlockGraph, coords) -> list[int]:
-    """Map the canonical union coloring onto an arbitrary union labeling."""
-    m = coords.spec.block_size
-    kappa = coords.spec.cut_degree
-    canonical = union_coloring(m, kappa).colors
-    hub = coords.roots[0]
-    colors = [0] * g.p
-    colors[hub] = canonical[0]
-    for bi, block_id in enumerate(sorted(g.vertex_blocks[hub])):
-        members = [v for v in g.blocks[block_id] if v != hub]
-        for i, v in enumerate(members, start=1):
-            colors[v] = canonical[bi * (m - 1) + i]
-    return colors
-
-
 def _cmd_color(args: argparse.Namespace) -> int:
-    g = _load_graph(args.graph)
-    profile = detour_profile(g)
-    bound = lower_bound(g, profile)
-    method = "greedy"
-    ordering: list[int] | None = None
-    colors: list[int]
-
-    coords = None
-    try:
-        coords = symmetric_coordinates(g, profile)
-    except NotSymmetricError:
-        coords = None
-
-    if coords is not None and coords.spec.diameter >= 3:
-        ordering = sym_ordering(g, coords)
-        colors = list(coloring_from_ordering(g, profile, ordering).colors)
-        method = "symmetric"
-    elif coords is not None:
-        colors = _union_colors_for(g, coords)
-        method = "union"
-    else:
-        ordering = greedy_ordering(g, profile)
-        candidate: list[int] | None = None
-        try:
-            recurrence = list(coloring_from_ordering(g, profile, ordering).colors)
-            if not validate_coloring(g, recurrence):
-                candidate = recurrence
-        except NegativeGapError:
-            candidate = None
-        if candidate is None:
-            candidate = list(greedy_min_coloring_for_ordering(g, ordering).colors)
-        colors = candidate
-
-    span = max(colors) - min(colors)
-    if span == bound:
-        status = "optimal (matches lower bound)"
-    elif method == "union":
-        status = "optimal (family closed form)"
-    else:
-        status = "upper bound (uncertified)"
-    print(f"method={method} span={span} lower_bound={bound} status={status}")
-    _write(args.output, json.dumps({"colors": colors}) + "\n")
-    if args.emit_ordering and ordering is not None:
-        _write(args.emit_ordering, json.dumps({"ordering": ordering}) + "\n")
+    result = color_graph(_load_graph(args.graph))
+    print(
+        f"method={result.method} span={result.coloring.span} "
+        f"lower_bound={result.bound} status={result.status}"
+    )
+    _write(args.output, json.dumps({"colors": result.coloring.colors}) + "\n")
+    if args.emit_ordering:
+        _write(args.emit_ordering, json.dumps({"ordering": result.ordering}) + "\n")
     return 0
 
 
@@ -237,18 +172,15 @@ def _cmd_table(args: argparse.Namespace) -> int:
                         continue
                     if sym_order_count(spec) > args.max_p:
                         continue
-                    g, coords = gen_symmetric(spec)
+                    g, _ = gen_symmetric(spec)
                 except HamcolorError:
                     continue
-                profile = detour_profile(g)
-                bound = lower_bound(g, profile)
-                closed = sym_hc(spec)
-                ordering = sym_ordering(g, coords)
-                coloring = coloring_from_ordering(g, profile, ordering)
-                ok = not validate_coloring(g, list(coloring.colors))
+                result = color_graph(g)
+                ok = not validate_coloring(g, result.coloring.colors)
                 rows.append(
-                    f"{m},{kappa},{d},{g.p},{profile.omega},{profile.xi},"
-                    f"{sym_total_level(spec)},{bound},{closed},{coloring.span},{str(ok).lower()}"
+                    f"{m},{kappa},{d},{g.p},{result.profile.omega},{result.profile.xi},"
+                    f"{sym_total_level(spec)},{result.bound},{sym_hc(spec)},"
+                    f"{result.coloring.span},{str(ok).lower()}"
                 )
     _write(args.output, "\n".join(rows) + "\n")
     return 0

@@ -11,6 +11,11 @@ which telescopes to span = (p-1)(p-omega) - 2*total_level + level(u_0)
 + level(u_{p-1}).  When the ordering satisfies the three conditions
 checked by :func:`check_ordering_conditions`, the result is a valid
 coloring meeting the general lower bound.
+
+The forced coloring along an ordering instead gives each next vertex
+the smallest color that keeps it valid against every placed vertex, so
+it is valid for any ordering.  :func:`color_graph` is the one place
+that chooses between the two and the ordering they follow.
 """
 
 from __future__ import annotations
@@ -25,15 +30,18 @@ from .detour import (
     RELATION_OPPOSITE,
     DetourProfile,
     branch_relation,
+    detour_profile,
     tree_metric,
 )
 from .errors import (
     InvalidSpecError,
     NegativeGapError,
     NotAPermutationError,
+    NotSymmetricError,
     SizeMismatchError,
 )
-from .families import SymmetricCoordinates
+from .families import SymmetricCoordinates, symmetric_coordinates
+from .formulas import lower_bound
 from .graphs import BlockGraph
 
 VertexOrdering = Sequence[int]
@@ -145,6 +153,34 @@ def coloring_from_ordering(
     return HamColoring(tuple(colors))
 
 
+def greedy_min_coloring_for_ordering(g: BlockGraph, ordering: Sequence[int]) -> HamColoring:
+    """Cheapest valid coloring whose nondecreasing color order follows the ordering.
+
+    Each next color is the maximum over placed vertices u of
+    c(u) + p - 1 - D(u, next).  Colors never decrease along the ordering
+    and D >= 1, so only placed vertices with c(u) >= c(last) - (p - 3)
+    can raise the next color above c(last): a suffix of the placed
+    prefix, whose distances come from the tree-metric core in one
+    vectorized query per step.
+    """
+    order = _as_permutation(g.p, ordering)
+    distance = tree_metric(g).distance
+    need = g.p - 1
+    placed = np.array(order)
+    placed_colors = np.zeros(g.p, dtype=np.int64)  # by ordering position
+    colors = [0] * g.p
+    lo = 0
+    last = 0
+    for i in range(1, g.p):
+        while lo < i and colors[order[lo]] < last - (g.p - 3):
+            lo += 1
+        if lo < i:
+            window = placed_colors[lo:i] + need - distance(placed[lo:i], order[i])
+            last = max(last, int(window.max()))
+        colors[order[i]] = placed_colors[i] = last
+    return HamColoring(tuple(colors))
+
+
 _INT64_MAX = np.iinfo(np.int64).max
 
 # Candidate pairs checked per numpy batch.  Larger batches cost memory
@@ -216,10 +252,10 @@ def sym_ordering(g: BlockGraph, coords: SymmetricCoordinates) -> list[int]:
     significant.  The ordering then cycles the branches round-robin,
     taking the s-th renamed element of each in turn, and closes with the
     depth-1 list (even diameter) or the remaining central vertices (odd).
+    At diameter 2 there are no descendants, so the ordering is the hub
+    followed by the depth-1 list.
     """
     spec = coords.spec
-    if spec.diameter < 3:
-        raise InvalidSpecError("the ordering construction needs diameter >= 3")
     n, k, r = spec.n, spec.k, spec.r
     x = k * n
     if coords.parity == "even":
@@ -329,3 +365,60 @@ def greedy_ordering(g: BlockGraph, profile: DetourProfile) -> list[int]:
             order.append(v)
             used[v] = True
     return order
+
+
+@dataclass(frozen=True)
+class ColorResult:
+    """A coloring from :func:`color_graph`, with what it was built from.
+
+    ``method`` is "symmetric", "union" or "greedy"; ``ordering`` is the
+    vertex ordering the coloring follows; ``bound`` is the general lower
+    bound computed from ``profile``.
+    """
+
+    method: str
+    ordering: tuple[int, ...]
+    coloring: HamColoring
+    profile: DetourProfile
+    bound: int
+
+    @property
+    def status(self) -> str:
+        """Whether the span is certified optimal, and by what."""
+        if self.coloring.span == self.bound:
+            return "optimal (matches lower bound)"
+        if self.method == "union":
+            return "optimal (family closed form)"
+        return "upper bound (uncertified)"
+
+
+def color_graph(g: BlockGraph) -> ColorResult:
+    """Color g by the best construction that applies to it.
+
+    A symmetric block graph with kn >= 2 is colored along its
+    bound-achieving ordering: by the gap recurrence when its diameter is
+    at least 3 ("symmetric"), the paper's construction, and by the forced
+    coloring at diameter 2 ("union"), a one-point union of cliques, where
+    the forced coloring is optimal.  Every other graph, paths included,
+    gets the forced coloring along the greedy ordering ("greedy"); forced
+    colorings are valid by construction.  The recurrence is not tried
+    there: D(u, v) <= level(u) + level(v) + omega - 1 makes each forced
+    step at least the recurrence's, so a recurrence coloring that is
+    valid, and hence nondecreasing, equals the forced one.
+    """
+    profile = detour_profile(g)
+    try:
+        coords = symmetric_coordinates(g, profile)
+    except NotSymmetricError:
+        coords = None
+    if coords is not None and coords.spec.k * coords.spec.n >= 2:
+        ordering = sym_ordering(g, coords)
+        method = "symmetric" if coords.spec.diameter >= 3 else "union"
+    else:
+        ordering = greedy_ordering(g, profile)
+        method = "greedy"
+    if method == "symmetric":
+        coloring = coloring_from_ordering(g, profile, ordering)
+    else:
+        coloring = greedy_min_coloring_for_ordering(g, ordering)
+    return ColorResult(method, tuple(ordering), coloring, profile, lower_bound(g, profile))

@@ -15,12 +15,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import ClassVar, Sequence
+from typing import ClassVar
 
-import numpy as np
-
-from .coloring import HamColoring, _as_permutation, greedy_ordering
-from .detour import detour_matrix, detour_profile, tree_metric
+from .coloring import HamColoring, greedy_min_coloring_for_ordering, greedy_ordering
+from .detour import detour_matrix, detour_profile
 from .errors import BudgetExceededError, InvalidSpecError
 from .formulas import lower_bound
 from .graphs import BlockGraph
@@ -74,34 +72,6 @@ def brute_longest_path(g: BlockGraph, u: int, v: int, budget: SearchBudget | Non
 
     walk(u, 0)
     return best
-
-
-def greedy_min_coloring_for_ordering(g: BlockGraph, ordering: Sequence[int]) -> HamColoring:
-    """Cheapest valid coloring whose nondecreasing color order follows the ordering.
-
-    Each next color is the maximum over placed vertices u of
-    c(u) + p - 1 - D(u, next).  Colors never decrease along the ordering
-    and D >= 1, so only placed vertices with c(u) >= c(last) - (p - 3)
-    can raise the next color above c(last): a suffix of the placed
-    prefix, whose distances come from the tree-metric core in one
-    vectorized query per step.
-    """
-    order = _as_permutation(g.p, ordering)
-    distance = tree_metric(g).distance
-    need = g.p - 1
-    placed = np.array(order)
-    placed_colors = np.zeros(g.p, dtype=np.int64)  # by ordering position
-    colors = [0] * g.p
-    lo = 0
-    last = 0
-    for i in range(1, g.p):
-        while lo < i and colors[order[lo]] < last - (g.p - 3):
-            lo += 1
-        if lo < i:
-            window = placed_colors[lo:i] + need - distance(placed[lo:i], order[i])
-            last = max(last, int(window.max()))
-        colors[order[i]] = placed_colors[i] = last
-    return HamColoring(tuple(colors))
 
 
 class _Done(Exception):

@@ -7,7 +7,6 @@ needed; the two divisions by (kn - 1) are asserted exact.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 from .detour import DetourProfile
 from .errors import InvalidSpecError, OutOfStatedRangeWarning
@@ -127,33 +126,3 @@ def union_hc(n: int, k: int) -> int:
     if k == 2:
         return (n - 1) ** 2
     return k * (k - 2) * (n - 1) ** 2 + n - 1
-
-
-@dataclass(frozen=True)
-class FamilyKind:
-    """A family name plus its integer parameters, for dispatching."""
-
-    family: str
-    params: tuple[int, ...]
-
-    _ARITY = {"star": 1, "path": 1, "union": 2, "symmetric": 3}
-
-    def __post_init__(self):
-        arity = self._ARITY.get(self.family)
-        if arity is None:
-            raise InvalidSpecError(f"unknown family {self.family!r}")
-        if len(self.params) != arity:
-            raise InvalidSpecError(
-                f"{self.family} takes {arity} parameter(s), got {len(self.params)}"
-            )
-
-
-def family_hc(kind: FamilyKind) -> int:
-    """Closed-form value for any supported family."""
-    if kind.family == "star":
-        return star_hc(kind.params[0])
-    if kind.family == "path":
-        return path_hc(kind.params[0])
-    if kind.family == "union":
-        return union_hc(*kind.params)
-    return sym_hc(SymmetricSpec(*kind.params))

@@ -125,9 +125,6 @@ class BlockGraph:
             self._adjacency = tuple(tuple(sorted(s)) for s in nbrs)
         return self._adjacency
 
-    def is_cut(self, v: int) -> bool:
-        return v in self.cut_vertices
-
     def block_cut_tree(self) -> "BlockCutTree":
         if self._bct is None:
             self._bct = BlockCutTree(self)

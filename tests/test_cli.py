@@ -183,12 +183,25 @@ def test_color_union_uses_family_construction(tmp_path, capsys) -> None:
 def test_color_emits_ordering(tmp_path, capsys) -> None:
     graph = tmp_path / "g.json"
     ordering = tmp_path / "ord.json"
-    run(["gen", "sym", "--block-size", "3", "--cut-degree", "2", "--diameter", "3",
-         "-o", str(graph)])
-    assert run(["color", str(graph), "--emit-ordering", str(ordering), "-o",
-                str(tmp_path / "c.json")]) == 0
-    order = json.loads(ordering.read_text())["ordering"]
-    assert sorted(order) == list(range(9))
+    for gen, p in [
+        (["sym", "--block-size", "3", "--cut-degree", "2", "--diameter", "3"], 9),
+        (["union", "-n", "4", "-k", "3"], 10),
+    ]:
+        run(["gen", *gen, "-o", str(graph)])
+        assert run(["color", str(graph), "--emit-ordering", str(ordering), "-o",
+                    str(tmp_path / "c.json")]) == 0
+        order = json.loads(ordering.read_text())["ordering"]
+        assert sorted(order) == list(range(p))
+        ordering.unlink()
+
+
+def test_color_path_is_valid(tmp_path, capsys) -> None:
+    graph = tmp_path / "g.json"
+    coloring = tmp_path / "c.json"
+    run(["gen", "path", "-n", "6", "-o", str(graph)])
+    assert run(["color", str(graph), "-o", str(coloring)]) == 0
+    assert capsys.readouterr().out.startswith("method=greedy ")
+    assert run(["verify", str(graph), str(coloring)]) == 0
 
 
 def test_table_rows_sorted_and_consistent(capsys) -> None:

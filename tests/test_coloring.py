@@ -10,13 +10,16 @@ from hamcolor import (
     BlockGraph,
     HamColoring,
     InvalidSpecError,
+    NegativeGapError,
     NotAPermutationError,
     SizeMismatchError,
     SymmetricSpec,
     check_ordering_conditions,
+    color_graph,
     coloring_from_ordering,
     detour_matrix,
     detour_profile,
+    gen_path,
     gen_random_block_graph,
     gen_star,
     gen_symmetric,
@@ -224,8 +227,6 @@ def test_ham_coloring_normalizes_to_zero() -> None:
 @given(st.integers(0, 10_000), st.integers(0, 500))
 @settings(max_examples=60, deadline=None)
 def test_telescoping_span_identity(seed: int, shuffle_seed: int) -> None:
-    from hamcolor import NegativeGapError
-
     g = gen_random_block_graph(seed, max_p=9)
     profile = detour_profile(g)
     order = list(range(g.p))
@@ -241,3 +242,53 @@ def test_telescoping_span_identity(seed: int, shuffle_seed: int) -> None:
         + profile.level[order[-1]]
     )
     assert coloring.span == expected
+
+
+def test_color_graph_is_valid_and_only_claims_certified_optimality(corpus, grid_instances) -> None:
+    cases = {
+        "path": [gen_path(n) for n in range(2, 41)],
+        "corpus": corpus,
+        "star": [gen_star(n) for n in range(2, 13)],
+        "union": [gen_union(n, k) for n in range(2, 9) for k in range(2, 7)],
+        "grid": [g for _, g, _, _ in grid_instances],
+    }
+    methods: dict[str, set[str]] = {name: set() for name in cases}
+    for name, graphs in cases.items():
+        for g in graphs:
+            result = color_graph(g)
+            assert validate_coloring(g, result.coloring.colors) == [], g.blocks
+            assert sorted(result.ordering) == list(range(g.p))
+            assert result.bound == lower_bound(g, result.profile)
+            if "optimal" in result.status:
+                assert result.coloring.span == result.bound or result.method == "union"
+            methods[name].add(result.method)
+    # a path has kn = 1, outside the symmetric construction's range
+    assert methods["path"] == {"greedy"}
+    assert methods["grid"] == {"symmetric"}
+
+
+def test_color_graph_on_unions_is_the_union_coloring() -> None:
+    for n in range(2, 9):
+        for k in range(2, 7):
+            result = color_graph(gen_union(n, k))
+            assert result.coloring == union_coloring(n, k), (n, k)
+            assert result.method == ("greedy" if (n, k) == (2, 2) else "union")
+
+
+def test_accepted_recurrence_equals_forced_coloring() -> None:
+    # color_graph relies on this to skip the recurrence on non-symmetric graphs
+    accepted = 0
+    for max_p, block_size, blocks_per_cut in [(12, 5, 3), (20, 2, 2), (30, 3, 5), (40, 6, 3)]:
+        for seed in range(500):
+            g = gen_random_block_graph(seed, max_p, block_size, blocks_per_cut)
+            profile = detour_profile(g)
+            order = greedy_ordering(g, profile)
+            try:
+                recurrence = coloring_from_ordering(g, profile, order)
+            except NegativeGapError:
+                continue
+            if validate_coloring(g, recurrence.colors):
+                continue
+            accepted += 1
+            assert recurrence == greedy_min_coloring_for_ordering(g, order), g.blocks
+    assert accepted >= 100

@@ -4,12 +4,10 @@ import pytest
 
 from hamcolor import (
     BlockGraph,
-    FamilyKind,
     InvalidSpecError,
     OutOfStatedRangeWarning,
     SymmetricSpec,
     detour_profile,
-    family_hc,
     gen_symmetric,
     gen_union,
     lower_bound,
@@ -144,14 +142,3 @@ def test_out_of_range_warns_but_computes() -> None:
         assert path_hc(4) == 4
     with pytest.warns(OutOfStatedRangeWarning):
         union_hc(3, 1)
-
-
-def test_family_kind_dispatch() -> None:
-    assert family_hc(FamilyKind("star", (3,))) == 4
-    assert family_hc(FamilyKind("path", (6,))) == 10
-    assert family_hc(FamilyKind("union", (4, 3))) == 30
-    assert family_hc(FamilyKind("symmetric", (4, 2, 4))) == 327
-    with pytest.raises(InvalidSpecError):
-        FamilyKind("ring", (5,))
-    with pytest.raises(InvalidSpecError):
-        FamilyKind("union", (4,))
