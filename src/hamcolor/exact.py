@@ -113,10 +113,29 @@ def _twin_groups(rows: list[list[int]], p: int) -> list[int]:
 def exact_hc(g: BlockGraph, budget: SearchBudget | None = None) -> tuple[int, HamColoring | None]:
     """Exact hamiltonian chromatic number with a witness coloring.
 
-    Enumerates orderings depth-first.  Pruning: the pending color of any
-    unplaced vertex is a lower bound on the final span; the incumbent is
-    seeded by the greedy-ordering pipeline; the search stops early when
-    the incumbent meets the general lower bound, which certifies it.
+    Enumerates orderings depth-first.  The incumbent is seeded by the
+    greedy-ordering pipeline, and the search stops early when it meets
+    the general lower bound, which certifies it.  Twin classes are placed
+    in ascending order.  A child is skipped when every completion of it
+    has a span at or above the incumbent, by one of three prunings:
+
+    * pending bound: the pending color of any unplaced vertex is a lower
+      bound on the final span;
+    * level-sum bound: D(a, b) <= L(a) + L(b) + omega - 1, so each later
+      step costs at least (p - omega) - L(a) - L(b); after v is placed at
+      color c with r vertices left, of level sum L_rem and least level m,
+      the span is at least c + r(p - omega) - L(v) - 2 L_rem + m;
+    * transposition table: D <= p - 1, so every unplaced vertex's pending
+      color is at least the last color c and is the color it gets next.
+      What follows therefore depends only on the placed set, which also
+      fixes the twin order, and the offsets pending - c, and it adds the
+      same amounts to c.  A state met again at a last color no lower than
+      before is skipped: the earlier visit found its best completion or
+      cut it against an incumbent at least as large, and the incumbent
+      only falls.
+
+    Only strict improvements replace the incumbent, so the value and the
+    witness are those of the search without the bounds and the table.
     """
     budget = budget or SearchBudget()
     p = g.p
@@ -140,15 +159,19 @@ def exact_hc(g: BlockGraph, budget: SearchBudget | None = None) -> tuple[int, Ha
 
     twin_prev = _twin_groups(rows, p)
     need = p - 1
+    step = p - profile.omega
+    level = profile.level
+    bits = need.bit_length()
     pending = [0] * p
     used = [False] * p
     colors = [0] * p
+    seen: dict[int, int] = {}
     nodes = 0
 
-    def search(depth: int) -> None:
+    def search(depth: int, mask: int, level_rem: int) -> None:
         nonlocal best_span, best_colors, nodes
         nodes += 1
-        if deadline is not None and nodes % 4096 == 0 and time.perf_counter() > deadline:
+        if deadline is not None and nodes % 4096 == 1 and time.perf_counter() > deadline:
             raise BudgetExceededError("time limit exhausted during exact search")
         candidates = []
         for v in range(p):
@@ -156,12 +179,13 @@ def exact_hc(g: BlockGraph, budget: SearchBudget | None = None) -> tuple[int, Ha
                 continue
             candidates.append((pending[v], v))
         candidates.sort()
+        left = p - depth - 1
         for nc, v in candidates:
             if nc >= best_span:
                 break
             used[v] = True
             colors[v] = nc
-            if depth + 1 == p:
+            if left == 0:
                 best_span = nc
                 best_colors = tuple(colors)
                 used[v] = False
@@ -170,6 +194,8 @@ def exact_hc(g: BlockGraph, budget: SearchBudget | None = None) -> tuple[int, Ha
                 return
             saved = []
             worst = 0
+            least = level_rem
+            offsets = 0
             row = rows[v]
             for y in range(p):
                 if not used[y]:
@@ -179,14 +205,24 @@ def exact_hc(g: BlockGraph, budget: SearchBudget | None = None) -> tuple[int, Ha
                         pending[y] = cand
                     if pending[y] > worst:
                         worst = pending[y]
-            if worst < best_span:
-                search(depth + 1)
+                    if level[y] < least:
+                        least = level[y]
+                    offsets = offsets << bits | (pending[y] - nc)
+            child = mask | 1 << v
+            # the placed set in the low p bits fixes how many offsets sit above it
+            key = offsets << p | child
+            if seen.get(key, best_span) > nc:
+                seen[key] = nc
+                rest = level_rem - level[v]
+                floor = nc + left * step - level[v] - 2 * rest + least
+                if max(worst, floor) < best_span:
+                    search(depth + 1, child, rest)
             for y, old in saved:
                 pending[y] = old
             used[v] = False
 
     try:
-        search(0)
+        search(0, 0, profile.total_level)
     except _Done:
         pass
     witness = HamColoring(best_colors) if best_colors is not None else None

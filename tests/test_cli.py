@@ -103,6 +103,18 @@ def test_exact_budget_exit_code(tmp_path, capsys) -> None:
     assert run(["exact", str(graph)]) == 3
 
 
+def test_exact_time_limit_exits_three(tmp_path, capsys) -> None:
+    graph = tmp_path / "path9.json"
+    run(["gen", "path", "-n", "9", "-o", str(graph)])
+    capsys.readouterr()
+    assert run(["exact", str(graph), "--time-limit", "1e-9"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "Traceback" not in captured.err
+
+
 def test_exact_reports_value_and_gap(tmp_path, capsys) -> None:
     graph = tmp_path / "p5.json"
     run(["gen", "path", "-n", "5", "-o", str(graph)])

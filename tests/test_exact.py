@@ -9,16 +9,20 @@ from hamcolor import (
     SearchBudget,
     SymmetricSpec,
     brute_longest_path,
+    detour_matrix,
     detour_profile,
     exact_hc,
     gen_path,
+    gen_random_block_graph,
     gen_star,
     gen_symmetric,
     gen_union,
     greedy_min_coloring_for_ordering,
+    greedy_ordering,
     lower_bound,
     validate_coloring,
 )
+from hamcolor.exact import _twin_groups
 
 
 def test_brute_longest_path_basics() -> None:
@@ -83,8 +87,8 @@ def test_exact_refuses_large_instances() -> None:
 
 
 def test_exact_honors_time_limit() -> None:
-    # the 9-path search explores far more nodes than one deadline-check
-    # interval, so an expired limit must surface as a budget error
+    # the deadline is checked on the first search node, so an expired
+    # limit surfaces as a budget error however few nodes the search needs
     with pytest.raises(BudgetExceededError):
         exact_hc(gen_path(9), SearchBudget(time_limit=1e-9))
 
@@ -115,8 +119,6 @@ def _all_valid_colorings_dominated(g, span_cap: int) -> int:
     sorted ordering and check the forced coloring never does worse.
     Returns the minimum span seen."""
     from itertools import permutations
-
-    from hamcolor import detour_matrix
 
     d = detour_matrix(g)
     rows = [list(map(int, row)) for row in d]
@@ -183,3 +185,88 @@ def test_exact_matches_unpruned_enumeration(corpus) -> None:
         assert exact_hc(g)[0] == reference, g.meta
         checked += 1
     assert checked == 12
+
+
+@pytest.mark.parametrize("seed, value", [(29, 28), (33, 36), (38, 39), (58, 36)])
+def test_exact_benchmark_graphs(seed: int, value: int) -> None:
+    # the values the benchmark's exact workload checks, recomputed there
+    # by an exhaustive search that shares no code with this package
+    g = gen_random_block_graph(seed, max_p=12)
+    got, witness = exact_hc(g, SearchBudget(max_p=12))
+    assert got == value
+    assert witness is not None and witness.span == value
+    assert validate_coloring(g, list(witness.colors)) == []
+
+
+def _reference_search(g) -> tuple[int, tuple[int, ...]]:
+    """The search with the greedy seed, the pending bound and twin order
+    only: no level-sum bound and no transposition table."""
+    p = g.p
+    profile = detour_profile(g)
+    lb = lower_bound(g, profile)
+    rows = [list(map(int, row)) for row in detour_matrix(g)]
+    seed = greedy_min_coloring_for_ordering(g, greedy_ordering(g, profile))
+    best_span, best_colors = seed.span, seed.colors
+    if best_span <= lb:
+        return best_span, best_colors
+    twin_prev = _twin_groups(rows, p)
+    pending = [0] * p
+    used = [False] * p
+    colors = [0] * p
+
+    class Certified(Exception):
+        pass
+
+    def search(depth: int) -> None:
+        nonlocal best_span, best_colors
+        candidates = []
+        for v in range(p):
+            if not used[v] and (twin_prev[v] == -1 or used[twin_prev[v]]):
+                candidates.append((pending[v], v))
+        candidates.sort()
+        for nc, v in candidates:
+            if nc >= best_span:
+                break
+            colors[v] = nc
+            if depth + 1 == p:
+                best_span, best_colors = nc, tuple(colors)
+                if nc <= lb:
+                    raise Certified
+                return
+            used[v] = True
+            saved = []
+            worst = 0
+            row = rows[v]
+            for y in range(p):
+                if not used[y]:
+                    cand = nc + p - 1 - row[y]
+                    if cand > pending[y]:
+                        saved.append((y, pending[y]))
+                        pending[y] = cand
+                    if pending[y] > worst:
+                        worst = pending[y]
+            if worst < best_span:
+                search(depth + 1)
+            for y, old in saved:
+                pending[y] = old
+            used[v] = False
+
+    try:
+        search(0)
+    except Certified:
+        pass
+    return best_span, best_colors
+
+
+P10_SEEDS = [17, 29, 30, 34, 35, 48, 56, 74, 81, 94, 95, 116, 120, 122, 129, 130, 141, 155, 161, 163]
+
+
+def test_exact_prunings_keep_value_and_witness(corpus) -> None:
+    # the level-sum bound and the transposition table may only cut
+    # orderings that cannot beat the incumbent, so the first optimum the
+    # search meets, and with it the witness, is unchanged
+    graphs = corpus + [gen_random_block_graph(s, max_p=10) for s in P10_SEEDS]
+    assert sum(g.p == 10 for g in graphs) == len(P10_SEEDS)
+    for g in graphs:
+        value, witness = exact_hc(g)
+        assert (value, witness.colors) == _reference_search(g), g.meta
