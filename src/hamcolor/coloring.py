@@ -85,9 +85,13 @@ class ConditionReport:
         return self.cond1_endpoints and self.cond2_branches and self.cond3_halfp
 
 
-def _as_permutation(p: int, ordering: VertexOrdering) -> list[int]:
-    order = list(ordering)
-    if len(order) != p or sorted(order) != list(range(p)):
+def _as_permutation(p: int, ordering: VertexOrdering) -> np.ndarray:
+    order = np.asarray(ordering)
+    if (
+        order.shape != (p,)
+        or order.dtype.kind not in "iu"
+        or not np.array_equal(np.sort(order), np.arange(p))
+    ):
         raise NotAPermutationError(f"ordering is not a permutation of 0..{p - 1}")
     return order
 
@@ -103,7 +107,7 @@ def check_ordering_conditions(
     (omega >= 2); pairs touching a central vertex are exempt.  Condition 3:
     2*D(u_i, u_{i+1}) <= p for every i (the exact rational comparison).
     """
-    order = _as_permutation(g.p, ordering)
+    order = _as_permutation(g.p, ordering).tolist()
     level = profile.level
     first, last = order[0], order[-1]
     want_last = profile.xi if profile.omega == 1 else 0
@@ -137,20 +141,18 @@ def coloring_from_ordering(
 ) -> HamColoring:
     """Apply the gap recurrence along the ordering, starting from 0.
 
-    Raises NegativeGapError instead of clamping when some step would be
-    negative, so an unusable ordering cannot masquerade as a coloring.
+    Raises NegativeGapError at the first negative step instead of
+    clamping, so an unusable ordering cannot masquerade as a coloring.
     """
     order = _as_permutation(g.p, ordering)
-    level = profile.level
-    colors = [0] * g.p
-    current = 0
-    for i in range(g.p - 1):
-        gap = g.p - 1 - level[order[i]] - level[order[i + 1]] - profile.omega + 1
-        if gap < 0:
-            raise NegativeGapError(i, gap)
-        current += gap
-        colors[order[i + 1]] = current
-    return HamColoring(tuple(colors))
+    level = np.asarray(profile.level)[order]
+    gaps = g.p - profile.omega - level[:-1] - level[1:]
+    negative = np.flatnonzero(gaps < 0)
+    if len(negative):
+        raise NegativeGapError(int(negative[0]), int(gaps[negative[0]]))
+    colors = np.zeros(g.p, dtype=np.int64)
+    colors[order[1:]] = np.cumsum(gaps)
+    return HamColoring(tuple(colors.tolist()))
 
 
 def greedy_min_coloring_for_ordering(g: BlockGraph, ordering: Sequence[int]) -> HamColoring:
@@ -163,10 +165,10 @@ def greedy_min_coloring_for_ordering(g: BlockGraph, ordering: Sequence[int]) -> 
     prefix, whose distances come from the tree-metric core in one
     vectorized query per step.
     """
-    order = _as_permutation(g.p, ordering)
+    placed = _as_permutation(g.p, ordering)
+    order = placed.tolist()
     distance = tree_metric(g).distance
     need = g.p - 1
-    placed = np.array(order)
     placed_colors = np.zeros(g.p, dtype=np.int64)  # by ordering position
     colors = [0] * g.p
     lo = 0
@@ -249,59 +251,28 @@ def sym_ordering(g: BlockGraph, coords: SymmetricCoordinates) -> list[int]:
 
     Every branch's descendants are renamed 1..S, deepest depth group
     first and child tuples in radix order with the first index least
-    significant.  The ordering then cycles the branches round-robin,
-    taking the s-th renamed element of each in turn, and closes with the
-    depth-1 list (even diameter) or the remaining central vertices (odd).
-    At diameter 2 there are no descendants, so the ordering is the hub
-    followed by the depth-1 list.
+    significant (``coords.rename``).  The ordering then cycles the
+    branches round-robin, taking the s-th renamed element of each in
+    turn, and closes with the depth-1 list (even diameter) or the
+    remaining central vertices (odd).  At diameter 2 there are no
+    descendants, so the ordering is the hub followed by the depth-1 list.
+
+    The middle part is one sort of the descendants by the slot
+    (s - 1) * streams + (branch - 1), which must fill the slots one to one.
     """
     spec = coords.spec
-    n, k, r = spec.n, spec.k, spec.r
-    x = k * n
     if coords.parity == "even":
-        streams = spec.cut_degree * n
-        max_len = r - 1
+        head, tail = coords.roots[0], coords.top_list
+        streams = spec.cut_degree * spec.n
     else:
-        streams = n + 1
-        max_len = r
-
-    size = sum(x**a for a in range(1, max_len + 1))
-    offsets = {
-        lam: sum(x**a for a in range(lam + 1, max_len + 1)) for lam in range(1, max_len + 1)
-    }
-    renamed: list[list[int | None]] = [[None] * size for _ in range(streams)]
-    for v in range(g.p):
-        tup = coords.path_tuple[v]
-        if not tup:
-            continue
-        j = 1 + sum(idx * x**a for a, idx in enumerate(tup)) + offsets[len(tup)]
-        slot = renamed[coords.branch[v] - 1][j - 1]
-        if slot is not None:
-            raise AssertionError("renaming collision")
-        renamed[coords.branch[v] - 1][j - 1] = v
-
-    ordering: list[int] = [0] * g.p
-    if coords.parity == "even":
-        ordering[0] = coords.roots[0]
-        tail = list(coords.top_list)
-    else:
-        ordering[0] = coords.roots[-1]
-        tail = list(coords.roots[:-1])
-
-    pos = 1
-    for s in range(size):
-        for t in range(streams):
-            v = renamed[t][s]
-            if v is None:
-                raise AssertionError("renaming left a hole")
-            ordering[pos] = v
-            pos += 1
-    for v in tail:
-        ordering[pos] = v
-        pos += 1
-    if pos != g.p:
-        raise AssertionError("ordering did not cover all vertices")
-    return ordering
+        head, tail = coords.roots[-1], coords.roots[:-1]
+        streams = spec.n + 1
+    descendants = np.flatnonzero(coords.rename)
+    slot = (coords.rename[descendants] - 1) * streams + coords.branch[descendants] - 1
+    by_slot = np.argsort(slot)
+    if not np.array_equal(slot[by_slot], np.arange(g.p - 1 - len(tail))):
+        raise AssertionError("renaming does not fill the stream slots one to one")
+    return [head, *descendants[by_slot].tolist(), *tail]
 
 
 def union_coloring(n: int, k: int) -> HamColoring:

@@ -141,7 +141,7 @@ def exact_hc(g: BlockGraph, budget: SearchBudget | None = None) -> tuple[int, Ha
     p = g.p
     if p > budget.max_p:
         raise BudgetExceededError(f"p={p} exceeds the search budget of {budget.max_p}")
-    deadline = time.perf_counter() + budget.time_limit if budget.time_limit else None
+    deadline = None if budget.time_limit is None else time.perf_counter() + budget.time_limit
 
     profile = detour_profile(g)
     lb = lower_bound(g, profile)

@@ -15,6 +15,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import chain
+
+import numpy as np
 
 from .detour import DetourProfile, detour_profile
 from .errors import InvalidSpecError, NotSymmetricError
@@ -58,34 +61,72 @@ class SymmetricSpec:
         return self.diameter // 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SymmetricCoordinates:
     """Canonical coordinates of a symmetric block graph's vertices.
 
     ``roots`` are the ordering endpoints (the center for even diameter,
     the central block for odd); ``top_list`` is the even-diameter
     depth-1 list in round-robin block order (equals ``roots`` when odd).
-    ``branch[v]`` is the 1-based index of the interleaving stream v
-    belongs to, 0 for the even-diameter center.  ``path_tuple[v]`` holds
-    the child indices from the branch root down to v.
+
+    The per-vertex coordinates are read-only integer arrays.  ``depth[v]``
+    counts the blocks between v and the center.  ``parent[v]`` is the
+    vertex v hangs from and ``index[v]`` its place among that vertex's
+    children, which take the child blocks round-robin; both are -1 at
+    the roots.  ``branch[v]`` is the 1-based index of the interleaving
+    stream v belongs to, 0 for the even-diameter center.  ``rename[v]``
+    is v's 1-based number when its branch's descendants are renamed for
+    :func:`hamcolor.coloring.sym_ordering`, and 0 when v is a root or on
+    the top list.
     """
 
     spec: SymmetricSpec
     parity: str
     roots: tuple[int, ...]
     top_list: tuple[int, ...]
-    depth: tuple[int, ...]
-    branch: tuple[int, ...]
-    path_tuple: tuple[tuple[int, ...], ...]
-    children: tuple[tuple[int, ...], ...]
-    parent: tuple[int, ...]
+    depth: np.ndarray
+    branch: np.ndarray
+    parent: np.ndarray
+    index: np.ndarray
+    rename: np.ndarray
 
+    def __post_init__(self):
+        for a in self._arrays():
+            a.flags.writeable = False
 
-def _round_robin(member_lists: list[list[int]]) -> list[int]:
-    """Interleave equally long lists so consecutive picks cycle the lists."""
-    width = len(member_lists)
-    length = len(member_lists[0])
-    return [member_lists[i % width][i // width] for i in range(width * length)]
+    def _arrays(self) -> tuple[np.ndarray, ...]:
+        return (self.depth, self.branch, self.parent, self.index, self.rename)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SymmetricCoordinates):
+            return NotImplemented
+        return (self.spec, self.parity, self.roots, self.top_list) == (
+            other.spec, other.parity, other.roots, other.top_list
+        ) and all(map(np.array_equal, self._arrays(), other._arrays()))
+
+    def __hash__(self) -> int:
+        arrays = (a.tobytes() for a in self._arrays())
+        return hash((self.spec, self.parity, self.roots, self.top_list, *arrays))
+
+    @property
+    def path_tuple(self) -> tuple[tuple[int, ...], ...]:
+        """Per vertex, the child indices from its branch root down to it."""
+        parent, index, rename = self.parent.tolist(), self.index.tolist(), self.rename.tolist()
+        paths: list[tuple[int, ...]] = [()] * len(parent)
+        for v in np.argsort(self.depth, kind="stable").tolist():
+            if rename[v]:
+                paths[v] = paths[parent[v]] + (index[v],)
+        return tuple(paths)
+
+    @property
+    def children(self) -> tuple[tuple[int, ...], ...]:
+        """Per vertex, its children in index order."""
+        parent = self.parent.tolist()
+        kids: list[list[int]] = [[] for _ in parent]
+        for u in np.lexsort((self.index, self.parent)).tolist():
+            if parent[u] >= 0:
+                kids[parent[u]].append(u)
+        return tuple(map(tuple, kids))
 
 
 def symmetric_coordinates(
@@ -97,112 +138,113 @@ def symmetric_coordinates(
     a symmetric block graph with at least two blocks.  ``profile`` is g's
     detour profile when the caller already has it; otherwise it is
     computed here.
+
+    Everything is computed on arrays, in O(p log r) for radius r.  With
+    one block size m, a vertex's depth is its level divided by m - 1.  In
+    every non-central block the parent is the one member of least depth
+    and the others sit one level deeper.  A child's index is its rank
+    among its block's non-parent members times the parent's number of
+    child blocks, plus its block's rank among them.  Streams and renamed
+    numbers sum along the parent chains by pointer doubling.
     """
     if len(g.blocks) < 2:
         raise NotSymmetricError("a symmetric block graph has at least two blocks")
-    sizes = {len(b) for b in g.blocks}
+    sizes = set(map(len, g.blocks))
     if len(sizes) != 1:
         raise NotSymmetricError(f"blocks have mixed sizes {sorted(sizes)}")
     m = sizes.pop()
-    degrees = {len(g.vertex_blocks[v]) for v in g.cut_vertices}
+    n = m - 1
+    degrees = set(map(len, g.vertex_blocks)) - {1}
     if len(degrees) != 1:
         raise NotSymmetricError(f"cut vertices have mixed block degrees {sorted(degrees)}")
     kappa = degrees.pop()
 
     if profile is None:
         profile = detour_profile(g)
-    used_blocks: set[int] = set()
-    depth = [-1] * g.p
-    branch = [0] * g.p
-    tup: list[tuple[int, ...]] = [()] * g.p
-    children: list[tuple[int, ...]] = [()] * g.p
-    parent = [-1] * g.p
-
+    members = np.fromiter(chain.from_iterable(g.blocks), dtype=np.intp, count=len(g.blocks) * m)
+    members = members.reshape(-1, m)
     if profile.omega == 1:
         parity = "even"
-        w = profile.center[0]
-        if w not in g.cut_vertices:
+        roots = (profile.center[0],)
+        if roots[0] not in g.cut_vertices:
             raise NotSymmetricError("even-diameter center must be a cut vertex")
-        roots = (w,)
-        depth[w] = 0
-        top_blocks = sorted(g.vertex_blocks[w])
-        members = [[v for v in g.blocks[bi] if v != w] for bi in top_blocks]
-        top_list = _round_robin(members)
-        for pos, v in enumerate(top_list, start=1):
-            depth[v] = 1
-            branch[v] = pos
-            parent[v] = w
-        children[w] = tuple(top_list)
-        used_blocks.update(top_blocks)
-        frontier = list(top_list)
     elif profile.omega == m:
         parity = "odd"
-        central_set = set(profile.center)
-        central_bi = next(
-            (bi for bi, b in enumerate(g.blocks) if set(b) == central_set), None
-        )
-        if central_bi is None:
-            raise NotSymmetricError("detour center is not a whole block")
         roots = tuple(sorted(profile.center))
-        used_blocks.add(central_bi)
-        frontier = []
-        for pos, c in enumerate(roots, start=1):
-            if c not in g.cut_vertices:
-                raise NotSymmetricError("every central vertex must carry its own branches")
-            depth[c] = 0
-            branch[c] = pos
-            frontier.append(c)
+        central = next((bi for bi in g.vertex_blocks[roots[0]] if g.blocks[bi] == roots), None)
+        if central is None:
+            raise NotSymmetricError("detour center is not a whole block")
+        if not g.cut_vertices.issuperset(roots):
+            raise NotSymmetricError("every central vertex must carry its own branches")
+        members = np.delete(members, central, axis=0)
     else:
         raise NotSymmetricError(
             f"detour center has {profile.omega} vertices; expected 1 or {m}"
         )
 
-    while frontier:
-        nxt: list[int] = []
-        for v in frontier:
-            new_blocks = sorted(bi for bi in g.vertex_blocks[v] if bi not in used_blocks)
-            if not new_blocks:
-                continue
-            if len(new_blocks) != kappa - 1:
-                raise NotSymmetricError(
-                    f"vertex {v} grows {len(new_blocks)} blocks; expected {kappa - 1}"
-                )
-            used_blocks.update(new_blocks)
-            members = [[u for u in g.blocks[bi] if u != v] for bi in new_blocks]
-            child_list = _round_robin(members)
-            for i, u in enumerate(child_list):
-                if depth[u] >= 0:
-                    raise NotSymmetricError("block layers overlap")
-                depth[u] = depth[v] + 1
-                branch[u] = branch[v]
-                tup[u] = tup[v] + (i,)
-                parent[u] = v
-            children[v] = tuple(child_list)
-            nxt.extend(child_list)
-        frontier = nxt
+    depth = np.fromiter(profile.level, dtype=np.intp, count=g.p) // n
+    r = int(depth.max())
+    is_cut = np.zeros(g.p, dtype=bool)
+    is_cut[list(g.cut_vertices)] = True
+    if (depth[~is_cut] != r).any():
+        raise NotSymmetricError("end vertices sit at unequal depths")
+    if r > 0 and (depth[is_cut] == r).any():
+        raise NotSymmetricError("a cut vertex sits at the outermost depth")
 
-    if min(depth) < 0:
-        raise NotSymmetricError("unreachable vertices during layering")
-    r = max(depth)
-    for v in range(g.p):
-        is_end = v not in g.cut_vertices
-        if is_end and depth[v] != r:
-            raise NotSymmetricError("end vertices sit at unequal depths")
-        if not is_end and depth[v] == r and r > 0:
-            raise NotSymmetricError("a cut vertex sits at the outermost depth")
+    # members[b, col[b]] is block b's parent; the other columns hold its children
+    rise = depth[members] - depth[members].min(axis=1, keepdims=True)
+    if not ((rise <= 1).all() and (rise.sum(axis=1) == n).all()):
+        raise NotSymmetricError("block layers overlap")
+    col = rise.argmin(axis=1)
+    up = members[np.arange(len(members)), col]
+    by_parent = np.argsort(up, kind="stable")
+    block_rank = np.empty_like(by_parent)
+    block_rank[by_parent] = np.arange(len(up)) - np.searchsorted(up[by_parent], up[by_parent])
+    width = np.bincount(up, minlength=g.p)[up]
+    # a child's rank among its block's non-parent members; their columns skip col
+    member_rank = np.arange(n)[None, :]
+    kids = np.take_along_axis(members, member_rank + (member_rank >= col[:, None]), axis=1)
+    parent = np.full(g.p, -1)
+    index = np.full(g.p, -1)
+    parent[kids] = up[:, None]
+    index[kids] = member_rank * width[:, None] + block_rank[:, None]
+
+    # lam[v] counts the blocks between v and its stream's root.  Each v below
+    # that root adds the digit index[v] at place x**(lam[v] - 1) to its
+    # renamed number, so the first index is the least significant.
+    x = (kappa - 1) * n
+    lam = depth - 1 if parity == "even" else depth
+    longest = max(r - 1 if parity == "even" else r, 0)
+    stream_root = lam <= 0
+    total = np.where(stream_root, 0, index * x ** np.maximum(lam - 1, 0))
+    up_to = np.where(stream_root, np.arange(g.p), parent)
+    for _ in range(longest.bit_length()):
+        total += total[up_to]
+        up_to = up_to[up_to]
+    if parity == "even":
+        top = np.flatnonzero(parent == roots[0])
+        top_list = tuple(top[np.argsort(index[top])].tolist())
+        stream = np.where(depth == 1, index + 1, 0)
+    else:
+        top_list = roots
+        stream = np.zeros(g.p, dtype=np.intp)
+        stream[list(roots)] = np.arange(1, m + 1)
+    # deeper groups come first: offset[lam] counts a stream's descendants deeper than lam
+    powers = x ** np.arange(longest + 1)
+    offset = np.append(np.cumsum(powers[::-1])[::-1][1:], 0)
+    rename = np.where(stream_root, 0, 1 + total + offset[np.maximum(lam, 0)])
 
     d = 2 * r if parity == "even" else 2 * r + 1
-    spec = SymmetricSpec(m, kappa, d)
     return SymmetricCoordinates(
-        spec=spec,
+        spec=SymmetricSpec(m, kappa, d),
         parity=parity,
         roots=roots,
-        top_list=tuple(top_list) if parity == "even" else roots,
-        depth=tuple(depth),
-        branch=tuple(branch),
-        path_tuple=tuple(tup),
-        children=tuple(children),
-        parent=tuple(parent),
+        top_list=top_list,
+        depth=depth,
+        branch=stream[up_to],
+        parent=parent,
+        index=index,
+        rename=rename,
     )
 
 

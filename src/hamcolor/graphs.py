@@ -10,9 +10,10 @@ threads.
 from __future__ import annotations
 
 import json
-from collections import deque
-from itertools import combinations
-from typing import Iterable, Sequence
+from itertools import chain, combinations
+from typing import Iterable, NoReturn, Sequence
+
+import numpy as np
 
 from .errors import (
     CyclicBlockStructureError,
@@ -29,6 +30,54 @@ def _canonical_blocks(blocks: Iterable[Iterable[int]]) -> tuple[tuple[int, ...],
     return tuple(sorted(tuple(sorted(set(b))) for b in blocks))
 
 
+def _first_missing(canon: tuple[tuple[int, ...], ...]) -> int:
+    """Smallest non-negative id that no block contains."""
+    members = sorted(set(chain.from_iterable(canon)))
+    return next((i for i, v in enumerate(members) if i != v), len(members))
+
+
+def _diagnose(
+    p: int, canon: tuple[tuple[int, ...], ...], vertex_blocks: Sequence[Sequence[int]]
+) -> NoReturn:
+    """Raise the error that names what is wrong with a covering block list.
+
+    Called only once the tree test has failed.  The checks run in a fixed
+    order, overlapping blocks, then disconnection, then a cycle of blocks,
+    so each input gets one error whichever test it failed.
+    """
+    # No two blocks may share >= 2 vertices: a repeated block pair in some
+    # two vertices' membership lists is exactly such an overlap.
+    seen_pairs: set[tuple[int, int]] = set()
+    for v in range(p):
+        for pair in combinations(vertex_blocks[v], 2):
+            if pair in seen_pairs:
+                raise OverlappingBlocksError(
+                    f"blocks {canon[pair[0]]} and {canon[pair[1]]} share two or more vertices"
+                )
+            seen_pairs.add(pair)
+
+    # Connectivity over the vertex/block incidence structure.
+    seen_v = [False] * p
+    seen_b = [False] * len(canon)
+    stack = [canon[0][0]]
+    seen_v[canon[0][0]] = True
+    while stack:
+        v = stack.pop()
+        for bi in vertex_blocks[v]:
+            if not seen_b[bi]:
+                seen_b[bi] = True
+                for w in canon[bi]:
+                    if not seen_v[w]:
+                        seen_v[w] = True
+                        stack.append(w)
+    if not all(seen_v):
+        missing = seen_v.index(False)
+        raise DisconnectedError(f"vertex {missing} is not reachable from vertex {canon[0][0]}")
+
+    # Connected without overlaps, so sum(|B|) != p + #blocks - 1.
+    raise CyclicBlockStructureError("some vertex pair is joined by two distinct block sequences")
+
+
 class BlockGraph:
     """A connected graph whose blocks are all cliques.
 
@@ -37,6 +86,13 @@ class BlockGraph:
     Blocks are stored in canonical order (sorted by smallest member,
     members ascending), which fixes serialization and all downstream
     tie-breaking.
+
+    A valid input is proved so in linear time: every id is covered,
+    sum(|B|) == p + #blocks - 1, and a breadth-first search of the
+    block-cut tree, which is built here and kept, reaches every node.
+    Only an input failing the count or the search is diagnosed further,
+    in a fixed order: overlapping blocks, then disconnection, then a
+    cycle of blocks.
     """
 
     __slots__ = (
@@ -57,61 +113,40 @@ class BlockGraph:
 
         # Coverage first, in time and memory proportional to the input, so a
         # huge p with few blocks is rejected before any per-vertex list exists.
-        members = sorted(set().union(*canon))
-        if len(members) < p:
-            missing = next((i for i, v in enumerate(members) if i != v), len(members))
-            raise DanglingVertexError(f"vertex {missing} appears in no block")
+        sizes = np.fromiter(map(len, canon), dtype=np.intp, count=len(canon))
+        incidence = int(sizes.sum())
+        if incidence >= p:
+            flat = np.fromiter(chain.from_iterable(canon), dtype=np.intp, count=incidence)
+            degree = np.bincount(flat, minlength=p)
+        if incidence < p or not degree.all():
+            raise DanglingVertexError(f"vertex {_first_missing(canon)} appears in no block")
 
-        vertex_blocks: list[list[int]] = [[] for _ in range(p)]
-        for bi, b in enumerate(canon):
-            for v in b:
-                vertex_blocks[v].append(bi)
-
-        # No two blocks may share >= 2 vertices: a repeated block pair in some
-        # two vertices' membership lists is exactly such an overlap.
-        seen_pairs: set[tuple[int, int]] = set()
-        for v in range(p):
-            for pair in combinations(vertex_blocks[v], 2):
-                if pair in seen_pairs:
-                    raise OverlappingBlocksError(
-                        f"blocks {canon[pair[0]]} and {canon[pair[1]]} share two or more vertices"
-                    )
-                seen_pairs.add(pair)
-
-        # Connectivity over the vertex/block incidence structure.
-        seen_v = [False] * p
-        seen_b = [False] * len(canon)
-        stack = [canon[0][0]]
-        seen_v[canon[0][0]] = True
-        while stack:
-            v = stack.pop()
-            for bi in vertex_blocks[v]:
-                if not seen_b[bi]:
-                    seen_b[bi] = True
-                    for w in canon[bi]:
-                        if not seen_v[w]:
-                            seen_v[w] = True
-                            stack.append(w)
-        if not all(seen_v):
-            missing = seen_v.index(False)
-            raise DisconnectedError(f"vertex {missing} is not reachable from vertex {canon[0][0]}")
-
-        # For a connected block structure, acyclicity of the incidence
-        # structure is the counting identity sum(|B|) == p + #blocks - 1.
-        incidence = sum(len(b) for b in canon)
-        if incidence != p + len(canon) - 1:
-            raise CyclicBlockStructureError(
-                "some vertex pair is joined by two distinct block sequences"
-            )
+        # Block ids grouped by vertex, ascending within each vertex.  The
+        # non-cut vertices of one block share one 1-tuple.
+        block_of = np.repeat(np.arange(len(canon)), sizes)[np.argsort(flat, kind="stable")]
+        start = np.cumsum(degree) - degree
+        singles = tuple(zip(range(len(canon))))
+        vertex_blocks = list(map(singles.__getitem__, block_of[start].tolist()))
+        cuts = np.flatnonzero(degree >= 2)
+        for v, s, d in zip(cuts.tolist(), start[cuts].tolist(), degree[cuts].tolist()):
+            vertex_blocks[v] = tuple(block_of[s : s + d].tolist())
 
         self.p = p
         self.blocks = canon
-        self.vertex_blocks = tuple(tuple(bs) for bs in vertex_blocks)
-        self.cut_vertices = frozenset(v for v in range(p) if len(vertex_blocks[v]) >= 2)
+        self.vertex_blocks = tuple(vertex_blocks)
+        self.cut_vertices = frozenset(cuts.tolist())
         self.meta = dict(meta) if meta else {}
         self._adjacency: tuple[tuple[int, ...], ...] | None = None
-        self._bct: BlockCutTree | None = None
         self._metric = None  # detour.TreeMetric, built by detour.tree_metric
+
+        # The vertex/block incidence graph is a tree exactly when it is
+        # connected and sum(|B|) == p + #blocks - 1; two blocks sharing two
+        # vertices would close a cycle in it.  Every non-cut vertex hangs off
+        # one block, so connectivity is the block-cut tree's search reaching
+        # every node.  Only an input failing either test pays for the diagnosis.
+        self._bct = BlockCutTree(self)
+        if incidence != p + len(canon) - 1 or -1 in self._bct.depth:
+            _diagnose(p, canon, self.vertex_blocks)
 
     @property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
@@ -126,8 +161,7 @@ class BlockGraph:
         return self._adjacency
 
     def block_cut_tree(self) -> "BlockCutTree":
-        if self._bct is None:
-            self._bct = BlockCutTree(self)
+        """The block-cut tree, built and checked by the constructor."""
         return self._bct
 
     def __eq__(self, other) -> bool:
@@ -174,19 +208,17 @@ class BlockCutTree:
                 adj[cn].append(bi)
         self.adj = tuple(tuple(a) for a in adj)
 
+        # breadth-first from node 0; nodes it cannot reach keep depth -1
         parent = [-1] * self.node_count
-        depth = [0] * self.node_count
-        seen = [False] * self.node_count
-        seen[0] = True
-        queue = deque([0])
-        while queue:
-            x = queue.popleft()
+        depth = [-1] * self.node_count
+        depth[0] = 0
+        order = [0]
+        for x in order:
             for y in self.adj[x]:
-                if not seen[y]:
-                    seen[y] = True
+                if depth[y] < 0:
                     parent[y] = x
                     depth[y] = depth[x] + 1
-                    queue.append(y)
+                    order.append(y)
         self.parent = tuple(parent)
         self.depth = tuple(depth)
 
@@ -256,9 +288,12 @@ def from_json(text: str) -> BlockGraph:
     blocks = doc["blocks"]
     if not isinstance(p, int) or isinstance(p, bool):
         raise InvalidSpecError(f'"p" must be an integer, got {p!r}')
-    if not isinstance(blocks, list) or not all(
-        isinstance(b, list) and all(isinstance(v, int) and not isinstance(v, bool) for v in b)
-        for b in blocks
+    # JSON gives exact types, and bool is a type of its own, so set lookups
+    # over the element types check every member at C speed.
+    if not (
+        isinstance(blocks, list)
+        and set(map(type, blocks)) <= {list}
+        and set(map(type, chain.from_iterable(blocks))) <= {int}
     ):
         raise InvalidSpecError('"blocks" must be a list of integer lists')
     meta = doc.get("meta")

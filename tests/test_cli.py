@@ -103,16 +103,25 @@ def test_exact_budget_exit_code(tmp_path, capsys) -> None:
     assert run(["exact", str(graph)]) == 3
 
 
-def test_exact_time_limit_exits_three(tmp_path, capsys) -> None:
+def _exact_exits_three_with_one_error(tmp_path, capsys, limit: str) -> None:
     graph = tmp_path / "path9.json"
     run(["gen", "path", "-n", "9", "-o", str(graph)])
     capsys.readouterr()
-    assert run(["exact", str(graph), "--time-limit", "1e-9"]) == 3
+    assert run(["exact", str(graph), "--time-limit", limit]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert "Traceback" not in captured.err
+
+
+def test_exact_time_limit_exits_three(tmp_path, capsys) -> None:
+    _exact_exits_three_with_one_error(tmp_path, capsys, "1e-9")
+
+
+def test_exact_zero_time_limit_exits_three(tmp_path, capsys) -> None:
+    # 0 is an exhausted limit, not "no limit"
+    _exact_exits_three_with_one_error(tmp_path, capsys, "0")
 
 
 def test_exact_reports_value_and_gap(tmp_path, capsys) -> None:

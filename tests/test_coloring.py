@@ -66,6 +66,11 @@ def test_condition_check_rejects_non_permutation() -> None:
     g, _, profile = sym_instance(3, 2, 3)
     with pytest.raises(NotAPermutationError):
         check_ordering_conditions(g, profile, list(range(g.p - 1)))
+    # the recurrence checks the same way: a repeated vertex, or float ids
+    with pytest.raises(NotAPermutationError):
+        coloring_from_ordering(g, profile, [0] * g.p)
+    with pytest.raises(NotAPermutationError):
+        coloring_from_ordering(g, profile, [float(v) for v in range(g.p)])
 
 
 def test_half_order_boundary_cases() -> None:

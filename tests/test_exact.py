@@ -93,6 +93,12 @@ def test_exact_honors_time_limit() -> None:
         exact_hc(gen_path(9), SearchBudget(time_limit=1e-9))
 
 
+def test_exact_zero_time_limit_is_a_limit() -> None:
+    # 0 is an exhausted limit, not "no limit"
+    with pytest.raises(BudgetExceededError):
+        exact_hc(gen_path(9), SearchBudget(time_limit=0))
+
+
 def test_exact_is_deterministic() -> None:
     g = gen_union(3, 3)
     first = exact_hc(g)

@@ -1,20 +1,25 @@
 from __future__ import annotations
 
+import random
 from collections import deque
 
 import pytest
+from conftest import grid_specs
 
 from hamcolor import (
     BlockGraph,
     InvalidSpecError,
+    NegativeGapError,
     NotSymmetricError,
     SymmetricSpec,
+    coloring_from_ordering,
     detour_profile,
     gen_path,
     gen_random_block_graph,
     gen_star,
     gen_symmetric,
     gen_union,
+    sym_ordering,
     symmetric_coordinates,
     to_json,
 )
@@ -110,6 +115,7 @@ def test_coordinates_rederive_from_structure() -> None:
         g, coords = gen_symmetric(spec)
         again = symmetric_coordinates(g)
         assert again == coords
+        assert hash(again) == hash(coords)
 
 
 def test_coordinates_reject_non_symmetric() -> None:
@@ -164,3 +170,171 @@ def test_random_corpus_all_valid_and_varied(corpus) -> None:
     assert any(len(g.blocks) == 1 for g in corpus)
     assert any(len(g.blocks) > 1 and all(len(b) == 2 for b in g.blocks) for g in corpus)
     assert any(len({len(b) for b in g.blocks}) > 1 for g in corpus)
+
+
+# -- loop references for the array-based symmetric layer ---------------------
+
+def _reference_coordinates(g, profile) -> dict:
+    """The layer-by-layer derivation the array code replaced, kept as its oracle."""
+    if len(g.blocks) < 2:
+        raise NotSymmetricError("fewer than two blocks")
+    sizes = {len(b) for b in g.blocks}
+    degrees = {len(g.vertex_blocks[v]) for v in g.cut_vertices}
+    if len(sizes) != 1 or len(degrees) != 1:
+        raise NotSymmetricError("mixed sizes or degrees")
+    m, kappa = sizes.pop(), degrees.pop()
+
+    def round_robin(member_lists):
+        width = len(member_lists)
+        return [member_lists[i % width][i // width] for i in range(width * len(member_lists[0]))]
+
+    used: set[int] = set()
+    depth = [-1] * g.p
+    branch = [0] * g.p
+    tup: list[tuple[int, ...]] = [()] * g.p
+    children: list[tuple[int, ...]] = [()] * g.p
+    parent = [-1] * g.p
+    if profile.omega == 1:
+        parity = "even"
+        w = profile.center[0]
+        if w not in g.cut_vertices:
+            raise NotSymmetricError("center is not a cut vertex")
+        roots = (w,)
+        depth[w] = 0
+        top_blocks = sorted(g.vertex_blocks[w])
+        top_list = round_robin([[v for v in g.blocks[bi] if v != w] for bi in top_blocks])
+        for pos, v in enumerate(top_list, start=1):
+            depth[v], branch[v], parent[v] = 1, pos, w
+        children[w] = tuple(top_list)
+        used.update(top_blocks)
+        frontier = list(top_list)
+    elif profile.omega == m:
+        parity = "odd"
+        central = [bi for bi, b in enumerate(g.blocks) if set(b) == set(profile.center)]
+        if not central:
+            raise NotSymmetricError("center is not a block")
+        roots = tuple(sorted(profile.center))
+        top_list = list(roots)
+        used.add(central[0])
+        for pos, c in enumerate(roots, start=1):
+            if c not in g.cut_vertices:
+                raise NotSymmetricError("central vertex without branches")
+            depth[c], branch[c] = 0, pos
+        frontier = list(roots)
+    else:
+        raise NotSymmetricError("center size")
+    while frontier:
+        nxt = []
+        for v in frontier:
+            new_blocks = sorted(bi for bi in g.vertex_blocks[v] if bi not in used)
+            if not new_blocks:
+                continue
+            if len(new_blocks) != kappa - 1:
+                raise NotSymmetricError("irregular growth")
+            used.update(new_blocks)
+            child_list = round_robin([[u for u in g.blocks[bi] if u != v] for bi in new_blocks])
+            for i, u in enumerate(child_list):
+                if depth[u] >= 0:
+                    raise NotSymmetricError("layers overlap")
+                depth[u], branch[u], parent[u] = depth[v] + 1, branch[v], v
+                tup[u] = tup[v] + (i,)
+            children[v] = tuple(child_list)
+            nxt.extend(child_list)
+        frontier = nxt
+    if min(depth) < 0:
+        raise NotSymmetricError("unreachable")
+    r = max(depth)
+    for v in range(g.p):
+        if v not in g.cut_vertices and depth[v] != r:
+            raise NotSymmetricError("end vertices at unequal depths")
+        if v in g.cut_vertices and depth[v] == r and r > 0:
+            raise NotSymmetricError("cut vertex at the outermost depth")
+    return {
+        "spec": SymmetricSpec(m, kappa, 2 * r if parity == "even" else 2 * r + 1),
+        "parity": parity,
+        "roots": roots,
+        "top_list": tuple(top_list),
+        "depth": tuple(depth),
+        "branch": tuple(branch),
+        "path_tuple": tuple(tup),
+        "children": tuple(children),
+        "parent": tuple(parent),
+    }
+
+
+def _reference_ordering(g, ref: dict) -> list[int]:
+    """Rename every branch's descendants slot by slot, then interleave the branches."""
+    spec = ref["spec"]
+    x = spec.k * spec.n
+    streams, max_len = (
+        (spec.cut_degree * spec.n, spec.r - 1) if ref["parity"] == "even" else (spec.n + 1, spec.r)
+    )
+    size = sum(x**a for a in range(1, max_len + 1))
+    renamed = [[None] * size for _ in range(streams)]
+    for v in range(g.p):
+        tup = ref["path_tuple"][v]
+        if tup:
+            j = sum(idx * x**a for a, idx in enumerate(tup))
+            j += sum(x**a for a in range(len(tup) + 1, max_len + 1))
+            assert renamed[ref["branch"][v] - 1][j] is None
+            renamed[ref["branch"][v] - 1][j] = v
+    if ref["parity"] == "even":
+        head, tail = ref["roots"][0], list(ref["top_list"])
+    else:
+        head, tail = ref["roots"][-1], list(ref["roots"][:-1])
+    middle = [renamed[t][s] for s in range(size) for t in range(streams)]
+    assert None not in middle
+    return [head, *middle, *tail]
+
+
+def _reference_recurrence(g, profile, order):
+    colors = [0] * g.p
+    current = 0
+    for i in range(g.p - 1):
+        gap = g.p - 1 - profile.level[order[i]] - profile.level[order[i + 1]] - profile.omega + 1
+        if gap < 0:
+            return ("negative", i, gap)
+        current += gap
+        colors[order[i + 1]] = current
+    return tuple(colors)
+
+
+def _relabeled(g, seed: int) -> BlockGraph:
+    perm = list(range(g.p))
+    random.Random(seed).shuffle(perm)
+    return BlockGraph(g.p, [[perm[v] for v in b] for b in g.blocks])
+
+
+def test_array_symmetric_layer_matches_loop_reference(corpus) -> None:
+    graphs = list(corpus)
+    for spec in grid_specs():
+        g, _ = gen_symmetric(spec)
+        graphs += [g] + [_relabeled(g, seed) for seed in range(3)]
+    graphs += [gen_path(n) for n in range(2, 16)] + [gen_star(n) for n in range(2, 12)]
+    graphs += [gen_union(n, k) for n in range(2, 6) for k in range(2, 5)]
+    graphs += [_relabeled(gen_union(4, 3), 1), _relabeled(gen_path(9), 2)]
+    accepted = 0
+    for g in graphs:
+        profile = detour_profile(g)
+        try:
+            ref = _reference_coordinates(g, profile)
+        except NotSymmetricError:
+            with pytest.raises(NotSymmetricError):
+                symmetric_coordinates(g, profile)
+            continue
+        accepted += 1
+        coords = symmetric_coordinates(g, profile)
+        got = {name: getattr(coords, name) for name in ref}
+        for name in ("depth", "branch", "parent"):
+            got[name] = tuple(got[name].tolist())
+        assert got == ref, g
+        ordering = sym_ordering(g, coords)
+        assert ordering == _reference_ordering(g, ref), g
+        expected = _reference_recurrence(g, profile, ordering)
+        if expected[0] == "negative":
+            with pytest.raises(NegativeGapError) as caught:
+                coloring_from_ordering(g, profile, ordering)
+            assert (caught.value.index, caught.value.gap) == expected[1:]
+        else:
+            assert coloring_from_ordering(g, profile, ordering).colors == expected
+    assert accepted > len(grid_specs()) * 4

@@ -17,6 +17,7 @@ from hamcolor import (
     OverlappingBlocksError,
     SameVertexError,
     blocks_on_path,
+    detour_profile,
     from_json,
     gen_path,
     gen_random_block_graph,
@@ -83,6 +84,47 @@ def test_dangling_reports_smallest_missing_vertex() -> None:
         BlockGraph(6, [[0, 1], [1, 3], [3, 4, 5]])
     with pytest.raises(DanglingVertexError, match="vertex 4 appears"):
         BlockGraph(5, [[0, 1], [1, 2, 3]])
+
+
+@pytest.mark.parametrize(
+    ("p", "blocks", "error", "message"),
+    [
+        (5, [{0, 1, 2}, {1, 2, 3, 4}], OverlappingBlocksError,
+         "blocks (0, 1, 2) and (1, 2, 3, 4) share two or more vertices"),
+        (7, [{0, 1, 2}, {1, 2, 3}, {4, 5, 6}], OverlappingBlocksError,
+         "blocks (0, 1, 2) and (1, 2, 3) share two or more vertices"),
+        (6, [{0, 1, 2}, {1, 2, 3}, {3, 4}, {4, 5}, {5, 0}], OverlappingBlocksError,
+         "blocks (0, 1, 2) and (1, 2, 3) share two or more vertices"),
+        (3, [{0, 1, 2}, {0, 1, 2}], OverlappingBlocksError,
+         "blocks (0, 1, 2) and (0, 1, 2) share two or more vertices"),
+        (6, [{0, 1}, {1, 2}, {0, 2}, {3, 4, 5}], DisconnectedError,
+         "vertex 3 is not reachable from vertex 0"),
+        (3, [{0, 1}, {1, 2}, {0, 2}], CyclicBlockStructureError,
+         "some vertex pair is joined by two distinct block sequences"),
+    ],
+)
+def test_invalid_structure_errors_keep_their_precedence(p, blocks, error, message) -> None:
+    # an overlap wins over disconnection and cycles, disconnection over cycles
+    with pytest.raises(error) as caught:
+        BlockGraph(p, blocks)
+    assert type(caught.value) is error
+    assert str(caught.value) == message
+
+
+def test_large_star_builds_in_linear_time_and_memory() -> None:
+    # a hub in 20,000 blocks: a pairwise overlap check over its block list
+    # would need about 2 x 10^8 set insertions
+    start = time.perf_counter()
+    detour_profile(gen_star(20_000))
+    elapsed = time.perf_counter() - start
+    tracemalloc.start()
+    try:
+        detour_profile(gen_star(20_000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 2.0
+    assert peak < 50_000_000
 
 
 def test_build_rejects_tiny_blocks_and_bad_ids() -> None:
