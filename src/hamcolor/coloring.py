@@ -20,6 +20,8 @@ that chooses between the two and the ordering they follow.
 
 from __future__ import annotations
 
+import operator
+from collections import abc
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -194,23 +196,63 @@ def check_colors(g: BlockGraph, colors: Sequence[int]) -> None:
     """Raise unless colors holds one integer from 0 to 2**63 - 1 per vertex."""
     if len(colors) != g.p:
         raise SizeMismatchError(f"expected {g.p} colors, got {len(colors)}")
-    if any(
-        not isinstance(c, (int, np.integer)) or isinstance(c, bool) or not 0 <= c <= _INT64_MAX
-        for c in colors
+    # whole-sequence passes: the type test first, so min and max compare integers only
+    if (
+        any(t is bool or not issubclass(t, (int, np.integer)) for t in set(map(type, colors)))
+        or min(colors) < 0
+        or max(colors) > _INT64_MAX
     ):
         raise InvalidSpecError("colors must be integers from 0 to 2**63 - 1")
 
 
-def validate_coloring(g: BlockGraph, colors: Sequence[int]) -> list[tuple[int, int, int]]:
-    """Check every vertex pair; return (u, v, deficit) for each violation, sorted.
+class Violations(abc.Sequence):
+    """The (u, v, deficit) triples of an invalid coloring, u < v, sorted by (u, v).
 
-    An empty list means the coloring is a hamiltonian coloring.  Since
+    They are held as one n x 3 int64 array, 24 bytes per violation; tuples
+    are built only for the items asked for.  Compares equal to a list or
+    tuple holding the same triples, so ``validate_coloring(g, c) == []``
+    tests validity.
+    """
+
+    __slots__ = ("_rows",)
+
+    def __init__(self, rows: np.ndarray):
+        self._rows = rows
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(map(tuple, self._rows[index].tolist()))
+        return tuple(self._rows[index].tolist())
+
+    def __iter__(self):
+        for start in range(0, len(self._rows), _PAIR_CHUNK):
+            yield from map(tuple, self._rows[start : start + _PAIR_CHUNK].tolist())
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, Violations):
+            return np.array_equal(self._rows, other._rows)
+        if isinstance(other, (list, tuple)):
+            return len(other) == len(self) and all(map(operator.eq, self, other))
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"Violations(n={len(self)}, first={self[:3]!r})"
+
+
+def validate_coloring(g: BlockGraph, colors: Sequence[int]) -> Violations:
+    """Check every vertex pair; return the violations (u, v, deficit), sorted.
+
+    An empty result means the coloring is a hamiltonian coloring.  Since
     D(u, v) >= 1, only pairs whose colors differ by at most p - 3 can
     fall short, so the vertices are sorted by color and each is paired
     with the later vertices inside that window.  Those candidate pairs
     are checked in batches of at most ``_PAIR_CHUNK``, with distances
     from the tree-metric core: O(p log p + candidates) time and
-    O(p + violations) memory.
+    O(p + violations) memory, the result taking 24 bytes per violation
+    in a :class:`Violations` array.
     """
     check_colors(g, colors)
     distance = tree_metric(g).distance
@@ -228,7 +270,8 @@ def validate_coloring(g: BlockGraph, colors: Sequence[int]) -> list[tuple[int, i
     row_end = np.cumsum(count)
     row_start = row_end - count
     total = int(row_end[-1])
-    found: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    keys: list[np.ndarray] = []  # lo * p + hi per violated pair, for one sort
+    deficits: list[np.ndarray] = []
     for s in range(0, total, _PAIR_CHUNK):
         k = np.arange(s, min(s + _PAIR_CHUNK, total))
         i = np.searchsorted(row_end, k, side="right")
@@ -238,12 +281,23 @@ def validate_coloring(g: BlockGraph, colors: Sequence[int]) -> list[tuple[int, i
         bad = deficit > 0
         if bad.any():
             u, v = u[bad], v[bad]
-            found.append((np.minimum(u, v), np.maximum(u, v), deficit[bad]))
-    if not found:
-        return []
-    lo, hi, deficit = (np.concatenate(parts) for parts in zip(*found))
-    by_pair = np.lexsort((hi, lo))
-    return list(zip(lo[by_pair].tolist(), hi[by_pair].tolist(), deficit[by_pair].tolist()))
+            keys.append(np.minimum(u, v) * g.p + np.maximum(u, v))
+            deficits.append(deficit[bad])
+    if not keys:
+        return Violations(np.empty((0, 3), dtype=np.int64))
+    # each concatenation frees its parts, and sorting before the rows are
+    # allocated keeps the peak at 40 bytes per violation
+    key = np.concatenate(keys)
+    del keys
+    deficit = np.concatenate(deficits)
+    del deficits
+    by_pair = np.argsort(key)
+    key, deficit = key[by_pair], deficit[by_pair]
+    del by_pair
+    rows = np.empty((len(key), 3), dtype=np.int64)
+    np.divmod(key, g.p, out=(rows[:, 0], rows[:, 1]))
+    rows[:, 2] = deficit
+    return Violations(rows)
 
 
 def sym_ordering(g: BlockGraph, coords: SymmetricCoordinates) -> list[int]:

@@ -45,6 +45,21 @@ def test_verify_corrupted_coloring_exits_one(tmp_path, capsys) -> None:
     assert "invalid" in capsys.readouterr().out
 
 
+def test_verify_lists_the_first_twenty_violations(tmp_path, capsys) -> None:
+    graph = tmp_path / "g.json"
+    coloring = tmp_path / "c.json"
+    run(["gen", "star", "-n", "8", "-o", str(graph)])
+    coloring.write_text(json.dumps({"colors": [0] * 9}))
+    capsys.readouterr()
+    assert run(["verify", str(graph), str(coloring)]) == 1
+    # all 36 pairs are short of p - 1 = 8: hub pairs by 7, leaf pairs by 6
+    pairs = [(u, v) for u in range(9) for v in range(u + 1, 9)]
+    want = ["invalid span=0 violations=36"]
+    want += [f"  pair ({u}, {v}) short by {7 if u == 0 else 6}" for u, v in pairs[:20]]
+    want += ["  ... and 16 more"]
+    assert capsys.readouterr().out == "\n".join(want) + "\n"
+
+
 @pytest.mark.parametrize(
     "doc",
     [{"colors": 5}, {"colors": [0, 2**63, 0, 0]}, {"colors": None}, [0, 1, 2, 3]],

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -181,6 +183,53 @@ def test_validate_rejects_bad_input() -> None:
         validate_coloring(g, [0, -1, 2, 3])
     with pytest.raises(InvalidSpecError):
         validate_coloring(g, [0, "1", 2, 3])
+    with pytest.raises(InvalidSpecError):
+        validate_coloring(g, [0, True, 2, 3])
+    with pytest.raises(InvalidSpecError):
+        validate_coloring(g, [0, 1, 2, 2**63])
+    # numpy integers are integers
+    assert validate_coloring(g, [np.int64(0), 2, 4, np.int64(6)]) == []
+
+
+def test_violations_behave_like_a_sorted_list_of_triples() -> None:
+    g = gen_star(3)
+    # hub pairs sit at distance 1 and leaf pairs at 2, against p - 1 = 3
+    want = [(0, 1, 2), (0, 2, 2), (0, 3, 2), (1, 2, 1), (1, 3, 1), (2, 3, 1)]
+    violations = validate_coloring(g, [0] * 4)
+    assert violations == want and want == violations
+    assert violations == tuple(want) and tuple(want) == violations
+    assert violations != want[:-1] and violations != want[::-1]
+    assert violations != [list(t) for t in want]
+    assert len(violations) == 6 and violations
+    assert list(violations) == want and list(reversed(violations)) == want[::-1]
+    assert violations[0] == (0, 1, 2) and violations[-1] == (2, 3, 1)
+    assert violations[:2] == want[:2] and violations[3:] == want[3:]
+    assert (1, 3, 1) in violations and (1, 3, 2) not in violations
+    assert violations == validate_coloring(g, [5] * 4)
+    with pytest.raises(IndexError):
+        violations[6]
+
+    none = validate_coloring(g, [0, 2, 4, 6])
+    assert none == [] and [] == none and none == ()
+    assert not none and len(none) == 0 and list(none) == [] and none[:20] == []
+
+
+def test_violations_take_24_bytes_each() -> None:
+    # every pair of a star with 1,500 leaves is short under one color:
+    # 1,125,750 violations, which cost about 160 bytes each held as a list
+    # of tuples (240 bytes at the peak of building it)
+    g = gen_star(1500)
+    tracemalloc.start()
+    try:
+        violations = validate_coloring(g, [0] * g.p)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    n = g.p * (g.p - 1) // 2
+    assert len(violations) == n
+    assert violations[-1] == (g.p - 2, g.p - 1, g.p - 3)
+    assert held < 32 * n
+    assert peak < 64 * n
 
 
 def test_union_coloring_values() -> None:
