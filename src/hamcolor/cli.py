@@ -303,7 +303,8 @@ def run(argv: list[str] | None = None) -> int:
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (HamcolorError, OSError, json.JSONDecodeError, ValueError) as exc:
+    # json raises RecursionError on nesting deeper than the interpreter's limit
+    except (HamcolorError, OSError, ValueError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -11,13 +11,14 @@ Equivalently D is the metric of the block-cut tree with weight
 correction of (|B_u| - 1)/2 for each non-cut endpoint.  All code below
 works in doubled weights so everything stays integral.
 
-Batched distance queries go through :class:`TreeMetric`: the block-cut
-tree rooted at node 0, the doubled weighted depth of every node, and an
-Euler tour with a sparse table for range minima, so that any number of
-pairs costs O(1) numpy work each after an O(n log n) build (Bender and
-Farach-Colton, "The LCA problem revisited", 2000).  The per-vertex
-:class:`DetourProfile` instead comes from four breadth-first sweeps of
-the same tree, O(n) each, the last one rooted at the detour center.
+Every walk of the tree is :meth:`BlockCutTree.sweep`, a depth-first
+preorder with doubled distances.  Batched distance queries go through
+:class:`TreeMetric`, which reuses the constructor's sweep from node 0:
+a sparse table for range minima over preorder positions answers any
+number of pairs in O(1) numpy work each after an O(n log n) build
+(Bender and Farach-Colton, "The LCA problem revisited", 2000).  The
+per-vertex :class:`DetourProfile` takes that same sweep plus three more,
+O(n) each, the last one rooted at the detour center.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SameVertexError
-from .graphs import BlockCutTree, BlockGraph
+from .graphs import BlockGraph
 
 RELATION_SAME = "same"
 RELATION_DIFFERENT = "different"
@@ -38,56 +39,37 @@ RELATION_INVOLVES_CENTRAL = "involves_central"
 class TreeMetric:
     """The detour metric of a block graph as a rooted block-cut tree with LCA.
 
-    ``dep2[x]`` is the doubled weighted depth of tree node x below the
-    root; every edge weighs |B| - 1 >= 1, so depth rises strictly away
-    from the root and the minimum of ``dep2`` over the Euler tour between
-    two nodes is ``dep2`` of their lowest common ancestor.  Per vertex,
-    ``first[v]`` is the tour position of v's anchor and ``root2[v]`` is
-    ``dep2[anchor(v)] + half2(v)``, so for distinct u and v
+    It reads the constructor's sweep from node 0, whose ``dist2`` (``dep2``
+    here) rises strictly away from the root.  For nodes at preorder
+    positions i < j, the shallowest node at positions i+1..j is a child of
+    their LCA, so the minimum of ``dep2[parent]`` there is ``dep2[lca]``.
+    Per vertex, ``pos[v]`` is the position of v's anchor and ``root2[v]``
+    is ``dep2[anchor(v)] + half2(v)``, so for distinct u and v
 
-        2 D(u, v) = root2[u] + root2[v] - 2 dep2[lca(anchor(u), anchor(v))].
+        2 D(u, v) = root2[u] + root2[v] - 2 dep2[lca(anchor(u), anchor(v))],
+
+    where the LCA of two equal anchors is that anchor.
     """
 
-    __slots__ = ("first", "root2", "_table")
+    __slots__ = ("pos", "root2", "_dep2", "_table")
 
     def __init__(self, g: BlockGraph):
         bct = g.block_cut_tree()
-        n = bct.node_count
-        dep2 = [0] * n
-        first = [0] * n
-        tour = [0]
-        stack = [0]
-        next_child = [0] * n
-        while stack:
-            x = stack[-1]
-            adj = bct.adj[x]
-            i = next_child[x]
-            if i < len(adj) and adj[i] == bct.parent[x]:
-                i += 1
-            if i < len(adj):
-                next_child[x] = i + 1
-                y = adj[i]
-                dep2[y] = dep2[x] + bct.edge_weight2(x if bct.is_block_node(x) else y)
-                first[y] = len(tour)
-                tour.append(y)
-                stack.append(y)
-            else:
-                stack.pop()
-                if stack:
-                    tour.append(stack[-1])
+        order = np.array(bct.order, dtype=np.intp)
+        n = len(order)
+        pos = np.empty(n, dtype=np.intp)
+        pos[order] = np.arange(n)
+        self.pos = pos[bct.anchor]
+        self.root2 = bct.dist2[bct.anchor] + bct.half2
+        self._dep2 = bct.dist2[order]
 
-        node_dep2 = np.array(dep2, dtype=np.int64)
-        anchors, half2 = _vertex_anchors(g, bct)
-        self.first = np.array(first, dtype=np.intp)[anchors]
-        self.root2 = node_dep2[anchors] + half2
-
-        # _table[k, i] = min of dep2 over tour[i : i + 2**k]
-        m = len(tour)
-        table = np.zeros((m.bit_length(), m), dtype=np.int64)
-        table[0] = node_dep2[tour]
+        # _table[k, i] = min of dep2[parent] over positions i..i + 2**k - 1;
+        # position 0 holds the root, which no query range includes
+        table = np.zeros((n.bit_length(), n), dtype=np.int64)
+        table[0, 1:] = bct.dist2[np.array(bct.parent, dtype=np.intp)[order[1:]]]
         for k in range(1, len(table)):
             half = 1 << (k - 1)
-            width = m - 2 * half + 1
+            width = n - 2 * half + 1
             np.minimum(table[k - 1, :width], table[k - 1, half : half + width], out=table[k, :width])
         self._table = table
 
@@ -95,12 +77,15 @@ class TreeMetric:
         """D(u, v) elementwise over broadcastable vertex-id arrays; 0 where u == v."""
         u = np.asarray(u)
         v = np.asarray(v)
-        fu = self.first[u]
-        fv = self.first[v]
-        lo = np.minimum(fu, fv)
+        fu = self.pos[u]
+        fv = self.pos[v]
         hi = np.maximum(fu, fv)
+        # the range after the nearer anchor; one anchor shared by both gives
+        # an empty range, clamped here and replaced by np.where below
+        lo = np.minimum(np.minimum(fu, fv) + 1, hi)
         k = np.frexp(hi - lo + 1)[1] - 1
         lca2 = np.minimum(self._table[k, lo], self._table[k, hi - (1 << k) + 1])
+        lca2 = np.where(fu == fv, self._dep2[hi], lca2)
         d2 = self.root2[u] + self.root2[v] - 2 * lca2
         return np.where(u == v, 0, d2 // 2)
 
@@ -137,61 +122,39 @@ class DetourProfile:
     diameter_d: int
 
 
-def _vertex_anchors(g: BlockGraph, bct: BlockCutTree) -> tuple[np.ndarray, np.ndarray]:
-    """Per vertex: its anchor tree node and its doubled endpoint correction.
-
-    The anchor is v's cut node, or its unique block node; the correction
-    is |B| - 1 for a non-cut vertex and 0 for a cut vertex.
-    """
-    anchor = np.fromiter((vb[0] for vb in g.vertex_blocks), dtype=np.intp, count=g.p)
-    half2 = np.array([len(b) - 1 for b in g.blocks], dtype=np.int64)[anchor]
-    cuts = np.array(bct.cut_list, dtype=np.intp)
-    anchor[cuts] = bct.block_count + np.arange(len(cuts))
-    half2[cuts] = 0
-    return anchor, half2
-
-
-def _sweep(bct: BlockCutTree, root: int) -> tuple[list[int], list[int], np.ndarray]:
-    """Breadth-first order, parents and doubled distances of the tree nodes from root."""
-    parent = [-1] * bct.node_count
-    dist = [0] * bct.node_count
-    order = [root]
-    for x in order:
-        for y in bct.adj[x]:
-            if y != parent[x]:
-                parent[y] = x
-                dist[y] = dist[x] + bct.edge_weight2(x if bct.is_block_node(x) else y)
-                order.append(y)
-    return order, parent, np.array(dist, dtype=np.int64)
-
-
 def detour_profile(g: BlockGraph) -> DetourProfile:
-    """Eccentricities, center, levels and branch ownership from four tree sweeps.
+    """Eccentricities, center, levels and branch ownership from tree sweeps.
 
-    Three sweeps (from vertex 0, from the vertex a farthest from it, and
-    from b, the vertex farthest from a) give every eccentricity as
+    The vertex a farthest from block node 0 ends a longest path, as the
+    farthest point from any point of a tree does, so the constructor's
+    sweep from node 0 finds it.  Two more sweeps (from a, and from b, the
+    vertex farthest from a) give every eccentricity as
     max(D(v, a), D(v, b)).  The center is then one cut vertex or one whole
     block, and a last sweep rooted there gives each vertex its level, its
     nearest central vertex and the first block on the way to it.
     """
     bct = g.block_cut_tree()
-    anchor, half2 = _vertex_anchors(g, bct)
+    anchor, half2 = bct.anchor, bct.half2
+
+    def to_vertices(node_dist2: np.ndarray) -> np.ndarray:
+        # in-place updates keep extra p-sized arrays out of the peak memory
+        d2 = node_dist2[anchor]
+        d2 += half2
+        return d2
 
     def from_vertex(u: int) -> np.ndarray:
-        # in-place updates keep extra p-sized arrays out of the peak memory
-        d2 = _sweep(bct, int(anchor[u]))[2][anchor]
-        d2 += half2
+        d2 = to_vertices(bct.sweep(int(anchor[u]))[2])
         d2 += half2[u]
         d2[u] = 0
         return d2
 
-    d_a = from_vertex(int(np.argmax(from_vertex(0))))
+    d_a = from_vertex(int(np.argmax(to_vertices(bct.dist2))))
     ecc2 = np.maximum(d_a, from_vertex(int(np.argmax(d_a))))
     center = tuple(np.flatnonzero(ecc2 == ecc2.min()).tolist())
     omega = len(center)
     w = center[0]
     if omega == 1:
-        root = bct.cut_node[w]
+        root = int(anchor[w])
         xi = min(len(g.blocks[bi]) - 1 for bi in g.vertex_blocks[w])
     else:
         root = next((bi for bi in g.vertex_blocks[w] if g.blocks[bi] == center), -1)
@@ -199,7 +162,7 @@ def detour_profile(g: BlockGraph) -> DetourProfile:
             raise AssertionError("detour center is not one whole block")
         xi = 0
 
-    order, parent, dist = _sweep(bct, root)
+    order, parent, dist = bct.sweep(root)
     # Nodes anchoring central vertices (the root, and the cut nodes just
     # below a root block) keep owner -1.  Below a central cut vertex each
     # block starts a branch, which its whole subtree inherits.
@@ -210,12 +173,11 @@ def detour_profile(g: BlockGraph) -> DetourProfile:
         if owner_at[y] >= 0:
             owner_at[x] = owner_at[y]
             block_at[x] = block_at[y]
-        elif bct.is_block_node(x):
+        elif x < bct.block_count:
             owner_at[x] = bct.cut_list[y - bct.block_count]
             block_at[x] = x
 
-    level2 = dist[anchor]
-    level2 += half2
+    level2 = to_vertices(dist)
     if omega > 1:
         level2 -= omega - 1
     level2 //= 2

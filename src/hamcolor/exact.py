@@ -13,6 +13,7 @@ sorting its colors, so the minimum over orderings is exact.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import ClassVar
@@ -44,6 +45,8 @@ class SearchBudget:
             raise InvalidSpecError(
                 f"max_p must be between 1 and {self.HARD_CAP}, got {self.max_p}"
             )
+        if self.time_limit is not None and math.isnan(self.time_limit):
+            raise InvalidSpecError("time_limit must be a number of seconds, got nan")
 
 
 def brute_longest_path(g: BlockGraph, u: int, v: int, budget: SearchBudget | None = None) -> int:

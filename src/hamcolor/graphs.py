@@ -37,7 +37,7 @@ def _first_missing(canon: tuple[tuple[int, ...], ...]) -> int:
 
 
 def _diagnose(
-    p: int, canon: tuple[tuple[int, ...], ...], vertex_blocks: Sequence[Sequence[int]]
+    canon: tuple[tuple[int, ...], ...], vertex_blocks: Sequence[Sequence[int]], bct: BlockCutTree
 ) -> NoReturn:
     """Raise the error that names what is wrong with a covering block list.
 
@@ -48,31 +48,19 @@ def _diagnose(
     # No two blocks may share >= 2 vertices: a repeated block pair in some
     # two vertices' membership lists is exactly such an overlap.
     seen_pairs: set[tuple[int, int]] = set()
-    for v in range(p):
-        for pair in combinations(vertex_blocks[v], 2):
+    for blocks_of_v in vertex_blocks:
+        for pair in combinations(blocks_of_v, 2):
             if pair in seen_pairs:
                 raise OverlappingBlocksError(
                     f"blocks {canon[pair[0]]} and {canon[pair[1]]} share two or more vertices"
                 )
             seen_pairs.add(pair)
 
-    # Connectivity over the vertex/block incidence structure.
-    seen_v = [False] * p
-    seen_b = [False] * len(canon)
-    stack = [canon[0][0]]
-    seen_v[canon[0][0]] = True
-    while stack:
-        v = stack.pop()
-        for bi in vertex_blocks[v]:
-            if not seen_b[bi]:
-                seen_b[bi] = True
-                for w in canon[bi]:
-                    if not seen_v[w]:
-                        seen_v[w] = True
-                        stack.append(w)
-    if not all(seen_v):
-        missing = seen_v.index(False)
-        raise DisconnectedError(f"vertex {missing} is not reachable from vertex {canon[0][0]}")
+    # A vertex is reachable from the smallest member of block 0 exactly
+    # when the constructor's sweep from block node 0 reached its anchor.
+    unreached = np.flatnonzero(bct.dist2[bct.anchor] < 0)
+    if unreached.size:
+        raise DisconnectedError(f"vertex {unreached[0]} is not reachable from vertex {canon[0][0]}")
 
     # Connected without overlaps, so sum(|B|) != p + #blocks - 1.
     raise CyclicBlockStructureError("some vertex pair is joined by two distinct block sequences")
@@ -88,9 +76,9 @@ class BlockGraph:
     tie-breaking.
 
     A valid input is proved so in linear time: every id is covered,
-    sum(|B|) == p + #blocks - 1, and a breadth-first search of the
+    sum(|B|) == p + #blocks - 1, and the depth-first sweep of the
     block-cut tree, which is built here and kept, reaches every node.
-    Only an input failing the count or the search is diagnosed further,
+    Only an input failing the count or the sweep is diagnosed further,
     in a fixed order: overlapping blocks, then disconnection, then a
     cycle of blocks.
     """
@@ -125,11 +113,15 @@ class BlockGraph:
         # non-cut vertices of one block share one 1-tuple.
         block_of = np.repeat(np.arange(len(canon)), sizes)[np.argsort(flat, kind="stable")]
         start = np.cumsum(degree) - degree
+        anchor = block_of[start]
         singles = tuple(zip(range(len(canon))))
-        vertex_blocks = list(map(singles.__getitem__, block_of[start].tolist()))
+        vertex_blocks = list(map(singles.__getitem__, anchor.tolist()))
         cuts = np.flatnonzero(degree >= 2)
         for v, s, d in zip(cuts.tolist(), start[cuts].tolist(), degree[cuts].tolist()):
             vertex_blocks[v] = tuple(block_of[s : s + d].tolist())
+        # A non-cut vertex is anchored at its one block, a cut vertex at its
+        # own tree node; cut nodes follow the blocks in ascending id order.
+        anchor[cuts] = len(canon) + np.arange(len(cuts))
 
         self.p = p
         self.blocks = canon
@@ -142,11 +134,11 @@ class BlockGraph:
         # The vertex/block incidence graph is a tree exactly when it is
         # connected and sum(|B|) == p + #blocks - 1; two blocks sharing two
         # vertices would close a cycle in it.  Every non-cut vertex hangs off
-        # one block, so connectivity is the block-cut tree's search reaching
+        # one block, so connectivity is the block-cut tree's sweep reaching
         # every node.  Only an input failing either test pays for the diagnosis.
-        self._bct = BlockCutTree(self)
-        if incidence != p + len(canon) - 1 or -1 in self._bct.depth:
-            _diagnose(p, canon, self.vertex_blocks)
+        self._bct = BlockCutTree(canon, self.vertex_blocks, anchor)
+        if incidence != p + len(canon) - 1 or len(self._bct.order) != self._bct.node_count:
+            _diagnose(canon, self.vertex_blocks, self._bct)
 
     @property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
@@ -182,78 +174,79 @@ class BlockCutTree:
     """The bipartite tree of blocks and cut vertices.
 
     Nodes ``0..b-1`` are the blocks in canonical order; nodes ``b..b+c-1``
-    are the cut vertices in ascending id order.  The tree is rooted at
-    node 0 for path queries.
+    are the cut vertices in ascending id order.  Weights are doubled to
+    stay integral: ``weight2[x]`` is |B| - 1 on a block node and 0 on a cut
+    node, and an edge weighs ``weight2[x] + weight2[y]``.  Per vertex v,
+    ``anchor[v]`` is its cut node or its one block node, and ``half2[v]``
+    is ``weight2[anchor[v]]``.  :meth:`sweep` is the one walk of the tree;
+    the constructor keeps its sweep from node 0 as ``order``, ``parent``
+    and ``dist2``.
     """
 
     __slots__ = (
-        "graph", "block_count", "cut_list", "cut_node", "node_count",
-        "adj", "parent", "depth",
+        "block_count", "cut_list", "node_count", "adj", "weight2", "anchor", "half2",
+        "order", "parent", "dist2",
     )
 
-    def __init__(self, g: BlockGraph):
-        b = len(g.blocks)
-        cuts = sorted(g.cut_vertices)
-        self.graph = g
+    def __init__(self, blocks: tuple, vertex_blocks: tuple, anchor: np.ndarray):
+        b = len(blocks)
+        cuts = np.flatnonzero(anchor >= b).tolist()
         self.block_count = b
         self.cut_list = tuple(cuts)
-        self.cut_node = {v: b + i for i, v in enumerate(cuts)}
         self.node_count = b + len(cuts)
+        self.weight2 = tuple([len(bl) - 1 for bl in blocks] + [0] * len(cuts))
 
-        adj: list[list[int]] = [[] for _ in range(self.node_count)]
-        for v in cuts:
-            cn = self.cut_node[v]
-            for bi in g.vertex_blocks[v]:
+        adj: list = [[] for _ in range(b)]
+        for cn, v in enumerate(cuts, start=b):
+            for bi in vertex_blocks[v]:
                 adj[bi].append(cn)
-                adj[cn].append(bi)
-        self.adj = tuple(tuple(a) for a in adj)
+            adj.append(vertex_blocks[v])
+        self.adj = tuple(map(tuple, adj))
 
-        # breadth-first from node 0; nodes it cannot reach keep depth -1
+        self.anchor = anchor
+        self.half2 = np.array(self.weight2, dtype=np.int64)[anchor]
+        self.order, self.parent, self.dist2 = self.sweep(0)
+        for a in (self.anchor, self.half2, self.dist2):
+            a.flags.writeable = False
+
+    def sweep(self, root: int) -> tuple[tuple[int, ...], tuple[int, ...], np.ndarray]:
+        """Depth-first preorder, parents and doubled distances of the nodes from root.
+
+        Nodes are marked when pushed, so the walk also ends on a cyclic
+        structure; nodes it does not reach are left out of the order and
+        keep parent -1 and distance -1.
+        """
+        adj, weight2 = self.adj, self.weight2
         parent = [-1] * self.node_count
-        depth = [-1] * self.node_count
-        depth[0] = 0
-        order = [0]
-        for x in order:
-            for y in self.adj[x]:
-                if depth[y] < 0:
+        dist2 = [-1] * self.node_count
+        dist2[root] = 0
+        order = []
+        stack = [root]
+        while stack:
+            x = stack.pop()
+            order.append(x)
+            dx = dist2[x] + weight2[x]
+            for y in adj[x]:
+                if dist2[y] < 0:
                     parent[y] = x
-                    depth[y] = depth[x] + 1
-                    order.append(y)
-        self.parent = tuple(parent)
-        self.depth = tuple(depth)
-
-    def is_block_node(self, node: int) -> bool:
-        return node < self.block_count
-
-    def anchor(self, v: int) -> int:
-        """Tree node carrying vertex v: its cut node, or its unique block node."""
-        cn = self.cut_node.get(v)
-        if cn is not None:
-            return cn
-        return self.graph.vertex_blocks[v][0]
-
-    def edge_weight2(self, block_node: int) -> int:
-        """Twice the weight of any tree edge incident to this block node."""
-        return len(self.graph.blocks[block_node]) - 1
+                    dist2[y] = dx + weight2[y]
+                    stack.append(y)
+        return tuple(order), tuple(parent), np.array(dist2, dtype=np.int64)
 
     def node_path(self, a: int, b: int) -> list[int]:
         """Tree nodes from a to b inclusive."""
         left: list[int] = []
         right: list[int] = []
-        da, db = self.depth[a], self.depth[b]
-        while da > db:
-            left.append(a)
-            a = self.parent[a]
-            da -= 1
-        while db > da:
-            right.append(b)
-            b = self.parent[b]
-            db -= 1
+        dist2, parent = self.dist2, self.parent
+        # of two distinct nodes, one at least as far from the root is not
+        # an ancestor of the other, so its parent is still on the path
         while a != b:
-            left.append(a)
-            right.append(b)
-            a = self.parent[a]
-            b = self.parent[b]
+            if dist2[a] >= dist2[b]:
+                left.append(a)
+                a = parent[a]
+            else:
+                right.append(b)
+                b = parent[b]
         return left + [a] + right[::-1]
 
 
@@ -266,8 +259,8 @@ def blocks_on_path(g: BlockGraph, u: int, v: int) -> list[int]:
     if u == v:
         raise SameVertexError(f"path query needs distinct endpoints, got {u} twice")
     bct = g.block_cut_tree()
-    nodes = bct.node_path(bct.anchor(u), bct.anchor(v))
-    return [x for x in nodes if bct.is_block_node(x)]
+    nodes = bct.node_path(int(bct.anchor[u]), int(bct.anchor[v]))
+    return [x for x in nodes if x < bct.block_count]
 
 
 # -- serialization ----------------------------------------------------------

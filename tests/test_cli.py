@@ -118,11 +118,11 @@ def test_exact_budget_exit_code(tmp_path, capsys) -> None:
     assert run(["exact", str(graph)]) == 3
 
 
-def _exact_exits_three_with_one_error(tmp_path, capsys, limit: str) -> None:
+def _exact_exits_with_one_error(tmp_path, capsys, limit: str, code: int) -> None:
     graph = tmp_path / "path9.json"
     run(["gen", "path", "-n", "9", "-o", str(graph)])
     capsys.readouterr()
-    assert run(["exact", str(graph), "--time-limit", limit]) == 3
+    assert run(["exact", str(graph), "--time-limit", limit]) == code
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()
@@ -131,12 +131,39 @@ def _exact_exits_three_with_one_error(tmp_path, capsys, limit: str) -> None:
 
 
 def test_exact_time_limit_exits_three(tmp_path, capsys) -> None:
-    _exact_exits_three_with_one_error(tmp_path, capsys, "1e-9")
+    _exact_exits_with_one_error(tmp_path, capsys, "1e-9", 3)
 
 
 def test_exact_zero_time_limit_exits_three(tmp_path, capsys) -> None:
     # 0 is an exhausted limit, not "no limit"
-    _exact_exits_three_with_one_error(tmp_path, capsys, "0")
+    _exact_exits_with_one_error(tmp_path, capsys, "0", 3)
+
+
+def test_exact_nan_time_limit_exits_two(tmp_path, capsys) -> None:
+    # a NaN limit is an input error, not "no limit"
+    _exact_exits_with_one_error(tmp_path, capsys, "nan", 2)
+
+
+@pytest.mark.parametrize("command", ["color", "verify"])
+def test_deeply_nested_json_exits_two(tmp_path, capsys, command) -> None:
+    # 200,000 levels of nesting exceed the json parser's recursion limit
+    deep = "[" * 200_000 + "]" * 200_000
+    graph = tmp_path / "g.json"
+    coloring = tmp_path / "c.json"
+    if command == "color":
+        graph.write_text('{"p": 2, "blocks": ' + deep + "}")
+        argv = ["color", str(graph)]
+    else:
+        run(["gen", "path", "-n", "2", "-o", str(graph)])
+        coloring.write_text('{"colors": ' + deep + "}")
+        argv = ["verify", str(graph), str(coloring)]
+    capsys.readouterr()
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "Traceback" not in captured.err
 
 
 def test_exact_reports_value_and_gap(tmp_path, capsys) -> None:

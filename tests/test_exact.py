@@ -99,6 +99,12 @@ def test_exact_zero_time_limit_is_a_limit() -> None:
         exact_hc(gen_path(9), SearchBudget(time_limit=0))
 
 
+def test_nan_time_limit_is_rejected() -> None:
+    # perf_counter() > nan is never true, so a NaN limit would never stop the search
+    with pytest.raises(InvalidSpecError):
+        SearchBudget(time_limit=float("nan"))
+
+
 def test_exact_is_deterministic() -> None:
     g = gen_union(3, 3)
     first = exact_hc(g)

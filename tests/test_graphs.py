@@ -101,6 +101,8 @@ def test_dangling_reports_smallest_missing_vertex() -> None:
          "vertex 3 is not reachable from vertex 0"),
         (3, [{0, 1}, {1, 2}, {0, 2}], CyclicBlockStructureError,
          "some vertex pair is joined by two distinct block sequences"),
+        (8, [{0, 1}, {2, 3}, {3, 4}, {5, 6, 7}], DisconnectedError,
+         "vertex 2 is not reachable from vertex 0"),
     ],
 )
 def test_invalid_structure_errors_keep_their_precedence(p, blocks, error, message) -> None:

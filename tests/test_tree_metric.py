@@ -18,13 +18,14 @@ from hamcolor import (
     detour_distance,
     detour_matrix,
     detour_profile,
+    gen_path,
     gen_random_block_graph,
     gen_symmetric,
     greedy_min_coloring_for_ordering,
     greedy_ordering,
     validate_coloring,
 )
-from hamcolor.detour import tree_metric
+from hamcolor.detour import TreeMetric, tree_metric
 
 
 def _all_pairs_violations(g, colors) -> list[tuple[int, int, int]]:
@@ -74,6 +75,19 @@ def test_core_matches_block_paths_on_larger_graphs() -> None:
         for a, b, d in zip(u.tolist(), v.tolist(), got.tolist()):
             want = 0 if a == b else sum(len(g.blocks[bi]) - 1 for bi in blocks_on_path(g, a, b))
             assert d == want == detour_distance(g, a, b)
+
+
+def test_core_memory_is_one_table_column_per_tree_node() -> None:
+    # a path of 50,000 vertices has about 100,000 tree nodes: 17 table rows
+    # of one int64 per node take 14 MB, and twice the columns would not fit
+    g = gen_path(50_000)
+    tracemalloc.start()
+    try:
+        TreeMetric(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 30_000_000
 
 
 def test_core_is_cached_per_graph() -> None:
