@@ -50,7 +50,11 @@ def _load_graph(path: str) -> BlockGraph:
 
 def _load_colors(path: str) -> list[int]:
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        text = fh.read()
+    try:
+        doc = json.loads(text)
+    except RecursionError:
+        raise InvalidSpecError("coloring JSON is nested too deeply") from None
     if not isinstance(doc, dict) or not isinstance(doc.get("colors"), list):
         raise InvalidSpecError('coloring JSON must be an object with a "colors" list')
     return doc["colors"]
@@ -303,11 +307,14 @@ def run(argv: list[str] | None = None) -> int:
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    # json raises RecursionError on nesting deeper than the interpreter's limit
-    except (HamcolorError, OSError, ValueError, RecursionError) as exc:
+    except (HamcolorError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

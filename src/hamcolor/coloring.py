@@ -20,6 +20,7 @@ that chooses between the two and the ordering they follow.
 
 from __future__ import annotations
 
+import heapq
 import operator
 from collections import abc
 from dataclasses import dataclass
@@ -27,14 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .detour import (
-    RELATION_DIFFERENT,
-    RELATION_OPPOSITE,
-    DetourProfile,
-    branch_relation,
-    detour_profile,
-    tree_metric,
-)
+from .detour import DetourProfile, branch_keys, detour_profile, tree_metric
 from .errors import (
     InvalidSpecError,
     NegativeGapError,
@@ -106,24 +100,20 @@ def check_ordering_conditions(
     Condition 1: level(u_0) = 0 and level(u_{p-1}) = xi when omega is 1,
     both levels 0 when omega >= 2.  Condition 2: consecutive non-central
     vertices sit in different branches (omega = 1) or opposite branches
-    (omega >= 2); pairs touching a central vertex are exempt.  Condition 3:
+    (omega >= 2), that is, their :func:`~hamcolor.detour.branch_keys`
+    differ; pairs touching a central vertex are exempt.  Condition 3:
     2*D(u_i, u_{i+1}) <= p for every i (the exact rational comparison).
     """
-    order = _as_permutation(g.p, ordering).tolist()
+    order = _as_permutation(g.p, ordering)
     level = profile.level
-    first, last = order[0], order[-1]
+    first, last = int(order[0]), int(order[-1])
     want_last = profile.xi if profile.omega == 1 else 0
     cond1 = level[first] == 0 and level[last] == want_last
 
-    required = RELATION_DIFFERENT if profile.omega == 1 else RELATION_OPPOSITE
-    first_violation: int | None = None
-    for i in range(g.p - 1):
-        u, v = order[i], order[i + 1]
-        if profile.owner[u] == -1 or profile.owner[v] == -1:
-            continue
-        if branch_relation(g, profile, u, v) != required:
-            first_violation = i
-            break
+    keys = branch_keys(profile)[order]
+    branched = np.asarray(profile.owner)[order] >= 0  # not central
+    clash = np.flatnonzero((keys[:-1] == keys[1:]) & branched[:-1] & branched[1:])
+    first_violation = int(clash[0]) if len(clash) else None
 
     steps = tree_metric(g).distance(order[:-1], order[1:])
     halfp_violations = [(int(i), int(steps[i])) for i in np.flatnonzero(2 * steps > g.p)]
@@ -160,28 +150,42 @@ def coloring_from_ordering(
 def greedy_min_coloring_for_ordering(g: BlockGraph, ordering: Sequence[int]) -> HamColoring:
     """Cheapest valid coloring whose nondecreasing color order follows the ordering.
 
-    Each next color is the maximum over placed vertices u of
-    c(u) + p - 1 - D(u, next).  Colors never decrease along the ordering
-    and D >= 1, so only placed vertices with c(u) >= c(last) - (p - 3)
-    can raise the next color above c(last): a suffix of the placed
-    prefix, whose distances come from the tree-metric core in one
-    vectorized query per step.
+    Each next color is the maximum of c(last) and, over placed vertices
+    u, of c(u) + p - 1 - D(u, next).  By the lemma of
+    :func:`~hamcolor.detour.branch_keys`, a placed u keyed apart from next
+    gives exactly (c(u) - L(u)) + p - omega - L(next), and one sharing
+    next's key gives at least that.  So the next color is the largest of
+    c(last), M + p - omega - L(next), with M the running maximum of
+    c(u) - L(u), and the exact term over next's own key.  Colors never
+    decrease along the ordering and D >= 1, so that key's placed vertices
+    are scanned newest first, one scalar tree-metric query each, and the
+    scan stops at the first u with c(u) + p - 2 at most the color so far.
+    A step costs O(1) plus the vertices of its own key that can still
+    raise its color.
     """
-    placed = _as_permutation(g.p, ordering)
-    order = placed.tolist()
-    distance = tree_metric(g).distance
+    order = _as_permutation(g.p, ordering).tolist()
+    profile = detour_profile(g)
+    level = profile.level
+    keys = branch_keys(profile).tolist()
+    pair = tree_metric(g).pair
     need = g.p - 1
-    placed_colors = np.zeros(g.p, dtype=np.int64)  # by ordering position
+    lift = g.p - profile.omega
     colors = [0] * g.p
-    lo = 0
+    first = order[0]
+    placed_by_key: dict[int, list[int]] = {keys[first]: [first]}  # in placement order
+    top = -level[first]  # M, the running maximum of c(u) - L(u)
     last = 0
-    for i in range(1, g.p):
-        while lo < i and colors[order[lo]] < last - (g.p - 3):
-            lo += 1
-        if lo < i:
-            window = placed_colors[lo:i] + need - distance(placed[lo:i], order[i])
-            last = max(last, int(window.max()))
-        colors[order[i]] = placed_colors[i] = last
+    for v in order[1:]:
+        best = max(last, top + lift - level[v])
+        same = placed_by_key.setdefault(keys[v], [])
+        for u in reversed(same):
+            cu = colors[u]
+            if cu + need - 1 <= best:
+                break
+            best = max(best, cu + need - pair(u, v))
+        colors[v] = last = best
+        top = max(top, best - level[v])
+        same.append(v)
     return HamColoring(tuple(colors))
 
 
@@ -363,32 +367,35 @@ def greedy_ordering(g: BlockGraph, profile: DetourProfile) -> list[int]:
     highest-level unused vertex whose branch differs from (or opposes)
     the previous vertex's branch when any such vertex exists, breaking
     ties by vertex id; remaining central vertices come last.
+
+    Two non-central vertices share a branch exactly when they share an
+    ``owner_block``, so the non-central vertices wait in one queue per
+    ``owner_block``, each in (-level, id) order, and every pick is a queue
+    head: the least head, or the second least when the least shares the
+    previous vertex's block.  A heap of the heads makes each step
+    O(log p).
     """
+    level, block = profile.level, profile.owner_block
+    # each queue is reversed, so its head is its last element
+    queues: dict[int, list[int]] = {}
+    for v in sorted((v for v in range(g.p) if block[v] >= 0), key=lambda v: (level[v], -v)):
+        queues.setdefault(block[v], []).append(v)
+    heads = [(-level[q[-1]], q[-1], b) for b, q in queues.items()]
+    heapq.heapify(heads)
     start = min(profile.center)
     order = [start]
-    used = [False] * g.p
-    used[start] = True
-    remaining = [v for v in range(g.p) if profile.owner[v] != -1]
-    remaining.sort(key=lambda v: (-profile.level[v], v))
-    while any(not used[v] for v in remaining):
-        prev = order[-1]
-        best = None
-        fallback = None
-        for v in remaining:
-            if used[v]:
-                continue
-            if fallback is None:
-                fallback = v
-            if branch_relation(g, profile, prev, v) in (RELATION_DIFFERENT, RELATION_OPPOSITE):
-                best = v
-                break
-        pick = best if best is not None else fallback
-        order.append(pick)
-        used[pick] = True
-    for v in sorted(profile.center):
-        if not used[v]:
-            order.append(v)
-            used[v] = True
+    prev_block = -1
+    while heads:
+        head = heapq.heappop(heads)
+        if head[2] == prev_block and heads:
+            head = heapq.heapreplace(heads, head)
+        _, v, prev_block = head
+        order.append(v)
+        queue = queues[prev_block]
+        queue.pop()
+        if queue:
+            heapq.heappush(heads, (-level[queue[-1]], queue[-1], prev_block))
+    order += [v for v in sorted(profile.center) if v != start]
     return order
 
 

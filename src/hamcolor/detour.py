@@ -16,9 +16,10 @@ preorder with doubled distances.  Batched distance queries go through
 :class:`TreeMetric`, which reuses the constructor's sweep from node 0:
 a sparse table for range minima over preorder positions answers any
 number of pairs in O(1) numpy work each after an O(n log n) build
-(Bender and Farach-Colton, "The LCA problem revisited", 2000).  The
-per-vertex :class:`DetourProfile` takes that same sweep plus three more,
-O(n) each, the last one rooted at the detour center.
+(Bender and Farach-Colton, "The LCA problem revisited", 2000), and one
+pair in a few scalar lookups.  The per-vertex :class:`DetourProfile`
+takes that same sweep plus three more, O(n) each, the last one rooted at
+the detour center.  Both are built on first use and cached on the graph.
 """
 
 from __future__ import annotations
@@ -89,6 +90,25 @@ class TreeMetric:
         d2 = self.root2[u] + self.root2[v] - 2 * lca2
         return np.where(u == v, 0, d2 // 2)
 
+    def pair(self, u: int, v: int) -> int:
+        """D(u, v) for one pair of vertex ids, as a Python int; 0 when u == v.
+
+        The same query as :meth:`distance`, read element by element, so a
+        loop asking for one pair at a time pays no numpy call overhead.
+        """
+        fu = self.pos.item(u)
+        fv = self.pos.item(v)
+        if u == v:
+            return 0
+        if fu == fv:
+            lca2 = self._dep2.item(fu)
+        else:
+            lo, hi = (fu + 1, fv) if fu < fv else (fv + 1, fu)
+            k = (hi - lo + 1).bit_length() - 1
+            table = self._table
+            lca2 = min(table.item(k, lo), table.item(k, hi - (1 << k) + 1))
+        return (self.root2.item(u) + self.root2.item(v) - 2 * lca2) // 2
+
 
 def tree_metric(g: BlockGraph) -> TreeMetric:
     """The detour metric core of g, built on first use and cached on the graph."""
@@ -99,7 +119,7 @@ def tree_metric(g: BlockGraph) -> TreeMetric:
 
 def detour_distance(g: BlockGraph, u: int, v: int) -> int:
     """Length of a longest simple u-v path; 0 when u == v."""
-    return int(tree_metric(g).distance(u, v))
+    return tree_metric(g).pair(u, v)
 
 
 @dataclass(frozen=True)
@@ -123,7 +143,7 @@ class DetourProfile:
 
 
 def detour_profile(g: BlockGraph) -> DetourProfile:
-    """Eccentricities, center, levels and branch ownership from tree sweeps.
+    """Eccentricities, center, levels and branch ownership, cached on the graph.
 
     The vertex a farthest from block node 0 ends a longest path, as the
     farthest point from any point of a tree does, so the constructor's
@@ -133,6 +153,12 @@ def detour_profile(g: BlockGraph) -> DetourProfile:
     block, and a last sweep rooted there gives each vertex its level, its
     nearest central vertex and the first block on the way to it.
     """
+    if g._profile is None:
+        g._profile = _build_profile(g)
+    return g._profile
+
+
+def _build_profile(g: BlockGraph) -> DetourProfile:
     bct = g.block_cut_tree()
     anchor, half2 = bct.anchor, bct.half2
 
@@ -214,6 +240,40 @@ def branch_relation(g: BlockGraph, profile: DetourProfile, u: int, v: int) -> st
     if profile.owner_block[u] != profile.owner_block[v]:
         return RELATION_DIFFERENT
     return RELATION_SAME
+
+
+def branch_keys(profile: DetourProfile) -> np.ndarray:
+    """Per vertex, the key of its branch: vertices keyed apart are at full detour.
+
+    The key is ``owner_block`` when omega = 1 and ``owner`` when
+    omega >= 2.  The central vertex of omega = 1 keeps its
+    ``owner_block`` of -1, a key of its own; a central vertex of omega >= 2
+    is keyed by its own id, the key of the branches hanging from it.  Then
+
+        D(u, v) = L(u) + L(v) + omega - 1   when the keys of u and v differ,
+        D(u, v) <= L(u) + L(v) + omega - 1  when they match.
+
+    Proof.  D is a tree metric, so it obeys the triangle inequality, and
+    D(u, v) = D(u, x) + D(x, v) when every u-v path passes through x.
+    When omega = 1 with central vertex w, L(u) = D(u, w).  Every path
+    between vertices below w through different first blocks passes
+    through w, and so does every path from a vertex to w itself: that is
+    equality.  Below one first block, the triangle
+    inequality through w gives the bound.  When omega >= 2 the center is
+    one block C of omega vertices, every vertex u below a central w has
+    L(u) = D(u, w), and a central vertex has level 0.  A path from the
+    branch of w (or from w) to the branch of another central w' (or to
+    w') passes through w and w' and sweeps C between them, so D(u, v) =
+    L(u) + (omega - 1) + L(v).  Within the key of w, the triangle
+    inequality through w gives D(u, v) <= L(u) + L(v), which is at most
+    the bound.
+    """
+    if profile.omega == 1:
+        return np.array(profile.owner_block)
+    keys = np.array(profile.owner)
+    central = keys < 0
+    keys[central] = np.flatnonzero(central)
+    return keys
 
 
 def detour_matrix(g: BlockGraph) -> np.ndarray:

@@ -85,6 +85,7 @@ class BlockGraph:
 
     __slots__ = (
         "p", "blocks", "vertex_blocks", "cut_vertices", "meta", "_adjacency", "_bct", "_metric",
+        "_profile",
     )
 
     def __init__(self, p: int, blocks: Iterable[Iterable[int]], meta: dict | None = None):
@@ -130,6 +131,7 @@ class BlockGraph:
         self.meta = dict(meta) if meta else {}
         self._adjacency: tuple[tuple[int, ...], ...] | None = None
         self._metric = None  # detour.TreeMetric, built by detour.tree_metric
+        self._profile = None  # detour.DetourProfile, built by detour.detour_profile
 
         # The vertex/block incidence graph is a tree exactly when it is
         # connected and sum(|B|) == p + #blocks - 1; two blocks sharing two
@@ -274,7 +276,17 @@ def to_json(g: BlockGraph) -> str:
 
 
 def from_json(text: str) -> BlockGraph:
-    doc = json.loads(text)
+    """Parse the JSON form.
+
+    Text that is not JSON raises ``json.JSONDecodeError``; JSON of the
+    wrong shape, nesting too deep included, raises InvalidSpecError; and a
+    block list that is not a block graph raises a GraphStructureError.
+    """
+    try:
+        doc = json.loads(text)
+    except RecursionError:
+        # json recurses once per nesting level, past the interpreter's limit
+        raise InvalidSpecError("graph JSON is nested too deeply") from None
     if not isinstance(doc, dict) or "p" not in doc or "blocks" not in doc:
         raise InvalidSpecError('graph JSON must be an object with "p" and "blocks"')
     p = doc["p"]

@@ -100,6 +100,9 @@ def test_python_dash_m_runs_the_cli(tmp_path) -> None:
     assert json.loads(done.stdout)["lower_bound"] == 4
     done = _python("-m", "hamcolor", "verify", str(graph), str(tmp_path / "missing.json"))
     assert done.returncode == 2 and done.stderr.startswith("error: ")
+    done = _python("-m", "hamcolor.cli", "--help")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: hamcolor ")
 
 
 def test_cli_import_loads_no_scipy() -> None:

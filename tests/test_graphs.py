@@ -224,6 +224,10 @@ def test_from_json_rejects_garbage() -> None:
         from_json('{"p": 2, "blocks": [["0", 1]]}')
     with pytest.raises(InvalidSpecError):
         from_json('{"p": 2, "blocks": [[0, 1]], "meta": 7}')
+    # 200,000 levels of nesting exceed the json parser's recursion limit
+    deep = "[" * 200_000 + "]" * 200_000
+    with pytest.raises(InvalidSpecError, match="nested too deeply"):
+        from_json('{"p": 2, "blocks": ' + deep + "}")
 
 
 def test_dot_export_mentions_every_vertex_and_clusters() -> None:

@@ -1,5 +1,5 @@
-"""The tree-metric core and the windowed checks built on it, against
-brute-force references kept here."""
+"""The tree-metric core, the windowed checks and the branch-aware greedy
+path built on it, against brute-force references kept here."""
 
 from __future__ import annotations
 
@@ -14,18 +14,22 @@ from hamcolor import (
     BlockGraph,
     SymmetricSpec,
     blocks_on_path,
+    branch_relation,
     brute_longest_path,
+    color_graph,
     detour_distance,
     detour_matrix,
     detour_profile,
     gen_path,
     gen_random_block_graph,
+    gen_star,
     gen_symmetric,
+    gen_union,
     greedy_min_coloring_for_ordering,
     greedy_ordering,
     validate_coloring,
 )
-from hamcolor.detour import TreeMetric, tree_metric
+from hamcolor.detour import TreeMetric, branch_keys, tree_metric
 
 
 def _all_pairs_violations(g, colors) -> list[tuple[int, int, int]]:
@@ -43,12 +47,53 @@ def _all_pairs_violations(g, colors) -> list[tuple[int, int, int]]:
 def _quadratic_greedy(g, order) -> tuple[int, ...]:
     """Reference greedy: each next color against every placed vertex."""
     d = detour_matrix(g)
-    colors = [0] * g.p
+    order = np.asarray(order)
+    colors = np.zeros(g.p, dtype=np.int64)
     for i in range(1, g.p):
-        v = order[i]
-        colors[v] = max(0, max(colors[u] + g.p - 1 - int(d[u, v]) for u in order[:i]))
-    low = min(colors)
-    return tuple(c - low for c in colors)
+        v, placed = order[i], order[:i]
+        colors[v] = max(0, int((colors[placed] + g.p - 1 - d[placed, v]).max()))
+    return tuple((colors - colors.min()).tolist())
+
+
+def _reference_greedy_ordering(g, profile) -> list[int]:
+    """The greedy ordering as first written: a scan of every remaining vertex per step."""
+    start = min(profile.center)
+    order = [start]
+    used = [False] * g.p
+    used[start] = True
+    remaining = [v for v in range(g.p) if profile.owner[v] != -1]
+    remaining.sort(key=lambda v: (-profile.level[v], v))
+    while any(not used[v] for v in remaining):
+        prev = order[-1]
+        best = None
+        fallback = None
+        for v in remaining:
+            if used[v]:
+                continue
+            if fallback is None:
+                fallback = v
+            if branch_relation(g, profile, prev, v) in ("different", "opposite"):
+                best = v
+                break
+        pick = best if best is not None else fallback
+        order.append(pick)
+        used[pick] = True
+    for v in sorted(profile.center):
+        if not used[v]:
+            order.append(v)
+            used[v] = True
+    return order
+
+
+def _greedy_corpus() -> list[BlockGraph]:
+    """Paths, stars, unions and random graphs with p from 2 to about 600."""
+    graphs = [gen_path(n) for n in range(2, 501, 7)]
+    graphs += [gen_star(n) for n in range(2, 80, 3)]
+    graphs += [gen_union(n, k) for n in range(2, 7) for k in range(2, 6)]
+    graphs += [gen_random_block_graph(seed, 5 + 3 * seed) for seed in range(199)]
+    graphs += [gen_random_block_graph(seed, 60, 2, 2) for seed in range(20)]
+    graphs += [gen_random_block_graph(seed, 120, 7, 4) for seed in range(20)]
+    return graphs
 
 
 @given(st.integers(0, 10_000))
@@ -75,6 +120,41 @@ def test_core_matches_block_paths_on_larger_graphs() -> None:
         for a, b, d in zip(u.tolist(), v.tolist(), got.tolist()):
             want = 0 if a == b else sum(len(g.blocks[bi]) - 1 for bi in blocks_on_path(g, a, b))
             assert d == want == detour_distance(g, a, b)
+
+
+def test_scalar_query_matches_the_vectorized_one() -> None:
+    rng = random.Random(11)
+    for seed in range(40):
+        g = gen_random_block_graph(seed, max_p=200)
+        metric = tree_metric(g)
+        pairs = [(rng.randrange(g.p), rng.randrange(g.p)) for _ in range(200)]
+        pairs += [(v, v) for v in range(0, g.p, 5)]
+        # non-cut members of one block share that block as their anchor
+        for b in g.blocks:
+            members = [v for v in b if v not in g.cut_vertices]
+            pairs += list(zip(members, members[1:]))
+        u, v = map(np.array, zip(*pairs))
+        want = metric.distance(u, v).tolist()
+        assert [detour_distance(g, a, b) for a, b in pairs] == want
+        assert [metric.pair(b, a) for a, b in pairs] == want
+        assert all(type(metric.pair(a, b)) is int for a, b in pairs[:5])
+
+
+def test_branch_keys_split_full_detours(corpus) -> None:
+    omegas = set()
+    for g in corpus[:80] + [gen_path(8), gen_path(9), gen_union(4, 3)]:
+        profile = detour_profile(g)
+        keys = branch_keys(profile).tolist()
+        d = detour_matrix(g)
+        omegas.add(min(profile.omega, 2))
+        for u in range(g.p):
+            for v in range(u + 1, g.p):
+                cap = profile.level[u] + profile.level[v] + profile.omega - 1
+                if keys[u] != keys[v]:
+                    assert d[u, v] == cap, (g.blocks, u, v)
+                else:
+                    assert d[u, v] <= cap, (g.blocks, u, v)
+    assert omegas == {1, 2}
 
 
 def test_core_memory_is_one_table_column_per_tree_node() -> None:
@@ -147,6 +227,34 @@ def test_windowed_greedy_matches_reference_on_greedy_ordering() -> None:
         g = gen_random_block_graph(seed, max_p=200)
         order = greedy_ordering(g, detour_profile(g))
         assert greedy_min_coloring_for_ordering(g, order).colors == _quadratic_greedy(g, order)
+
+
+def test_greedy_ordering_matches_the_reference_scan() -> None:
+    graphs = _greedy_corpus()
+    assert len(graphs) >= 300
+    omegas = set()
+    for g in graphs:
+        profile = detour_profile(g)
+        omegas.add(min(profile.omega, 2))
+        assert greedy_ordering(g, profile) == _reference_greedy_ordering(g, profile), g
+    assert omegas == {1, 2}
+
+
+def test_forced_coloring_matches_quadratic_reference_on_the_corpus() -> None:
+    rng = random.Random(3)
+    for g in _greedy_corpus():
+        shuffled = list(range(g.p))
+        rng.shuffle(shuffled)
+        for order in (greedy_ordering(g, detour_profile(g)), shuffled):
+            assert greedy_min_coloring_for_ordering(g, order).colors == _quadratic_greedy(g, order)
+
+
+def test_greedy_method_is_valid_at_ten_thousand_vertices() -> None:
+    g = gen_random_block_graph(5, 11000)
+    assert g.p == 10_207
+    result = color_graph(g)
+    assert result.method == "greedy"
+    assert validate_coloring(g, result.coloring.colors) == []
 
 
 def test_all_equal_coloring_memory_is_bounded() -> None:
