@@ -159,8 +159,7 @@ def _cmd_exact(args: argparse.Namespace) -> int:
     profile = detour_profile(g)
     bound = lower_bound(g, profile)
     print(f"exact_hc={value} lower_bound={bound} gap={value - bound}")
-    if witness is not None:
-        print(json.dumps({"colors": list(witness.colors)}))
+    print(json.dumps({"colors": list(witness.colors)}))
     return 0
 
 

@@ -20,9 +20,8 @@ that chooses between the two and the ordering they follow.
 
 from __future__ import annotations
 
-import heapq
 import operator
-from collections import abc
+from collections import abc, deque
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -369,32 +368,26 @@ def greedy_ordering(g: BlockGraph, profile: DetourProfile) -> list[int]:
     ties by vertex id; remaining central vertices come last.
 
     Two non-central vertices share a branch exactly when they share an
-    ``owner_block``, so the non-central vertices wait in one queue per
-    ``owner_block``, each in (-level, id) order, and every pick is a queue
-    head: the least head, or the second least when the least shares the
-    previous vertex's block.  A heap of the heads makes each step
-    O(log p).
+    ``owner_block``.  So one scan of them in (-level, id) order holds each
+    vertex of the previous vertex's block in a queue, and places any other
+    vertex followed at once by the oldest held one.  That is the rule:
+    held vertices share one block and precede the unscanned ones, so the
+    oldest is the least unused vertex, and the next one outside that
+    block is the least unused vertex of another block.  Whatever is still
+    held at the end follows in order.
     """
     level, block = profile.level, profile.owner_block
-    # each queue is reversed, so its head is its last element
-    queues: dict[int, list[int]] = {}
-    for v in sorted((v for v in range(g.p) if block[v] >= 0), key=lambda v: (level[v], -v)):
-        queues.setdefault(block[v], []).append(v)
-    heads = [(-level[q[-1]], q[-1], b) for b, q in queues.items()]
-    heapq.heapify(heads)
     start = min(profile.center)
     order = [start]
-    prev_block = -1
-    while heads:
-        head = heapq.heappop(heads)
-        if head[2] == prev_block and heads:
-            head = heapq.heapreplace(heads, head)
-        _, v, prev_block = head
-        order.append(v)
-        queue = queues[prev_block]
-        queue.pop()
-        if queue:
-            heapq.heappush(heads, (-level[queue[-1]], queue[-1], prev_block))
+    held: deque[int] = deque()
+    for v in sorted((v for v in range(g.p) if block[v] >= 0), key=lambda v: (-level[v], v)):
+        if block[v] == block[order[-1]]:
+            held.append(v)
+        else:
+            order.append(v)
+            if held:
+                order.append(held.popleft())
+    order += held
     order += [v for v in sorted(profile.center) if v != start]
     return order
 

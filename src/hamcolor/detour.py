@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SameVertexError
-from .graphs import BlockGraph
+from .graphs import BlockGraph, check_vertices
 
 RELATION_SAME = "same"
 RELATION_DIFFERENT = "different"
@@ -119,6 +119,7 @@ def tree_metric(g: BlockGraph) -> TreeMetric:
 
 def detour_distance(g: BlockGraph, u: int, v: int) -> int:
     """Length of a longest simple u-v path; 0 when u == v."""
+    check_vertices(g, u, v)
     return tree_metric(g).pair(u, v)
 
 

@@ -27,16 +27,10 @@ from .graphs import BlockGraph
 
 @dataclass
 class SearchBudget:
-    """Limits for the exact search.
-
-    ``incumbent`` is an optional trusted upper bound (the span of some
-    known valid coloring); it tightens pruning but the returned witness
-    may then be None when nothing below it exists.
-    """
+    """Limits for the exact search: the largest p it accepts and a time limit in seconds."""
 
     max_p: int = 10
     time_limit: float | None = None
-    incumbent: int | None = None
 
     HARD_CAP: ClassVar[int] = 12
 
@@ -87,34 +81,21 @@ def _twin_groups(rows: list[list[int]], p: int) -> list[int]:
     Two vertices are twins when their distance rows agree everywhere off
     the pair; swapping twins in an ordering never changes the forced
     coloring's span, so each twin class is explored in ascending order.
+
+    Twinship is transitive, so twin_prev[v] is the largest twin u < v.
+    If u ~ v and v ~ w, the three rows agree off {u, v, w}, and u ~ v read
+    at w and v ~ w read at u give D(u, v) = D(u, w) = D(v, w), so the rows
+    of u and w also agree at v: u ~ w.
     """
-    parent = list(range(p))
 
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
+    def twins(u: int, v: int) -> bool:
+        return all(rows[u][x] == rows[v][x] for x in range(p) if x != u and x != v)
 
-    for u in range(p):
-        for v in range(u + 1, p):
-            if all(rows[u][x] == rows[v][x] for x in range(p) if x != u and x != v):
-                ru, rv = find(u), find(v)
-                if ru != rv:
-                    parent[max(ru, rv)] = min(ru, rv)
-    groups: dict[int, list[int]] = {}
-    for v in range(p):
-        groups.setdefault(find(v), []).append(v)
-    twin_prev = [-1] * p
-    for members in groups.values():
-        members.sort()
-        for a, b in zip(members, members[1:]):
-            twin_prev[b] = a
-    return twin_prev
+    return [next((u for u in reversed(range(v)) if twins(u, v)), -1) for v in range(p)]
 
 
-def exact_hc(g: BlockGraph, budget: SearchBudget | None = None) -> tuple[int, HamColoring | None]:
-    """Exact hamiltonian chromatic number with a witness coloring.
+def exact_hc(g: BlockGraph, budget: SearchBudget | None = None) -> tuple[int, HamColoring]:
+    """Exact hamiltonian chromatic number and a witness coloring of that span.
 
     Enumerates orderings depth-first.  The incumbent is seeded by the
     greedy-ordering pipeline, and the search stops early when it meets
@@ -148,17 +129,12 @@ def exact_hc(g: BlockGraph, budget: SearchBudget | None = None) -> tuple[int, Ha
 
     profile = detour_profile(g)
     lb = lower_bound(g, profile)
-    d = detour_matrix(g)
-    rows = [list(map(int, d[v])) for v in range(p)]
+    rows = detour_matrix(g).tolist()
 
     seed = greedy_min_coloring_for_ordering(g, greedy_ordering(g, profile))
-    best_span = seed.span
-    best_colors: tuple[int, ...] | None = seed.colors
-    if budget.incumbent is not None and budget.incumbent < best_span:
-        best_span = budget.incumbent
-        best_colors = None
-    if best_span <= lb:
-        return best_span, HamColoring(best_colors) if best_colors is not None else None
+    if seed.span <= lb:
+        return seed.span, seed
+    best_span, best_colors = seed.span, seed.colors
 
     twin_prev = _twin_groups(rows, p)
     need = p - 1
@@ -228,5 +204,4 @@ def exact_hc(g: BlockGraph, budget: SearchBudget | None = None) -> tuple[int, Ha
         search(0, 0, profile.total_level)
     except _Done:
         pass
-    witness = HamColoring(best_colors) if best_colors is not None else None
-    return best_span, witness
+    return best_span, HamColoring(best_colors)

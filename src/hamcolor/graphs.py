@@ -144,14 +144,13 @@ class BlockGraph:
 
     @property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        """Sorted neighbour lists, built on first access."""
+        """Sorted neighbour lists, built on first access: each vertex's blocks less itself."""
         if self._adjacency is None:
-            nbrs: list[set[int]] = [set() for _ in range(self.p)]
-            for b in self.blocks:
-                for u, v in combinations(b, 2):
-                    nbrs[u].add(v)
-                    nbrs[v].add(u)
-            self._adjacency = tuple(tuple(sorted(s)) for s in nbrs)
+            blocks = self.blocks
+            self._adjacency = tuple(
+                tuple(sorted(set().union(*(blocks[b] for b in bs)) - {v}))
+                for v, bs in enumerate(self.vertex_blocks)
+            )
         return self._adjacency
 
     def block_cut_tree(self) -> "BlockCutTree":
@@ -252,12 +251,20 @@ class BlockCutTree:
         return left + [a] + right[::-1]
 
 
+def check_vertices(g: BlockGraph, *ids: int) -> None:
+    """Raise InvalidSpecError naming the first id that is not a vertex of g."""
+    for v in ids:
+        if not 0 <= v < g.p:
+            raise InvalidSpecError(f"vertex id {v} is outside 0..{g.p - 1}")
+
+
 def blocks_on_path(g: BlockGraph, u: int, v: int) -> list[int]:
     """Block indices every u-v path traverses, in order from u to v.
 
     Consecutive blocks share exactly one cut vertex; u lies in the first
     block, v in the last.
     """
+    check_vertices(g, u, v)
     if u == v:
         raise SameVertexError(f"path query needs distinct endpoints, got {u} twice")
     bct = g.block_cut_tree()

@@ -3,12 +3,14 @@ from __future__ import annotations
 from collections import deque
 from itertools import combinations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hamcolor import (
     BlockGraph,
     DetourProfile,
+    InvalidSpecError,
     SymmetricSpec,
     blocks_on_path,
     branch_relation,
@@ -43,6 +45,18 @@ def test_detour_distance_across_union() -> None:
     assert detour_distance(g, 1, 4) == 6  # spans both cliques, p - 1
     assert detour_distance(g, 1, 2) == 3
     assert detour_distance(g, 3, 0) == 3
+
+
+@pytest.mark.parametrize("query", [detour_distance, blocks_on_path])
+@pytest.mark.parametrize("bad", [-1, 5, 10**12])
+def test_out_of_range_vertex_ids_are_rejected(query, bad: int) -> None:
+    # numpy indexing would wrap -1 to the last vertex and fail on 5 with a bare IndexError
+    g = gen_path(5)
+    for u, v in ((bad, 0), (0, bad), (bad, bad)):
+        with pytest.raises(InvalidSpecError, match=f"vertex id {bad} "):
+            query(g, u, v)
+    assert detour_distance(g, 4, 0) == 4 and detour_distance(g, 2, 2) == 0
+    assert blocks_on_path(g, 4, 0) == [3, 2, 1, 0]
 
 
 @given(st.integers(0, 10_000))

@@ -120,10 +120,52 @@ def test_exact_at_least_lower_bound(corpus) -> None:
         assert witness is not None and validate_coloring(g, list(witness.colors)) == []
 
 
-def test_exact_with_trusted_incumbent() -> None:
-    g = gen_union(4, 2)
-    value, witness = exact_hc(g, SearchBudget(incumbent=9))
-    assert value == 9
+def _union_find_twin_groups(rows: list[list[int]], p: int) -> list[int]:
+    """The twin classes as first computed: a union-find over every twin pair."""
+    parent = list(range(p))
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for u in range(p):
+        for v in range(u + 1, p):
+            if all(rows[u][x] == rows[v][x] for x in range(p) if x != u and x != v):
+                ru, rv = find(u), find(v)
+                if ru != rv:
+                    parent[max(ru, rv)] = min(ru, rv)
+    groups: dict[int, list[int]] = {}
+    for v in range(p):
+        groups.setdefault(find(v), []).append(v)
+    twin_prev = [-1] * p
+    for members in groups.values():
+        members.sort()
+        for a, b in zip(members, members[1:]):
+            twin_prev[b] = a
+    return twin_prev
+
+
+def test_twin_groups_match_the_union_find() -> None:
+    # _reference_search shares _twin_groups, so it is pinned here on its own
+    graphs = [gen_random_block_graph(seed, max_p=12) for seed in range(1000)]
+    graphs += [BlockGraph(n, [range(n)]) for n in range(2, 13)]
+    graphs += [gen_star(n) for n in range(2, 12)] + [gen_path(n) for n in range(2, 13)]
+    graphs += [gen_union(n, k) for n in range(2, 7) for k in range(2, 5) if k * (n - 1) < 12]
+    largest = 0
+    for g in graphs:
+        assert g.p <= 12
+        rows = detour_matrix(g).tolist()
+        twin_prev = _twin_groups(rows, g.p)
+        assert twin_prev == _union_find_twin_groups(rows, g.p), g
+        # the length of the longest twin_prev chain is the largest class size
+        chain = [1] * g.p
+        for v, u in enumerate(twin_prev):
+            if u >= 0:
+                chain[v] = chain[u] + 1
+        largest = max(largest, *chain)
+    assert len(graphs) >= 1000 and largest >= 3
 
 
 def _all_valid_colorings_dominated(g, span_cap: int) -> int:
