@@ -23,7 +23,8 @@ from __future__ import annotations
 import operator
 from collections import abc, deque
 from dataclasses import dataclass
-from typing import Sequence
+from functools import partial
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -190,8 +191,9 @@ def greedy_min_coloring_for_ordering(g: BlockGraph, ordering: Sequence[int]) -> 
 
 _INT64_MAX = np.iinfo(np.int64).max
 
-# Candidate pairs checked per numpy batch.  Larger batches cost memory
-# (an all-equal coloring makes every pair a candidate) without saving time.
+# Candidate pairs checked per numpy batch, and violations kept in the head
+# of a Violations.  Larger batches cost memory (an all-equal coloring makes
+# every pair a candidate) without saving time.
 _PAIR_CHUNK = 1 << 16
 
 
@@ -208,60 +210,19 @@ def check_colors(g: BlockGraph, colors: Sequence[int]) -> None:
         raise InvalidSpecError("colors must be integers from 0 to 2**63 - 1")
 
 
-class Violations(abc.Sequence):
-    """The (u, v, deficit) triples of an invalid coloring, u < v, sorted by (u, v).
+def _violation_batches(g: BlockGraph, c: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Keys lo * p + hi and deficits of the violated pairs, one candidate batch at a time.
 
-    They are held as one n x 3 int64 array, 24 bytes per violation; tuples
-    are built only for the items asked for.  Compares equal to a list or
-    tuple holding the same triples, so ``validate_coloring(g, c) == []``
-    tests validity.
+    Since D(u, v) >= 1, only pairs whose colors differ by at most p - 3
+    can fall short, so the vertices are sorted by color and each is paired
+    with the later vertices inside that window.  Those candidate pairs are
+    checked in batches of at most ``_PAIR_CHUNK``, with distances from the
+    tree-metric core; batches without a violation yield nothing.  The keys
+    are unique but come in color order, not key order.
     """
-
-    __slots__ = ("_rows",)
-
-    def __init__(self, rows: np.ndarray):
-        self._rows = rows
-
-    def __len__(self) -> int:
-        return len(self._rows)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return list(map(tuple, self._rows[index].tolist()))
-        return tuple(self._rows[index].tolist())
-
-    def __iter__(self):
-        for start in range(0, len(self._rows), _PAIR_CHUNK):
-            yield from map(tuple, self._rows[start : start + _PAIR_CHUNK].tolist())
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, Violations):
-            return np.array_equal(self._rows, other._rows)
-        if isinstance(other, (list, tuple)):
-            return len(other) == len(self) and all(map(operator.eq, self, other))
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return f"Violations(n={len(self)}, first={self[:3]!r})"
-
-
-def validate_coloring(g: BlockGraph, colors: Sequence[int]) -> Violations:
-    """Check every vertex pair; return the violations (u, v, deficit), sorted.
-
-    An empty result means the coloring is a hamiltonian coloring.  Since
-    D(u, v) >= 1, only pairs whose colors differ by at most p - 3 can
-    fall short, so the vertices are sorted by color and each is paired
-    with the later vertices inside that window.  Those candidate pairs
-    are checked in batches of at most ``_PAIR_CHUNK``, with distances
-    from the tree-metric core: O(p log p + candidates) time and
-    O(p + violations) memory, the result taking 24 bytes per violation
-    in a :class:`Violations` array.
-    """
-    check_colors(g, colors)
     distance = tree_metric(g).distance
     need = g.p - 1
     reach = max(g.p - 3, 0)
-    c = np.asarray(colors, dtype=np.int64)
     order = np.argsort(c, kind="stable")
     sorted_colors = c[order]
     # sorted positions i + 1 .. end[i] - 1 hold the candidates for position i;
@@ -273,8 +234,6 @@ def validate_coloring(g: BlockGraph, colors: Sequence[int]) -> Violations:
     row_end = np.cumsum(count)
     row_start = row_end - count
     total = int(row_end[-1])
-    keys: list[np.ndarray] = []  # lo * p + hi per violated pair, for one sort
-    deficits: list[np.ndarray] = []
     for s in range(0, total, _PAIR_CHUNK):
         k = np.arange(s, min(s + _PAIR_CHUNK, total))
         i = np.searchsorted(row_end, k, side="right")
@@ -284,23 +243,123 @@ def validate_coloring(g: BlockGraph, colors: Sequence[int]) -> Violations:
         bad = deficit > 0
         if bad.any():
             u, v = u[bad], v[bad]
-            keys.append(np.minimum(u, v) * g.p + np.maximum(u, v))
-            deficits.append(deficit[bad])
-    if not keys:
-        return Violations(np.empty((0, 3), dtype=np.int64))
-    # each concatenation frees its parts, and sorting before the rows are
-    # allocated keeps the peak at 40 bytes per violation
+            yield np.minimum(u, v) * g.p + np.maximum(u, v), deficit[bad]
+
+
+def _sorted_rows(keys: list[np.ndarray], deficits: list[np.ndarray], p: int) -> np.ndarray:
+    """Empty the batch lists into (u, v, deficit) rows sorted by pair.
+
+    Each concatenation frees its parts, and sorting before the rows are
+    allocated keeps the peak at 40 bytes per violation.
+    """
     key = np.concatenate(keys)
-    del keys
+    keys.clear()
     deficit = np.concatenate(deficits)
-    del deficits
+    deficits.clear()
     by_pair = np.argsort(key)
     key, deficit = key[by_pair], deficit[by_pair]
     del by_pair
     rows = np.empty((len(key), 3), dtype=np.int64)
-    np.divmod(key, g.p, out=(rows[:, 0], rows[:, 1]))
+    np.divmod(key, p, out=(rows[:, 0], rows[:, 1]))
     rows[:, 2] = deficit
-    return Violations(rows)
+    return rows
+
+
+def _all_rows(g: BlockGraph, c: np.ndarray) -> np.ndarray:
+    """Every violation's row, from a second pass over the candidate batches."""
+    keys, deficits = [], []
+    for key, deficit in _violation_batches(g, c):
+        keys.append(key)
+        deficits.append(deficit)
+    return _sorted_rows(keys, deficits, g.p)
+
+
+class Violations(abc.Sequence):
+    """The (u, v, deficit) triples of an invalid coloring, u < v, sorted by (u, v).
+
+    Holds the exact count and the first ``_PAIR_CHUNK`` triples (the head)
+    as an int64 array, 24 bytes each; the head is the whole list when there
+    are at most ``_PAIR_CHUNK`` violations.  Reading past the head re-runs
+    the check once and keeps every row, 24 bytes per violation (40 at the
+    peak of building them).  Tuples are built only for the items asked
+    for.  Compares equal to a list or tuple holding the same triples, so
+    ``validate_coloring(g, c) == []`` tests validity.
+    """
+
+    __slots__ = ("_count", "_rows", "_rebuild")
+
+    def __init__(self, count: int, head: np.ndarray, rebuild: Callable[[], np.ndarray]):
+        self._count = count
+        self._rows = head
+        self._rebuild = rebuild if count > len(head) else None
+
+    def _rows_for(self, n: int) -> np.ndarray:
+        """Rows holding the first n triples: the head if it has them, else all rows."""
+        if n > len(self._rows):
+            self._rows = self._rebuild()
+            self._rebuild = None
+        return self._rows
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            r = range(self._count)[index]
+            if not r:
+                return []
+            rows = self._rows_for(max(r[0], r[-1]) + 1)
+            stop = r.stop if r.stop >= 0 else None  # -1 ends a descending slice at 0
+            return list(map(tuple, rows[r.start : stop : r.step].tolist()))
+        i = range(self._count)[index]
+        return tuple(self._rows_for(i + 1)[i].tolist())
+
+    def __iter__(self):
+        for start in range(0, self._count, _PAIR_CHUNK):
+            rows = self._rows_for(start + 1)
+            yield from map(tuple, rows[start : start + _PAIR_CHUNK].tolist())
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, Violations):
+            return len(self) == len(other) and np.array_equal(
+                self._rows_for(len(self)), other._rows_for(len(other))
+            )
+        if isinstance(other, (list, tuple)):
+            return len(other) == len(self) and all(map(operator.eq, self, other))
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"Violations(n={len(self)}, first={self[:3]!r})"
+
+
+def validate_coloring(g: BlockGraph, colors: Sequence[int]) -> Violations:
+    """Check every vertex pair; return the violations (u, v, deficit), sorted.
+
+    An empty result means the coloring is a hamiltonian coloring.  One
+    pass over the candidate pairs (see :func:`_violation_batches`) counts
+    the violations and keeps the ``_PAIR_CHUNK`` smallest pairs: each
+    batch is merged into them and cut back with a partition, and they are
+    sorted once at the end.  That takes O(p log p + candidates) time and
+    O(p + ``_PAIR_CHUNK``) memory however many pairs violate.  The
+    :class:`Violations` result answers its length and reads within the
+    head at once; reading further re-runs the pass and keeps every row.
+    """
+    check_colors(g, colors)
+    c = np.array(colors, dtype=np.int64)  # a copy, so a later rebuild sees these colors
+    count = 0
+    key = deficit = np.empty(0, dtype=np.int64)
+    for batch_key, batch_deficit in _violation_batches(g, c):
+        count += len(batch_key)
+        if len(key) == _PAIR_CHUNK:  # a full head admits only smaller keys
+            smaller = batch_key < key.max()
+            batch_key, batch_deficit = batch_key[smaller], batch_deficit[smaller]
+        key = np.concatenate((key, batch_key))
+        deficit = np.concatenate((deficit, batch_deficit))
+        if len(key) > _PAIR_CHUNK:
+            keep = np.argpartition(key, _PAIR_CHUNK - 1)[:_PAIR_CHUNK]
+            key, deficit = key[keep], deficit[keep]
+    head = _sorted_rows([key], [deficit], g.p)
+    return Violations(count, head, partial(_all_rows, g, c))
 
 
 def sym_ordering(g: BlockGraph, coords: SymmetricCoordinates) -> list[int]:

@@ -232,6 +232,7 @@ def branch_relation(g: BlockGraph, profile: DetourProfile, u: int, v: int) -> st
     the same central vertex through different blocks; ``opposite`` for
     different central vertices.
     """
+    check_vertices(g, u, v)
     if u == v:
         raise SameVertexError("branch relation needs distinct vertices")
     if profile.owner[u] == -1 or profile.owner[v] == -1:

@@ -22,7 +22,7 @@ from .coloring import HamColoring, greedy_min_coloring_for_ordering, greedy_orde
 from .detour import detour_matrix, detour_profile
 from .errors import BudgetExceededError, InvalidSpecError
 from .formulas import lower_bound
-from .graphs import BlockGraph
+from .graphs import BlockGraph, check_vertices
 
 
 @dataclass
@@ -45,6 +45,7 @@ class SearchBudget:
 
 def brute_longest_path(g: BlockGraph, u: int, v: int, budget: SearchBudget | None = None) -> int:
     """Exact longest simple u-v path length by exhaustive DFS."""
+    check_vertices(g, u, v)
     budget = budget or SearchBudget()
     if g.p > budget.max_p:
         raise BudgetExceededError(f"p={g.p} exceeds the brute-force budget of {budget.max_p}")

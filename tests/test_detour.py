@@ -47,10 +47,17 @@ def test_detour_distance_across_union() -> None:
     assert detour_distance(g, 3, 0) == 3
 
 
-@pytest.mark.parametrize("query", [detour_distance, blocks_on_path])
+def branch_relation_of(g, u: int, v: int) -> str:
+    return branch_relation(g, detour_profile(g), u, v)
+
+
+@pytest.mark.parametrize(
+    "query", [detour_distance, blocks_on_path, brute_longest_path, branch_relation_of]
+)
 @pytest.mark.parametrize("bad", [-1, 5, 10**12])
 def test_out_of_range_vertex_ids_are_rejected(query, bad: int) -> None:
-    # numpy indexing would wrap -1 to the last vertex and fail on 5 with a bare IndexError
+    # indexing would wrap -1 to the last vertex and fail on 5 with a bare
+    # IndexError; brute_longest_path answered -1 for an id past the end
     g = gen_path(5)
     for u, v in ((bad, 0), (0, bad), (bad, bad)):
         with pytest.raises(InvalidSpecError, match=f"vertex id {bad} "):

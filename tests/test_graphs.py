@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import ast
+import random
+import re
 import time
 import tracemalloc
 from itertools import combinations
@@ -111,6 +114,59 @@ def test_invalid_structure_errors_keep_their_precedence(p, blocks, error, messag
         BlockGraph(p, blocks)
     assert type(caught.value) is error
     assert str(caught.value) == message
+
+
+@pytest.mark.parametrize(
+    ("blocks", "error"),
+    [
+        ([[0, leaf] for leaf in range(1, 2001)] + [[0, 1, 2]], OverlappingBlocksError),
+        ([[0, leaf] for leaf in range(1, 2001)] + [[1, 2]], CyclicBlockStructureError),
+    ],
+    ids=["overlap", "cycle"],
+)
+def test_hub_in_thousands_of_blocks_is_diagnosed_in_linear_time(blocks, error) -> None:
+    # pairing up the hub's 2,001 blocks took about a second and 216 MB
+    start = time.perf_counter()
+    with pytest.raises(error):
+        BlockGraph(2001, blocks)
+    elapsed = time.perf_counter() - start
+    tracemalloc.start()
+    try:
+        with pytest.raises(error) as caught:
+            BlockGraph(2001, blocks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 0.2
+    assert peak < 5_000_000
+    if error is OverlappingBlocksError:
+        assert str(caught.value) == "blocks (0, 1) and (0, 1, 2) share two or more vertices"
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=200, deadline=None)
+def test_overlap_is_reported_exactly_when_two_blocks_share_two_vertices(seed: int) -> None:
+    rng = random.Random(seed)
+    p = rng.randrange(3, 9)
+    blocks = [
+        sorted(rng.sample(range(p), rng.randrange(2, min(p, 4) + 1)))
+        for _ in range(rng.randrange(2, 7))
+    ]
+    pairs = list(combinations(sorted(map(tuple, blocks)), 2))
+    overlap_free = all(len(set(a) & set(b)) < 2 for a, b in pairs)
+    try:
+        BlockGraph(p, blocks)
+    except OverlappingBlocksError as e:
+        # the named pair is one of the overlapping pairs, smaller block first
+        named = re.fullmatch(r"blocks (\(.*\)) and (\(.*\)) share two or more vertices", str(e))
+        pair = tuple(map(ast.literal_eval, named.groups()))
+        assert pair in pairs and len(set(pair[0]) & set(pair[1])) >= 2
+    except DanglingVertexError:
+        pass  # coverage is checked before any overlap
+    except (DisconnectedError, CyclicBlockStructureError):
+        assert overlap_free
+    else:
+        assert overlap_free
 
 
 def test_large_star_builds_in_linear_time_and_memory() -> None:

@@ -29,6 +29,7 @@ from hamcolor import (
     greedy_ordering,
     validate_coloring,
 )
+from hamcolor import coloring
 from hamcolor.detour import TreeMetric, branch_keys, tree_metric
 
 
@@ -269,3 +270,54 @@ def test_all_equal_coloring_memory_is_bounded() -> None:
     finally:
         tracemalloc.stop()
     assert peak < 16_000_000
+
+
+def test_streamed_violations_match_all_pairs_past_the_head(monkeypatch) -> None:
+    # narrow random colors on p = 589: 173,166 violations over three
+    # candidate batches whose key ranges interleave
+    g = gen_random_block_graph(6, max_p=700)
+    rng = random.Random(6)
+    colors = [rng.randrange(g.p // 8) for _ in range(g.p)]
+    want = _all_pairs_violations(g, colors)
+    batches = list(coloring._violation_batches(g, np.asarray(colors)))
+    assert len(want) > coloring._PAIR_CHUNK and len(batches) >= 3
+    assert any(a[0].max() > b[0].min() for a, b in zip(batches, batches[1:]))
+
+    rebuilds = []
+    all_rows = coloring._all_rows
+
+    def counted_all_rows(*args):
+        rebuilds.append(args)
+        return all_rows(*args)
+
+    monkeypatch.setattr(coloring, "_all_rows", counted_all_rows)
+    held = np.array(colors)
+    violations = validate_coloring(g, held)
+    held[:] = 0  # the rebuild reads the colors as they were validated
+    assert len(violations) == len(want) and violations
+    assert violations[:20] == want[:20] and violations[0] == want[0]
+    assert violations[coloring._PAIR_CHUNK - 1] == want[coloring._PAIR_CHUNK - 1]
+    assert violations[100:0:-7] == want[100:0:-7]
+    assert not rebuilds
+    assert violations[-1] == want[-1]
+    assert list(violations) == want and violations == want
+    assert violations[-5:] == want[-5:] and violations[::-50_000] == want[::-50_000]
+    assert len(rebuilds) == 1
+    assert violations == validate_coloring(g, colors)
+
+
+def test_many_violations_are_counted_in_bounded_memory() -> None:
+    # all-equal stars: 1,125,750 and 4,501,500 violations, of which the
+    # count and the first 20 are read, as verify does
+    for leaves in (1500, 3000):
+        g = gen_star(leaves)
+        tree_metric(g)
+        tracemalloc.start()
+        try:
+            violations = validate_coloring(g, [0] * g.p)
+            assert len(violations) == g.p * (g.p - 1) // 2
+            assert violations[:20] == [(0, v, g.p - 2) for v in range(1, 21)]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, leaves
