@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import takewhile
 
 from . import __version__
 from .coloring import check_colors, color_graph, validate_coloring
@@ -60,16 +61,16 @@ def _load_colors(path: str) -> list[int]:
     return doc["colors"]
 
 
-def _parse_range(text: str) -> list[int]:
-    """Accept "3", "3,4,5" or "3-5"."""
-    values: list[int] = []
+def _parse_range(text: str, least: int, most: int) -> list[int]:
+    """Accept "3", "3,4,5" or "3-5"; values outside least..most are dropped."""
+    values: set[int] = set()
     for part in text.split(","):
         if "-" in part[1:]:
             lo, hi = part.split("-", 1)
-            values.extend(range(int(lo), int(hi) + 1))
+            values.update(range(max(int(lo), least), min(int(hi), most) + 1))
         else:
-            values.append(int(part))
-    return sorted(set(values))
+            values.add(int(part))
+    return sorted(v for v in values if least <= v <= most)
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
@@ -163,28 +164,40 @@ def _cmd_exact(args: argparse.Namespace) -> int:
     return 0
 
 
+def _table_specs(args: argparse.Namespace):
+    """The specs with kn >= 2, d >= 3 and p <= --max-p, in grid order.
+
+    p exceeds m, kappa and d and grows with each of them, so each loop
+    stops at the first value whose smallest spec is too large.
+    """
+    limits = ((args.block_size, 2), (args.cut_degree, 2), (args.diameter, 3))
+    ms, kappas, ds = (_parse_range(text, least, args.max_p) for text, least in limits)
+    fits = lambda spec: sym_order_count(spec) <= args.max_p
+    for m in ms:
+        for kappa in kappas:
+            if (m - 1) * (kappa - 1) < 2:
+                continue  # a path, which path_hc covers
+            specs = list(takewhile(fits, (SymmetricSpec(m, kappa, d) for d in ds)))
+            if not specs:
+                break
+            yield from specs
+        else:
+            continue  # no kappa stopped the loop
+        if kappa == kappas[0]:  # m's smallest spec is too large, so any larger m's is
+            break
+
+
 def _cmd_table(args: argparse.Namespace) -> int:
-    header = "m,kappa,d,p,omega,xi,total_level,lower_bound,closed_form,algorithm_span,valid"
-    rows = [header]
-    for m in _parse_range(args.block_size):
-        for kappa in _parse_range(args.cut_degree):
-            for d in _parse_range(args.diameter):
-                try:
-                    spec = SymmetricSpec(m, kappa, d)
-                    if spec.k * spec.n < 2 or d < 3:
-                        continue
-                    if sym_order_count(spec) > args.max_p:
-                        continue
-                    g, _ = gen_symmetric(spec)
-                except HamcolorError:
-                    continue
-                result = color_graph(g)
-                ok = not validate_coloring(g, result.coloring.colors)
-                rows.append(
-                    f"{m},{kappa},{d},{g.p},{result.profile.omega},{result.profile.xi},"
-                    f"{sym_total_level(spec)},{result.bound},{sym_hc(spec)},"
-                    f"{result.coloring.span},{str(ok).lower()}"
-                )
+    rows = ["m,kappa,d,p,omega,xi,total_level,lower_bound,closed_form,algorithm_span,valid"]
+    for spec in _table_specs(args):
+        g, _ = gen_symmetric(spec)
+        result = color_graph(g)
+        ok = not validate_coloring(g, result.coloring.colors)
+        rows.append(
+            f"{spec.block_size},{spec.cut_degree},{spec.diameter},{g.p},{result.profile.omega},"
+            f"{result.profile.xi},{sym_total_level(spec)},{result.bound},{sym_hc(spec)},"
+            f"{result.coloring.span},{str(ok).lower()}"
+        )
     _write(args.output, "\n".join(rows) + "\n")
     return 0
 

@@ -492,7 +492,7 @@ def color_graph(g: BlockGraph) -> ColorResult:
     """
     profile = detour_profile(g)
     try:
-        coords = symmetric_coordinates(g, profile)
+        coords = symmetric_coordinates(g)
     except NotSymmetricError:
         coords = None
     if coords is not None and coords.spec.k * coords.spec.n >= 2:

@@ -140,7 +140,6 @@ class DetourProfile:
     total_level: int
     owner: tuple[int, ...]
     owner_block: tuple[int, ...]
-    diameter_d: int
 
 
 def detour_profile(g: BlockGraph) -> DetourProfile:
@@ -220,7 +219,6 @@ def _build_profile(g: BlockGraph) -> DetourProfile:
         total_level=sum(level),
         owner=tuple(owner_at[a] for a in anchor),
         owner_block=tuple(block_at[a] for a in anchor),
-        diameter_d=max(ecc),
     )
 
 

@@ -19,7 +19,7 @@ from itertools import chain
 
 import numpy as np
 
-from .detour import DetourProfile, detour_profile
+from .detour import detour_profile
 from .errors import InvalidSpecError, NotSymmetricError
 from .graphs import BlockGraph
 
@@ -77,7 +77,7 @@ class SymmetricCoordinates:
     stream v belongs to, 0 for the even-diameter center.  ``rename[v]``
     is v's 1-based number when its branch's descendants are renamed for
     :func:`hamcolor.coloring.sym_ordering`, and 0 when v is a root or on
-    the top list.
+    the top list.  The arrays are read-only; records compare by identity.
     """
 
     spec: SymmetricSpec
@@ -91,53 +91,17 @@ class SymmetricCoordinates:
     rename: np.ndarray
 
     def __post_init__(self):
-        for a in self._arrays():
+        for a in (self.depth, self.branch, self.parent, self.index, self.rename):
             a.flags.writeable = False
 
-    def _arrays(self) -> tuple[np.ndarray, ...]:
-        return (self.depth, self.branch, self.parent, self.index, self.rename)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SymmetricCoordinates):
-            return NotImplemented
-        return (self.spec, self.parity, self.roots, self.top_list) == (
-            other.spec, other.parity, other.roots, other.top_list
-        ) and all(map(np.array_equal, self._arrays(), other._arrays()))
-
-    def __hash__(self) -> int:
-        arrays = (a.tobytes() for a in self._arrays())
-        return hash((self.spec, self.parity, self.roots, self.top_list, *arrays))
-
-    @property
-    def path_tuple(self) -> tuple[tuple[int, ...], ...]:
-        """Per vertex, the child indices from its branch root down to it."""
-        parent, index, rename = self.parent.tolist(), self.index.tolist(), self.rename.tolist()
-        paths: list[tuple[int, ...]] = [()] * len(parent)
-        for v in np.argsort(self.depth, kind="stable").tolist():
-            if rename[v]:
-                paths[v] = paths[parent[v]] + (index[v],)
-        return tuple(paths)
-
-    @property
-    def children(self) -> tuple[tuple[int, ...], ...]:
-        """Per vertex, its children in index order."""
-        parent = self.parent.tolist()
-        kids: list[list[int]] = [[] for _ in parent]
-        for u in np.lexsort((self.index, self.parent)).tolist():
-            if parent[u] >= 0:
-                kids[parent[u]].append(u)
-        return tuple(map(tuple, kids))
-
-
-def symmetric_coordinates(
-    g: BlockGraph, profile: DetourProfile | None = None
-) -> SymmetricCoordinates:
+def symmetric_coordinates(g: BlockGraph) -> SymmetricCoordinates:
     """Derive canonical coordinates from the structure of g.
 
     Works for any vertex labeling; raises NotSymmetricError when g is not
-    a symmetric block graph with at least two blocks.  ``profile`` is g's
-    detour profile when the caller already has it; otherwise it is
-    computed here.
+    a symmetric block graph with at least two blocks.  Block sizes and
+    cut degrees are checked before g's cached :func:`detour_profile` is
+    asked for the center and the levels.
 
     Everything is computed on arrays, in O(p log r) for radius r.  With
     one block size m, a vertex's depth is its level divided by m - 1.  In
@@ -159,8 +123,7 @@ def symmetric_coordinates(
         raise NotSymmetricError(f"cut vertices have mixed block degrees {sorted(degrees)}")
     kappa = degrees.pop()
 
-    if profile is None:
-        profile = detour_profile(g)
+    profile = detour_profile(g)
     members = np.fromiter(chain.from_iterable(g.blocks), dtype=np.intp, count=len(g.blocks) * m)
     members = members.reshape(-1, m)
     if profile.omega == 1:

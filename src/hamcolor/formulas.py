@@ -20,11 +20,7 @@ def phi(r: int, x: int) -> int:
         raise InvalidSpecError(f"phi needs r >= 0, got {r}")
     if x < 1:
         raise InvalidSpecError(f"phi needs x >= 1, got {x}")
-    total, power = 0, 1
-    for _ in range(r):
-        total += power
-        power *= x
-    return total
+    return r if x == 1 else (x**r - 1) // (x - 1)
 
 
 def lower_bound(g: BlockGraph, profile: DetourProfile) -> int:

@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import dataclasses
+
+import pytest
+
 import hamcolor
 
 PUBLIC = {
@@ -66,3 +70,27 @@ def test_public_names_are_pinned() -> None:
     assert len(hamcolor.__all__) == len(set(hamcolor.__all__))
     assert set(hamcolor.__all__) == PUBLIC
     assert all(hasattr(hamcolor, name) for name in PUBLIC)
+
+
+RECORD_FIELDS = {
+    hamcolor.DetourProfile: [
+        "ecc", "center", "omega", "xi", "level", "total_level", "owner", "owner_block",
+    ],
+    hamcolor.SymmetricCoordinates: [
+        "spec", "parity", "roots", "top_list", "depth", "branch", "parent", "index", "rename",
+    ],
+}
+
+
+@pytest.mark.parametrize("record", RECORD_FIELDS, ids=lambda record: record.__name__)
+def test_record_fields_are_pinned(record) -> None:
+    assert [field.name for field in dataclasses.fields(record)] == RECORD_FIELDS[record]
+    # no derived views on top of the fields
+    assert not [name for name in vars(record) if not name.startswith("_")]
+
+
+@pytest.mark.parametrize("name", ["depth", "branch", "parent", "index", "rename"])
+def test_coordinate_arrays_are_read_only(name) -> None:
+    _, coords = hamcolor.gen_symmetric(hamcolor.SymmetricSpec(3, 2, 4))
+    with pytest.raises(ValueError):
+        getattr(coords, name)[0] = 1

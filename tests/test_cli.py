@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+import hamcolor.cli
+from hamcolor import sym_order_count
 from hamcolor.cli import run
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -280,6 +282,24 @@ def test_table_rows_sorted_and_consistent(capsys) -> None:
         fields = ln.split(",")
         assert fields[-1] == "true"
         assert fields[7] == fields[8] == fields[9]  # bound == closed form == span
+
+
+def test_table_work_stops_with_its_rows(monkeypatch, capsys) -> None:
+    # p grows with d, so no diameter past the first too-large one is counted
+    calls = []
+
+    def counting(spec):
+        calls.append(spec)
+        return sym_order_count(spec)
+
+    monkeypatch.setattr(hamcolor.cli, "sym_order_count", counting)
+    grid = ["table", "--block-size", "3", "--cut-degree", "2"]
+    assert run([*grid, "--diameter", "3-2000"]) == 0
+    wide = capsys.readouterr().out
+    assert len(calls) <= 25
+    assert run([*grid, "--diameter", "3-20"]) == 0
+    assert wide == capsys.readouterr().out
+    assert len(wide.splitlines()) == 19
 
 
 def test_export_dot_with_clusters(tmp_path, capsys) -> None:

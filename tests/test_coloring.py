@@ -150,9 +150,14 @@ def test_sym_ordering_takes_deepest_first_in_radix_order() -> None:
     spec = coords.spec
     streams = spec.cut_degree * spec.n
     assert coords.depth[order[1]] == spec.r
-    assert coords.path_tuple[order[1]] == (0, 0)
-    assert coords.path_tuple[order[1 + streams]] == (1, 0)
-    assert coords.path_tuple[order[1 + 2 * streams]] == (0, 1)
+
+    def indices(v):
+        # child indices from the branch root down to v, which sits two below it
+        return (coords.index[coords.parent[v]], coords.index[v])
+
+    assert indices(order[1]) == (0, 0)
+    assert indices(order[1 + streams]) == (1, 0)
+    assert indices(order[1 + 2 * streams]) == (0, 1)
     # the shallowest descendants come last before the depth-1 tail
     last_descendant = order[g.p - streams - 1]
     assert coords.depth[last_descendant] == 2

@@ -166,7 +166,6 @@ def _reference_profile(g) -> DetourProfile:
         total_level=int(level.sum()),
         owner=tuple(owner),
         owner_block=tuple(owner_block),
-        diameter_d=int(ecc.max()),
     )
 
 

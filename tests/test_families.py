@@ -3,9 +3,11 @@ from __future__ import annotations
 import random
 from collections import deque
 
+import numpy as np
 import pytest
 from conftest import grid_specs
 
+import hamcolor.families
 from hamcolor import (
     BlockGraph,
     InvalidSpecError,
@@ -114,8 +116,10 @@ def test_coordinates_rederive_from_structure() -> None:
     for spec in (SymmetricSpec(3, 3, 4), SymmetricSpec(4, 2, 5)):
         g, coords = gen_symmetric(spec)
         again = symmetric_coordinates(g)
-        assert again == coords
-        assert hash(again) == hash(coords)
+        for name in ("spec", "parity", "roots", "top_list"):
+            assert getattr(again, name) == getattr(coords, name)
+        for name in ("depth", "branch", "parent", "index", "rename"):
+            assert np.array_equal(getattr(again, name), getattr(coords, name))
 
 
 def test_coordinates_reject_non_symmetric() -> None:
@@ -129,6 +133,21 @@ def test_coordinates_reject_non_symmetric() -> None:
     )
     with pytest.raises(NotSymmetricError):
         symmetric_coordinates(lopsided)
+
+
+def test_coordinates_check_block_sizes_before_asking_for_the_profile(monkeypatch) -> None:
+    asked = []
+    monkeypatch.setattr(
+        hamcolor.families, "detour_profile", lambda g: asked.append(g) or detour_profile(g)
+    )
+    mixed = gen_random_block_graph(0, max_p=9)
+    assert len({len(b) for b in mixed.blocks}) > 1
+    with pytest.raises(NotSymmetricError):
+        symmetric_coordinates(mixed)
+    assert asked == []
+    union = gen_union(4, 3)
+    symmetric_coordinates(union)
+    assert asked == [union]
 
 
 def test_gen_union_shapes() -> None:
@@ -320,14 +339,20 @@ def test_array_symmetric_layer_matches_loop_reference(corpus) -> None:
             ref = _reference_coordinates(g, profile)
         except NotSymmetricError:
             with pytest.raises(NotSymmetricError):
-                symmetric_coordinates(g, profile)
+                symmetric_coordinates(g)
             continue
         accepted += 1
-        coords = symmetric_coordinates(g, profile)
-        got = {name: getattr(coords, name) for name in ref}
+        coords = symmetric_coordinates(g)
+        for name in ("spec", "parity", "roots", "top_list"):
+            assert getattr(coords, name) == ref[name], g
         for name in ("depth", "branch", "parent"):
-            got[name] = tuple(got[name].tolist())
-        assert got == ref, g
+            assert tuple(getattr(coords, name).tolist()) == ref[name], g
+        index = coords.index.tolist()
+        for kids in ref["children"]:
+            assert [index[u] for u in kids] == list(range(len(kids))), g
+        for v, tup in enumerate(ref["path_tuple"]):
+            if tup:
+                assert tup == ref["path_tuple"][ref["parent"][v]] + (index[v],), g
         ordering = sym_ordering(g, coords)
         assert ordering == _reference_ordering(g, ref), g
         expected = _reference_recurrence(g, profile, ordering)

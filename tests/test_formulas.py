@@ -27,11 +27,27 @@ def test_phi_values() -> None:
     assert phi(1, 7) == 1
     assert phi(3, 2) == 7
     assert phi(0, 5) == 0
-    assert phi(3, 1) == 3  # x = 1 handled by summation
+    assert phi(3, 1) == 3  # x = 1 has no geometric closed form
+    assert phi(5, 1) == 5
     with pytest.raises(InvalidSpecError):
         phi(-1, 2)
     with pytest.raises(InvalidSpecError):
         phi(2, 0)
+
+
+def _summed_phi(r: int, x: int) -> int:
+    """phi by its definition, the loop the closed form replaced."""
+    total, power = 0, 1
+    for _ in range(r):
+        total += power
+        power *= x
+    return total
+
+
+def test_phi_closed_form_matches_the_sum() -> None:
+    for r in range(51):
+        for x in range(1, 10):
+            assert phi(r, x) == _summed_phi(r, x), (r, x)
 
 
 def test_lower_bound_golden_even_case() -> None:
