@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from itertools import takewhile
+from itertools import combinations, takewhile
 
 from . import __version__
 from .coloring import check_colors, color_graph, validate_coloring
@@ -213,12 +213,25 @@ def _cmd_export(args: argparse.Namespace) -> int:
         _write(args.output, to_json(g))
     else:
         lines = ["u,v,block"]
-        for bi, b in enumerate(g.blocks):
-            for i, u in enumerate(b):
-                for v in b[i + 1 :]:
-                    lines.append(f"{u},{v},{bi}")
+        lines += [f"{u},{v},{bi}" for bi, b in enumerate(g.blocks) for u, v in combinations(b, 2)]
         _write(args.output, "\n".join(lines) + "\n")
     return 0
+
+
+def _add_families(sub) -> list[argparse.ArgumentParser]:
+    """Declare the sym, union, star and path subcommands with their size arguments."""
+    sym = sub.add_parser("sym", help="symmetric block graph")
+    sym.add_argument("--block-size", type=int, required=True)
+    sym.add_argument("--cut-degree", type=int, required=True)
+    sym.add_argument("--diameter", type=int, required=True)
+    union = sub.add_parser("union", help="one-point union of k cliques")
+    union.add_argument("-n", type=int, required=True, help="clique size")
+    union.add_argument("-k", type=int, required=True, help="number of cliques")
+    star = sub.add_parser("star", help="star graph")
+    star.add_argument("-n", type=int, required=True, help="number of leaves")
+    path = sub.add_parser("path", help="path graph")
+    path.add_argument("-n", type=int, required=True, help="number of vertices")
+    return [sym, union, star, path]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -231,23 +244,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("gen", help="generate a graph and write its JSON")
     gen_sub = p_gen.add_subparsers(dest="family", required=True)
-    g_sym = gen_sub.add_parser("sym", help="symmetric block graph")
-    g_sym.add_argument("--block-size", type=int, required=True)
-    g_sym.add_argument("--cut-degree", type=int, required=True)
-    g_sym.add_argument("--diameter", type=int, required=True)
-    g_union = gen_sub.add_parser("union", help="one-point union of k cliques")
-    g_union.add_argument("-n", type=int, required=True, help="clique size")
-    g_union.add_argument("-k", type=int, required=True, help="number of cliques")
-    g_star = gen_sub.add_parser("star", help="star graph")
-    g_star.add_argument("-n", type=int, required=True, help="number of leaves")
-    g_path = gen_sub.add_parser("path", help="path graph")
-    g_path.add_argument("-n", type=int, required=True, help="number of vertices")
+    families = _add_families(gen_sub)
     g_rand = gen_sub.add_parser("random", help="seeded random block graph")
     g_rand.add_argument("--seed", type=int, required=True)
     g_rand.add_argument("--max-p", type=int, required=True)
     g_rand.add_argument("--max-block-size", type=int, default=5)
     g_rand.add_argument("--max-blocks-per-cut", type=int, default=3)
-    for sp in (g_sym, g_union, g_star, g_path, g_rand):
+    for sp in (*families, g_rand):
         sp.add_argument("-o", "--output", default=None)
 
     p_bound = sub.add_parser("bound", help="detour profile and lower bound as JSON")
@@ -255,18 +258,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bound.add_argument("-o", "--output", default=None)
 
     p_formula = sub.add_parser("formula", help="closed-form value for a family")
-    f_sub = p_formula.add_subparsers(dest="family", required=True)
-    f_sym = f_sub.add_parser("sym")
-    f_sym.add_argument("--block-size", type=int, required=True)
-    f_sym.add_argument("--cut-degree", type=int, required=True)
-    f_sym.add_argument("--diameter", type=int, required=True)
-    f_star = f_sub.add_parser("star")
-    f_star.add_argument("-n", type=int, required=True, help="number of leaves")
-    f_path = f_sub.add_parser("path")
-    f_path.add_argument("-n", type=int, required=True, help="number of vertices")
-    f_union = f_sub.add_parser("union")
-    f_union.add_argument("-n", type=int, required=True)
-    f_union.add_argument("-k", type=int, required=True)
+    _add_families(p_formula.add_subparsers(dest="family", required=True))
 
     p_color = sub.add_parser("color", help="color a graph (symmetric construction or greedy)")
     p_color.add_argument("graph")

@@ -279,11 +279,12 @@ class Violations(abc.Sequence):
 
     Holds the exact count and the first ``_PAIR_CHUNK`` triples (the head)
     as an int64 array, 24 bytes each; the head is the whole list when there
-    are at most ``_PAIR_CHUNK`` violations.  Reading past the head re-runs
-    the check once and keeps every row, 24 bytes per violation (40 at the
-    peak of building them).  Tuples are built only for the items asked
-    for.  Compares equal to a list or tuple holding the same triples, so
-    ``validate_coloring(g, c) == []`` tests validity.
+    are at most ``_PAIR_CHUNK`` violations.  Every read goes through
+    ``__getitem__``, and the first one past the head re-runs the check once
+    and keeps every row, 24 bytes per violation (40 at the peak of building
+    them).  Tuples are built only for the items asked for.  Compares equal,
+    item by item, to a list, tuple or Violations holding the same triples,
+    so ``validate_coloring(g, c) == []`` tests validity.
     """
 
     __slots__ = ("_count", "_rows", "_rebuild")
@@ -293,38 +294,20 @@ class Violations(abc.Sequence):
         self._rows = head
         self._rebuild = rebuild if count > len(head) else None
 
-    def _rows_for(self, n: int) -> np.ndarray:
-        """Rows holding the first n triples: the head if it has them, else all rows."""
-        if n > len(self._rows):
-            self._rows = self._rebuild()
-            self._rebuild = None
-        return self._rows
-
     def __len__(self) -> int:
         return self._count
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            r = range(self._count)[index]
-            if not r:
-                return []
-            rows = self._rows_for(max(r[0], r[-1]) + 1)
-            stop = r.stop if r.stop >= 0 else None  # -1 ends a descending slice at 0
-            return list(map(tuple, rows[r.start : stop : r.step].tolist()))
+            return [self[i] for i in range(self._count)[index]]
         i = range(self._count)[index]
-        return tuple(self._rows_for(i + 1)[i].tolist())
-
-    def __iter__(self):
-        for start in range(0, self._count, _PAIR_CHUNK):
-            rows = self._rows_for(start + 1)
-            yield from map(tuple, rows[start : start + _PAIR_CHUNK].tolist())
+        if i >= len(self._rows):
+            self._rows = self._rebuild()
+            self._rebuild = None
+        return tuple(self._rows[i].tolist())
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, Violations):
-            return len(self) == len(other) and np.array_equal(
-                self._rows_for(len(self)), other._rows_for(len(other))
-            )
-        if isinstance(other, (list, tuple)):
+        if isinstance(other, (Violations, list, tuple)):
             return len(other) == len(self) and all(map(operator.eq, self, other))
         return NotImplemented
 
@@ -480,15 +463,19 @@ def color_graph(g: BlockGraph) -> ColorResult:
     """Color g by the best construction that applies to it.
 
     A symmetric block graph with kn >= 2 is colored along its
-    bound-achieving ordering: by the gap recurrence when its diameter is
-    at least 3 ("symmetric"), the paper's construction, and by the forced
-    coloring at diameter 2 ("union"), a one-point union of cliques, where
-    the forced coloring is optimal.  Every other graph, paths included,
+    bound-achieving ordering: by the gap recurrence ("symmetric" at
+    diameter >= 3, the paper's construction, and "union" for a one-point
+    union of kappa >= 3 cliques K_m), and by the forced coloring, which is
+    optimal there, for a union of two.  Every other graph, paths included,
     gets the forced coloring along the greedy ordering ("greedy"); forced
     colorings are valid by construction.  The recurrence is not tried
     there: D(u, v) <= level(u) + level(v) + omega - 1 makes each forced
     step at least the recurrence's, so a recurrence coloring that is
-    valid, and hence nondecreasing, equals the forced one.
+    valid, and hence nondecreasing, equals the forced one.  A union's
+    ordering is the hub, then the cliques round robin: its recurrence steps
+    by (kappa - 1)(m - 1), then (kappa - 2)(m - 1), so two vertices of one
+    clique, kappa steps apart, differ by at least p - 1 - D when
+    kappa (kappa - 2) >= kappa - 1, and the union keeps the forced output.
     """
     profile = detour_profile(g)
     try:
@@ -501,8 +488,8 @@ def color_graph(g: BlockGraph) -> ColorResult:
     else:
         ordering = greedy_ordering(g, profile)
         method = "greedy"
-    if method == "symmetric":
-        coloring = coloring_from_ordering(g, profile, ordering)
-    else:
+    if method == "greedy" or (method == "union" and coords.spec.cut_degree == 2):
         coloring = greedy_min_coloring_for_ordering(g, ordering)
+    else:
+        coloring = coloring_from_ordering(g, profile, ordering)
     return ColorResult(method, tuple(ordering), coloring, profile, lower_bound(g, profile))

@@ -101,11 +101,11 @@ def exact_hc(g: BlockGraph, budget: SearchBudget | None = None) -> tuple[int, Ha
     Enumerates orderings depth-first.  The incumbent is seeded by the
     greedy-ordering pipeline, and the search stops early when it meets
     the general lower bound, which certifies it.  Twin classes are placed
-    in ascending order.  A child is skipped when every completion of it
-    has a span at or above the incumbent, by one of three prunings:
+    in ascending order.  Candidates are tried by pending color, a lower
+    bound on the final span, up to the first at or above the incumbent.
+    A child is skipped when every completion of it has a span at or above
+    the incumbent, by one of two prunings:
 
-    * pending bound: the pending color of any unplaced vertex is a lower
-      bound on the final span;
     * level-sum bound: D(a, b) <= L(a) + L(b) + omega - 1, so each later
       step costs at least (p - omega) - L(a) - L(b); after v is placed at
       color c with r vertices left, of level sum L_rem and least level m,
@@ -173,7 +173,6 @@ def exact_hc(g: BlockGraph, budget: SearchBudget | None = None) -> tuple[int, Ha
                     raise _Done
                 return
             saved = []
-            worst = 0
             least = level_rem
             offsets = 0
             row = rows[v]
@@ -183,8 +182,6 @@ def exact_hc(g: BlockGraph, budget: SearchBudget | None = None) -> tuple[int, Ha
                     if cand > pending[y]:
                         saved.append((y, pending[y]))
                         pending[y] = cand
-                    if pending[y] > worst:
-                        worst = pending[y]
                     if level[y] < least:
                         least = level[y]
                     offsets = offsets << bits | (pending[y] - nc)
@@ -195,7 +192,7 @@ def exact_hc(g: BlockGraph, budget: SearchBudget | None = None) -> tuple[int, Ha
                 seen[key] = nc
                 rest = level_rem - level[v]
                 floor = nc + left * step - level[v] - 2 * rest + least
-                if max(worst, floor) < best_span:
+                if floor < best_span:
                     search(depth + 1, child, rest)
             for y, old in saved:
                 pending[y] = old

@@ -14,6 +14,7 @@ Vertex id layouts are fixed so golden tests stay stable:
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain
 
@@ -309,13 +310,20 @@ def gen_random_block_graph(
     first = rng.randint(2, min(max_block_size, target))
     blocks = [list(range(first))]
     blocks_at = [1] * first
+    open_ids = list(range(first)) if max_blocks_per_cut > 1 else []  # ascending, below the cap
     p = first
     while p < target:
         size = rng.randint(2, min(max_block_size, target - p + 1))
-        candidates = [v for v in range(p) if blocks_at[v] < max_blocks_per_cut]
-        attach = rng.choice(candidates) if candidates else rng.randrange(p)
+        if open_ids:
+            attach = rng.choice(open_ids)
+            blocks_at[attach] += 1
+            if blocks_at[attach] >= max_blocks_per_cut:
+                del open_ids[bisect_left(open_ids, attach)]
+        else:
+            attach = rng.randrange(p)
         blocks.append([attach] + list(range(p, p + size - 1)))
-        blocks_at[attach] += 1
         blocks_at.extend([1] * (size - 1))
+        if max_blocks_per_cut > 1:
+            open_ids.extend(range(p, p + size - 1))
         p += size - 1
     return BlockGraph(p, blocks, meta={"family": "random", "seed": seed})

@@ -205,6 +205,30 @@ def test_formula_prints_value(capsys) -> None:
     assert capsys.readouterr().out.strip() == "30"
 
 
+@pytest.mark.parametrize(
+    "family, flags",
+    [
+        ("sym", ["--block-size", "4", "--cut-degree", "2", "--diameter", "5"]),
+        ("union", ["-n", "4", "-k", "3"]),
+        ("star", ["-n", "3"]),
+        ("path", ["-n", "6"]),
+    ],
+)
+def test_gen_and_formula_take_the_same_size_flags(tmp_path, capsys, family, flags) -> None:
+    parser = hamcolor.cli._build_parser()
+    gen = vars(parser.parse_args(["gen", family, *flags]))
+    formula = vars(parser.parse_args(["formula", family, *flags]))
+    assert (gen.pop("command"), gen.pop("output")) == ("gen", None)
+    assert formula.pop("command") == "formula"
+    assert gen == formula
+    for i in range(0, len(flags), 2):  # every size flag is required by both
+        for command in ("gen", "formula"):
+            with pytest.raises(SystemExit):
+                parser.parse_args([command, family, *flags[:i], *flags[i + 2 :]])
+    assert run(["gen", family, *flags, "-o", str(tmp_path / "g.json")]) == 0
+    assert run(["formula", family, *flags]) == 0
+
+
 def test_bound_json_schema(tmp_path, capsys) -> None:
     graph = tmp_path / "g.json"
     run(["gen", "union", "-n", "4", "-k", "2", "-o", str(graph)])

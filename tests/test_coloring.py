@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hamcolor.coloring
 from hamcolor import (
     BlockGraph,
     HamColoring,
@@ -332,6 +333,27 @@ def test_color_graph_on_unions_is_the_union_coloring() -> None:
             result = color_graph(gen_union(n, k))
             assert result.coloring == union_coloring(n, k), (n, k)
             assert result.method == ("greedy" if (n, k) == (2, 2) else "union")
+
+
+def test_unions_of_three_or_more_cliques_take_the_recurrence(monkeypatch) -> None:
+    forced = []
+    real = hamcolor.coloring.greedy_min_coloring_for_ordering
+    monkeypatch.setattr(
+        hamcolor.coloring,
+        "greedy_min_coloring_for_ordering",
+        lambda g, ordering: forced.append(g.p) or real(g, ordering),
+    )
+    for n in range(2, 9):
+        for k in range(3, 12):
+            union = gen_union(n, k)
+            for seed in range(3):
+                perm = list(range(union.p))
+                random.Random(seed).shuffle(perm)
+                g = BlockGraph(union.p, [[perm[v] for v in b] for b in union.blocks])
+                result = color_graph(g)
+                assert result.method == "union", (n, k, seed)
+                assert result.coloring == real(g, result.ordering), (n, k, seed)
+    assert forced == []
 
 
 def test_accepted_recurrence_equals_forced_coloring() -> None:

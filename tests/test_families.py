@@ -182,6 +182,33 @@ def test_random_generator_is_deterministic() -> None:
     assert a.p <= 9
 
 
+def _rescanning_random_block_graph(seed, max_p, max_block_size, max_blocks_per_cut):
+    """The generator's loop as it was, rescanning every vertex for each block."""
+    rng = random.Random(seed)
+    target = rng.randint(2, max_p)
+    first = rng.randint(2, min(max_block_size, target))
+    blocks = [list(range(first))]
+    blocks_at = [1] * first
+    p = first
+    while p < target:
+        size = rng.randint(2, min(max_block_size, target - p + 1))
+        candidates = [v for v in range(p) if blocks_at[v] < max_blocks_per_cut]
+        attach = rng.choice(candidates) if candidates else rng.randrange(p)
+        blocks.append([attach] + list(range(p, p + size - 1)))
+        blocks_at[attach] += 1
+        blocks_at.extend([1] * (size - 1))
+        p += size - 1
+    return BlockGraph(p, blocks, meta={"family": "random", "seed": seed})
+
+
+def test_random_generator_matches_the_rescanning_loop() -> None:
+    for seed in range(200):
+        for max_p in (2, 9, 40, 300):
+            for size, cap in ((5, 3), (2, 1), (3, 2), (4, 10), (2, 0)):
+                want = to_json(_rescanning_random_block_graph(seed, max_p, size, cap))
+                assert to_json(gen_random_block_graph(seed, max_p, size, cap)) == want
+
+
 def test_random_corpus_all_valid_and_varied(corpus) -> None:
     # construction went through BlockGraph, so validity is implied;
     # spot-check the distribution covers the intended shapes
