@@ -18,7 +18,6 @@ from .coloring import (
     greedy_min_coloring_for_ordering,
     greedy_ordering,
     sym_ordering,
-    union_coloring,
     validate_coloring,
 )
 from .detour import (
@@ -114,7 +113,6 @@ __all__ = [
     "symmetric_coordinates",
     "to_dot",
     "to_json",
-    "union_coloring",
     "union_hc",
     "validate_coloring",
     "BudgetExceededError",

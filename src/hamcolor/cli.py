@@ -275,7 +275,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_exact.add_argument("--time-limit", type=float, default=None)
 
     p_table = sub.add_parser("table", help="CSV over a symmetric-family parameter grid")
-    p_table.add_argument("--family", choices=["sym"], default="sym")
     p_table.add_argument("--block-size", default="3-5")
     p_table.add_argument("--cut-degree", default="2-4")
     p_table.add_argument("--diameter", default="3-7")

@@ -167,7 +167,7 @@ def greedy_min_coloring_for_ordering(g: BlockGraph, ordering: Sequence[int]) -> 
     profile = detour_profile(g)
     level = profile.level
     keys = branch_keys(profile).tolist()
-    pair = tree_metric(g).pair
+    pair = None  # tree_metric(g).pair, built at the first distance query
     need = g.p - 1
     lift = g.p - profile.omega
     colors = [0] * g.p
@@ -182,6 +182,8 @@ def greedy_min_coloring_for_ordering(g: BlockGraph, ordering: Sequence[int]) -> 
             cu = colors[u]
             if cu + need - 1 <= best:
                 break
+            if pair is None:
+                pair = tree_metric(g).pair
             best = max(best, cu + need - pair(u, v))
         colors[v] = last = best
         top = max(top, best - level[v])
@@ -372,33 +374,6 @@ def sym_ordering(g: BlockGraph, coords: SymmetricCoordinates) -> list[int]:
     if not np.array_equal(slot[by_slot], np.arange(g.p - 1 - len(tail))):
         raise AssertionError("renaming does not fill the stream slots one to one")
     return [head, *descendants[by_slot].tolist(), *tail]
-
-
-def union_coloring(n: int, k: int) -> HamColoring:
-    """Direct optimal coloring of the one-point union of k copies of K_n.
-
-    Uses the vertex layout of :func:`hamcolor.families.gen_union`.  For
-    k = 2 the two blocks mirror each other; for k >= 3 the non-central
-    vertices take round-robin block order with uniform steps of
-    (k-2)(n-1) after an initial (k-1)(n-1).
-    """
-    if n < 2 or k < 2:
-        raise InvalidSpecError(f"union coloring needs n, k >= 2, got ({n}, {k})")
-    p = k * (n - 1) + 1
-    colors = [0] * p
-    if k == 2:
-        for i in range(1, n):
-            colors[i] = i * (n - 1)
-            colors[(n - 1) + i] = i * (n - 1)
-    else:
-        value = (k - 1) * (n - 1)
-        step = (k - 2) * (n - 1)
-        for s in range(k * (n - 1)):
-            member = s // k + 1
-            block = s % k
-            colors[block * (n - 1) + member] = value
-            value += step
-    return HamColoring(tuple(colors))
 
 
 def greedy_ordering(g: BlockGraph, profile: DetourProfile) -> list[int]:

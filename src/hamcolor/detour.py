@@ -125,14 +125,13 @@ def detour_distance(g: BlockGraph, u: int, v: int) -> int:
 
 @dataclass(frozen=True)
 class DetourProfile:
-    """Per-vertex detour measurements plus the derived center quantities.
+    """The detour center and, per vertex, its level and branch.
 
     ``owner[u]`` is the central vertex nearest to u in detour distance and
     ``owner_block[u]`` the first block on the path from that owner to u;
     both are -1 for central vertices.
     """
 
-    ecc: tuple[int, ...]
     center: tuple[int, ...]
     omega: int
     xi: int
@@ -143,15 +142,16 @@ class DetourProfile:
 
 
 def detour_profile(g: BlockGraph) -> DetourProfile:
-    """Eccentricities, center, levels and branch ownership, cached on the graph.
+    """Center, levels and branch ownership, cached on the graph.
 
     The vertex a farthest from block node 0 ends a longest path, as the
     farthest point from any point of a tree does, so the constructor's
     sweep from node 0 finds it.  Two more sweeps (from a, and from b, the
     vertex farthest from a) give every eccentricity as
-    max(D(v, a), D(v, b)).  The center is then one cut vertex or one whole
-    block, and a last sweep rooted there gives each vertex its level, its
-    nearest central vertex and the first block on the way to it.
+    max(D(v, a), D(v, b)), and the center is the vertices of least
+    eccentricity.  It is one cut vertex or one whole block, and a last
+    sweep rooted there gives each vertex its level, its nearest central
+    vertex and the first block on the way to it.
     """
     if g._profile is None:
         g._profile = _build_profile(g)
@@ -207,11 +207,8 @@ def _build_profile(g: BlockGraph) -> DetourProfile:
     if omega > 1:
         level2 -= omega - 1
     level2 //= 2
-    ecc2 //= 2
     level = tuple(level2.tolist())
-    ecc = tuple(ecc2.tolist())
     return DetourProfile(
-        ecc=ecc,
         center=center,
         omega=omega,
         xi=xi,

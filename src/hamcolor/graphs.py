@@ -26,8 +26,21 @@ from .errors import (
 
 
 def _canonical_blocks(blocks: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], ...]:
-    """Sort members ascending and blocks by smallest member, then lexicographically."""
-    return tuple(sorted(tuple(sorted(set(b))) for b in blocks))
+    """Sort members ascending and blocks by smallest member, then lexicographically.
+
+    Members must be integers, numpy's included, and are stored as Python
+    ints, so every graph serializes; any other member raises InvalidSpecError.
+    """
+    malformed = "blocks must be collections of integer vertex ids"
+    try:
+        canon = tuple(sorted(tuple(sorted(set(b))) for b in blocks))
+    except TypeError:  # members that do not compare, or a block that is not iterable
+        raise InvalidSpecError(malformed) from None
+    # one pass over the member types at C speed; bool is a type of its own
+    types = set(map(type, chain.from_iterable(canon)))
+    if not all(t is int or issubclass(t, np.integer) for t in types):
+        raise InvalidSpecError(malformed)
+    return canon if types <= {int} else tuple(tuple(map(int, b)) for b in canon)
 
 
 def _first_missing(canon: tuple[tuple[int, ...], ...]) -> int:
@@ -119,8 +132,11 @@ class BlockGraph:
     )
 
     def __init__(self, p: int, blocks: Iterable[Iterable[int]], meta: dict | None = None):
+        if isinstance(p, bool) or not isinstance(p, (int, np.integer)):
+            raise InvalidSpecError(f"vertex count must be an integer, got {p!r}")
         if p < 1:
             raise InvalidSpecError(f"vertex count must be positive, got {p}")
+        p = int(p)
         canon = _canonical_blocks(blocks)
         if not canon:
             raise InvalidSpecError("a block graph needs at least one block")
@@ -349,12 +365,17 @@ def to_dot(
     colors: Sequence[int] | None = None,
     clusters: bool = False,
 ) -> str:
-    """DOT export; with colors, labels show the color and fill hue scales with color/span."""
+    """DOT export; with colors, labels show the color and the fill hue runs from 0.66 down to 0.
+
+    The hue scales with the color's offset from the smallest color over the span.
+    """
     lines = ["graph blockgraph {", "  node [shape=circle];"]
-    span = max(colors) - min(colors) if colors else 0
+    if colors is not None:
+        low = min(colors)
+        span = max(colors) - low
     for v in range(g.p):
         if colors is not None:
-            hue = 0.66 * (1.0 - (colors[v] / span if span else 0.0))
+            hue = 0.66 * (1.0 - ((colors[v] - low) / span if span else 0.0))
             lines.append(
                 f'  {v} [label="{v}\\n{colors[v]}" style=filled fillcolor="{hue:.3f},0.35,1.0"];'
             )

@@ -46,7 +46,6 @@ PUBLIC = {
     "symmetric_coordinates",
     "to_dot",
     "to_json",
-    "union_coloring",
     "union_hc",
     "validate_coloring",
     "BudgetExceededError",
@@ -74,7 +73,7 @@ def test_public_names_are_pinned() -> None:
 
 RECORD_FIELDS = {
     hamcolor.DetourProfile: [
-        "ecc", "center", "omega", "xi", "level", "total_level", "owner", "owner_block",
+        "center", "omega", "xi", "level", "total_level", "owner", "owner_block",
     ],
     hamcolor.SymmetricCoordinates: [
         "spec", "parity", "roots", "top_list", "depth", "branch", "parent", "index", "rename",

@@ -326,6 +326,14 @@ def test_table_work_stops_with_its_rows(monkeypatch, capsys) -> None:
     assert len(wide.splitlines()) == 19
 
 
+def test_table_takes_no_family_flag(capsys) -> None:
+    # the table covers the symmetric family only; --family was never read
+    with pytest.raises(SystemExit) as caught:
+        run(["table", "--family", "sym"])
+    assert caught.value.code == 2
+    assert "--family" in capsys.readouterr().err
+
+
 def test_export_dot_with_clusters(tmp_path, capsys) -> None:
     graph = tmp_path / "g.json"
     run(["gen", "union", "-n", "3", "-k", "2", "-o", str(graph)])

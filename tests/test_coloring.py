@@ -31,7 +31,6 @@ from hamcolor import (
     greedy_ordering,
     lower_bound,
     sym_ordering,
-    union_coloring,
     validate_coloring,
 )
 from conftest import grid_specs
@@ -238,6 +237,31 @@ def test_violations_take_24_bytes_each() -> None:
     assert peak < 64 * n
 
 
+def union_coloring(n: int, k: int) -> HamColoring:
+    """The direct optimal coloring of the one-point union of k copies of K_n.
+
+    A frozen reference, written against the vertex layout of ``gen_union``:
+    for k = 2 the two blocks mirror each other; for k >= 3 the non-central
+    vertices take round-robin block order with uniform steps of
+    (k-2)(n-1) after an initial (k-1)(n-1).
+    """
+    p = k * (n - 1) + 1
+    colors = [0] * p
+    if k == 2:
+        for i in range(1, n):
+            colors[i] = i * (n - 1)
+            colors[(n - 1) + i] = i * (n - 1)
+    else:
+        value = (k - 1) * (n - 1)
+        step = (k - 2) * (n - 1)
+        for s in range(k * (n - 1)):
+            member = s // k + 1
+            block = s % k
+            colors[block * (n - 1) + member] = value
+            value += step
+    return HamColoring(tuple(colors))
+
+
 def test_union_coloring_values() -> None:
     for (n, k, span) in [(4, 2, 9), (3, 3, 14), (3, 4, 34), (4, 3, 30), (6, 5, 380)]:
         coloring = union_coloring(n, k)
@@ -354,6 +378,16 @@ def test_unions_of_three_or_more_cliques_take_the_recurrence(monkeypatch) -> Non
                 assert result.method == "union", (n, k, seed)
                 assert result.coloring == real(g, result.ordering), (n, k, seed)
     assert forced == []
+
+
+def test_forced_coloring_without_distance_queries_builds_no_tree_metric() -> None:
+    # every step of this graph's greedy coloring is settled by the running
+    # maximum, so the sparse table would be built for nothing
+    g = gen_random_block_graph(5, 11000)
+    assert g.p == 10_207
+    result = color_graph(g)
+    assert result.method == "greedy"
+    assert g._metric is None
 
 
 def test_accepted_recurrence_equals_forced_coloring() -> None:

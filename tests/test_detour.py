@@ -158,7 +158,6 @@ def _reference_profile(g) -> DetourProfile:
     omega = len(center)
     xi = min(len(g.blocks[b]) - 1 for b in g.vertex_blocks[center[0]]) if omega == 1 else 0
     return DetourProfile(
-        ecc=tuple(ecc.tolist()),
         center=center,
         omega=omega,
         xi=xi,

@@ -7,6 +7,7 @@ import time
 import tracemalloc
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -271,6 +272,36 @@ def test_json_round_trip_preserves_meta() -> None:
     assert again == g
 
 
+@pytest.mark.parametrize(
+    ("p", "blocks"),
+    [
+        (3, [[0, 1.5], [1, 2]]),
+        (3, [[True, 0], [1, 2]]),
+        (3, [[np.bool_(True), 0], [1, 2]]),
+        (3, [["0", "1"], ["1", "2"]]),
+        (3, [[0, "1"], [1, 2]]),
+        (3, [0, 1, 2]),
+        (3.0, [[0, 1], [1, 2]]),
+        (True, [[0, 1]]),
+    ],
+    ids=["float", "bool", "numpy-bool", "str", "mixed", "not-iterable", "float-p", "bool-p"],
+)
+def test_build_rejects_members_and_counts_that_are_not_integers(p, blocks) -> None:
+    with pytest.raises(InvalidSpecError):
+        BlockGraph(p, blocks)
+
+
+def test_numpy_integers_are_stored_as_python_ints() -> None:
+    for p, blocks in [
+        (3, np.array([[0, 1], [1, 2]])),
+        (np.int32(4), [np.array([0, 1, 2], dtype=np.uint8), [np.int64(2), 3]]),
+    ]:
+        g = BlockGraph(p, blocks)
+        assert type(g.p) is int
+        assert {type(v) for b in g.blocks for v in b} == {int}
+        assert from_json(to_json(g)) == g
+
+
 def test_from_json_rejects_garbage() -> None:
     with pytest.raises(InvalidSpecError):
         from_json("[1, 2, 3]")
@@ -293,3 +324,12 @@ def test_dot_export_mentions_every_vertex_and_clusters() -> None:
     assert "cluster_0" in to_dot(g, clusters=True)
     colored = to_dot(g, colors=[0, 2, 2, 4, 4])
     assert "fillcolor" in colored
+
+
+@pytest.mark.parametrize("colors", [[5, 6, 7], [0, 1, 2], [9, 9, 9], [1, 40, 3]])
+def test_dot_fill_hues_run_from_blue_to_red(colors) -> None:
+    dot = to_dot(gen_path(3), colors)
+    hues = [float(h) for h in re.findall(r'fillcolor="(-?[0-9.]+),', dot)]
+    assert len(hues) == 3
+    assert all(0.0 <= h <= 0.66 for h in hues)
+    assert hues[colors.index(min(colors))] == 0.66
