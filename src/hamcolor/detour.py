@@ -24,6 +24,7 @@ the detour center.  Both are built on first use and cached on the graph.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -180,11 +181,14 @@ def _build_profile(g: BlockGraph) -> DetourProfile:
     omega = len(center)
     w = center[0]
     if omega == 1:
+        # w is a cut vertex: a non-cut vertex ties in eccentricity with a cut
+        # vertex of its block, so root is w's cut node, whose neighbours are
+        # w's blocks
         root = int(anchor[w])
-        xi = min(len(g.blocks[bi]) - 1 for bi in g.vertex_blocks[w])
+        xi = min(bct.weight2[x] for x in bct.adj[root])
     else:
-        root = next((bi for bi in g.vertex_blocks[w] if g.blocks[bi] == center), -1)
-        if root < 0:
+        root = bisect_left(g.blocks, center)
+        if g.blocks[root : root + 1] != (center,):
             raise AssertionError("detour center is not one whole block")
         xi = 0
 

@@ -51,7 +51,12 @@ def brute_longest_path(g: BlockGraph, u: int, v: int, budget: SearchBudget | Non
         raise BudgetExceededError(f"p={g.p} exceeds the brute-force budget of {budget.max_p}")
     if u == v:
         return 0
-    adj = g.adjacency
+    # neighbour sets from the block list alone; each holds its own vertex,
+    # which is visited whenever the walk stands on it
+    adj: list[set[int]] = [set() for _ in range(g.p)]
+    for b in g.blocks:
+        for x in b:
+            adj[x].update(b)
     visited = bytearray(g.p)
     visited[u] = 1
     best = -1

@@ -119,26 +119,28 @@ def symmetric_coordinates(g: BlockGraph) -> SymmetricCoordinates:
         raise NotSymmetricError(f"blocks have mixed sizes {sorted(sizes)}")
     m = sizes.pop()
     n = m - 1
-    degrees = set(map(len, g.vertex_blocks)) - {1}
+    members = np.fromiter(chain.from_iterable(g.blocks), dtype=np.intp, count=len(g.blocks) * m)
+    members = members.reshape(-1, m)
+    degree = np.bincount(members.ravel(), minlength=g.p)
+    is_cut = degree >= 2
+    degrees = set(degree[is_cut].tolist())
     if len(degrees) != 1:
         raise NotSymmetricError(f"cut vertices have mixed block degrees {sorted(degrees)}")
     kappa = degrees.pop()
 
     profile = detour_profile(g)
-    members = np.fromiter(chain.from_iterable(g.blocks), dtype=np.intp, count=len(g.blocks) * m)
-    members = members.reshape(-1, m)
     if profile.omega == 1:
         parity = "even"
         roots = (profile.center[0],)
-        if roots[0] not in g.cut_vertices:
+        if not is_cut[roots[0]]:
             raise NotSymmetricError("even-diameter center must be a cut vertex")
     elif profile.omega == m:
         parity = "odd"
         roots = tuple(sorted(profile.center))
-        central = next((bi for bi in g.vertex_blocks[roots[0]] if g.blocks[bi] == roots), None)
-        if central is None:
+        central = bisect_left(g.blocks, roots)
+        if g.blocks[central : central + 1] != (roots,):
             raise NotSymmetricError("detour center is not a whole block")
-        if not g.cut_vertices.issuperset(roots):
+        if not is_cut[list(roots)].all():
             raise NotSymmetricError("every central vertex must carry its own branches")
         members = np.delete(members, central, axis=0)
     else:
@@ -148,8 +150,6 @@ def symmetric_coordinates(g: BlockGraph) -> SymmetricCoordinates:
 
     depth = np.fromiter(profile.level, dtype=np.intp, count=g.p) // n
     r = int(depth.max())
-    is_cut = np.zeros(g.p, dtype=bool)
-    is_cut[list(g.cut_vertices)] = True
     if (depth[~is_cut] != r).any():
         raise NotSymmetricError("end vertices sit at unequal depths")
     if r > 0 and (depth[is_cut] == r).any():

@@ -33,13 +33,15 @@ def _canonical_blocks(blocks: Iterable[Iterable[int]]) -> tuple[tuple[int, ...],
     """
     malformed = "blocks must be collections of integer vertex ids"
     try:
-        canon = tuple(sorted(tuple(sorted(set(b))) for b in blocks))
-    except TypeError:  # members that do not compare, or a block that is not iterable
+        raw = list(map(tuple, blocks))  # once, so blocks may be generators
+    except TypeError:  # blocks, or a block, that is not iterable
         raise InvalidSpecError(malformed) from None
-    # one pass over the member types at C speed; bool is a type of its own
-    types = set(map(type, chain.from_iterable(canon)))
+    # one pass over the member types at C speed, before set() merges a float
+    # into an equal int; bool is a type of its own
+    types = set(map(type, chain.from_iterable(raw)))
     if not all(t is int or issubclass(t, np.integer) for t in types):
         raise InvalidSpecError(malformed)
+    canon = tuple(sorted(tuple(sorted(set(b))) for b in raw))
     return canon if types <= {int} else tuple(tuple(map(int, b)) for b in canon)
 
 
@@ -50,7 +52,7 @@ def _first_missing(canon: tuple[tuple[int, ...], ...]) -> int:
 
 
 def _overlapping_pair(
-    canon: tuple[tuple[int, ...], ...], vertex_blocks: Sequence[Sequence[int]]
+    canon: tuple[tuple[int, ...], ...], bct: BlockCutTree
 ) -> tuple[int, int] | None:
     """Ids a < b of two blocks sharing two or more vertices, or None.
 
@@ -62,11 +64,15 @@ def _overlapping_pair(
     An edge is walked only from its higher-degree end, so the time is
     O(a * sum(|B|)) for arboricity a <= sqrt(sum(|B|)), O(sum(|B|)) on a
     tree with a few extra edges, and the memory O(sum(|B|)).
+
+    The walk runs over the block-cut tree, the incidence graph less its
+    leaves: a vertex in one block closes no 4-cycle.  Blocks are still
+    ordered by size, their degree in the incidence graph, so the pair
+    named is the one a walk of the whole incidence graph names.
     """
-    b = len(canon)
-    adj = [[b + v for v in block] for block in canon] + list(vertex_blocks)
+    b, adj = len(canon), bct.adj
     taken = bytearray(len(adj))
-    for x in sorted(range(len(adj)), key=lambda x: -len(adj[x])):
+    for x in sorted(range(len(adj)), key=lambda x: -len(canon[x] if x < b else adj[x])):
         taken[x] = 1
         first_via: dict[int, int] = {}
         for y in adj[x]:
@@ -84,16 +90,14 @@ def _overlapping_pair(
     return None
 
 
-def _diagnose(
-    canon: tuple[tuple[int, ...], ...], vertex_blocks: Sequence[Sequence[int]], bct: BlockCutTree
-) -> NoReturn:
+def _diagnose(canon: tuple[tuple[int, ...], ...], bct: BlockCutTree) -> NoReturn:
     """Raise the error that names what is wrong with a covering block list.
 
     Called only once the tree test has failed.  The checks run in a fixed
     order, overlapping blocks, then disconnection, then a cycle of blocks,
     so each input gets one error whichever test it failed.
     """
-    pair = _overlapping_pair(canon, vertex_blocks)
+    pair = _overlapping_pair(canon, bct)
     if pair is not None:
         raise OverlappingBlocksError(
             f"blocks {canon[pair[0]]} and {canon[pair[1]]} share two or more vertices"
@@ -126,10 +130,7 @@ class BlockGraph:
     cycle of blocks.
     """
 
-    __slots__ = (
-        "p", "blocks", "vertex_blocks", "cut_vertices", "meta", "_adjacency", "_bct", "_metric",
-        "_profile",
-    )
+    __slots__ = ("p", "blocks", "meta", "_bct", "_metric", "_profile")
 
     def __init__(self, p: int, blocks: Iterable[Iterable[int]], meta: dict | None = None):
         if isinstance(p, bool) or not isinstance(p, (int, np.integer)):
@@ -156,26 +157,23 @@ class BlockGraph:
         if incidence < p or not degree.all():
             raise DanglingVertexError(f"vertex {_first_missing(canon)} appears in no block")
 
-        # Block ids grouped by vertex, ascending within each vertex.  The
-        # non-cut vertices of one block share one 1-tuple.
+        # Block ids grouped by vertex, ascending within each vertex; only the
+        # cut vertices' groups are kept, as their tree nodes' block lists.
         block_of = np.repeat(np.arange(len(canon)), sizes)[np.argsort(flat, kind="stable")]
         start = np.cumsum(degree) - degree
         anchor = block_of[start]
-        singles = tuple(zip(range(len(canon))))
-        vertex_blocks = list(map(singles.__getitem__, anchor.tolist()))
         cuts = np.flatnonzero(degree >= 2)
-        for v, s, d in zip(cuts.tolist(), start[cuts].tolist(), degree[cuts].tolist()):
-            vertex_blocks[v] = tuple(block_of[s : s + d].tolist())
+        cut_blocks = [
+            tuple(block_of[s : s + d].tolist())
+            for s, d in zip(start[cuts].tolist(), degree[cuts].tolist())
+        ]
         # A non-cut vertex is anchored at its one block, a cut vertex at its
         # own tree node; cut nodes follow the blocks in ascending id order.
         anchor[cuts] = len(canon) + np.arange(len(cuts))
 
         self.p = p
         self.blocks = canon
-        self.vertex_blocks = tuple(vertex_blocks)
-        self.cut_vertices = frozenset(cuts.tolist())
         self.meta = dict(meta) if meta else {}
-        self._adjacency: tuple[tuple[int, ...], ...] | None = None
         self._metric = None  # detour.TreeMetric, built by detour.tree_metric
         self._profile = None  # detour.DetourProfile, built by detour.detour_profile
 
@@ -184,20 +182,9 @@ class BlockGraph:
         # vertices would close a cycle in it.  Every non-cut vertex hangs off
         # one block, so connectivity is the block-cut tree's sweep reaching
         # every node.  Only an input failing either test pays for the diagnosis.
-        self._bct = BlockCutTree(canon, self.vertex_blocks, anchor)
+        self._bct = BlockCutTree(canon, cut_blocks, anchor)
         if incidence != p + len(canon) - 1 or len(self._bct.order) != self._bct.node_count:
-            _diagnose(canon, self.vertex_blocks, self._bct)
-
-    @property
-    def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        """Sorted neighbour lists, built on first access: each vertex's blocks less itself."""
-        if self._adjacency is None:
-            blocks = self.blocks
-            self._adjacency = tuple(
-                tuple(sorted(set().union(*(blocks[b] for b in bs)) - {v}))
-                for v, bs in enumerate(self.vertex_blocks)
-            )
-        return self._adjacency
+            _diagnose(canon, self._bct)
 
     def block_cut_tree(self) -> "BlockCutTree":
         """The block-cut tree, built and checked by the constructor."""
@@ -221,7 +208,9 @@ class BlockCutTree:
     """The bipartite tree of blocks and cut vertices.
 
     Nodes ``0..b-1`` are the blocks in canonical order; nodes ``b..b+c-1``
-    are the cut vertices in ascending id order.  Weights are doubled to
+    are the cut vertices in ascending id order, built from ``cut_blocks``,
+    each cut vertex's block ids ascending.  It is the graph's one record
+    of which vertex lies in which block.  Weights are doubled to
     stay integral: ``weight2[x]`` is |B| - 1 on a block node and 0 on a cut
     node, and an edge weighs ``weight2[x] + weight2[y]``.  Per vertex v,
     ``anchor[v]`` is its cut node or its one block node, and ``half2[v]``
@@ -235,20 +224,18 @@ class BlockCutTree:
         "order", "parent", "dist2",
     )
 
-    def __init__(self, blocks: tuple, vertex_blocks: tuple, anchor: np.ndarray):
+    def __init__(self, blocks: tuple, cut_blocks: list, anchor: np.ndarray):
         b = len(blocks)
-        cuts = np.flatnonzero(anchor >= b).tolist()
         self.block_count = b
-        self.cut_list = tuple(cuts)
-        self.node_count = b + len(cuts)
-        self.weight2 = tuple([len(bl) - 1 for bl in blocks] + [0] * len(cuts))
+        self.cut_list = tuple(np.flatnonzero(anchor >= b).tolist())
+        self.node_count = b + len(cut_blocks)
+        self.weight2 = tuple([len(bl) - 1 for bl in blocks] + [0] * len(cut_blocks))
 
         adj: list = [[] for _ in range(b)]
-        for cn, v in enumerate(cuts, start=b):
-            for bi in vertex_blocks[v]:
+        for cn, bs in enumerate(cut_blocks, start=b):
+            for bi in bs:
                 adj[bi].append(cn)
-            adj.append(vertex_blocks[v])
-        self.adj = tuple(map(tuple, adj))
+        self.adj = tuple(map(tuple, adj)) + tuple(cut_blocks)
 
         self.anchor = anchor
         self.half2 = np.array(self.weight2, dtype=np.int64)[anchor]

@@ -52,9 +52,34 @@ def grid_instances():
     return out
 
 
+def vertex_blocks(g) -> list[tuple[int, ...]]:
+    """Each vertex's block ids, ascending, read from ``g.blocks`` alone."""
+    out: list[list[int]] = [[] for _ in range(g.p)]
+    for bi, b in enumerate(g.blocks):
+        for v in b:
+            out[v].append(bi)
+    return list(map(tuple, out))
+
+
+def cut_vertices(g) -> set[int]:
+    """The vertices in two or more blocks, read from ``g.blocks`` alone."""
+    return {v for v, bs in enumerate(vertex_blocks(g)) if len(bs) > 1}
+
+
+def neighbours(g) -> list[tuple[int, ...]]:
+    """Each vertex's neighbours, ascending, read from ``g.blocks`` alone."""
+    out: list[set[int]] = [set() for _ in range(g.p)]
+    for b in g.blocks:
+        for v in b:
+            out[v].update(b)
+    return [tuple(sorted(s - {v})) for v, s in enumerate(out)]
+
+
 def _hop_diameter(g) -> int:
     # two sweeps; exact on block graphs, whose hop metric is a tree metric
     from collections import deque
+
+    adj = neighbours(g)
 
     def farthest(source: int) -> tuple[int, int]:
         dist = [-1] * g.p
@@ -62,7 +87,7 @@ def _hop_diameter(g) -> int:
         queue = deque([source])
         while queue:
             u = queue.popleft()
-            for v in g.adjacency[u]:
+            for v in adj[u]:
                 if dist[v] < 0:
                     dist[v] = dist[u] + 1
                     queue.append(v)

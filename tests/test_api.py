@@ -93,3 +93,11 @@ def test_coordinate_arrays_are_read_only(name) -> None:
     _, coords = hamcolor.gen_symmetric(hamcolor.SymmetricSpec(3, 2, 4))
     with pytest.raises(ValueError):
         getattr(coords, name)[0] = 1
+
+
+def test_block_graph_surface_is_pinned() -> None:
+    # the block-cut tree is the one vertex-to-block incidence; no copies beside it
+    g = hamcolor.gen_path(3)
+    assert {name for name in dir(g) if not name.startswith("_")} == {
+        "p", "blocks", "meta", "block_cut_tree",
+    }

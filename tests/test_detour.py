@@ -4,6 +4,7 @@ from collections import deque
 from itertools import combinations
 
 import pytest
+from conftest import cut_vertices, neighbours, vertex_blocks
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,12 +28,13 @@ from hamcolor import (
 
 
 def bfs_distance(g, source: int) -> list[int]:
+    adj = neighbours(g)
     dist = [-1] * g.p
     dist[source] = 0
     queue = deque([source])
     while queue:
         u = queue.popleft()
-        for v in g.adjacency[u]:
+        for v in adj[u]:
             if dist[v] < 0:
                 dist[v] = dist[u] + 1
                 queue.append(v)
@@ -137,9 +139,10 @@ def test_center_of_complete_graph_is_everything() -> None:
 def test_center_lies_in_one_block(corpus) -> None:
     for g in corpus[:80]:
         profile = detour_profile(g)
-        shared = set(g.vertex_blocks[profile.center[0]])
+        incidence = vertex_blocks(g)
+        shared = set(incidence[profile.center[0]])
         for w in profile.center[1:]:
-            shared &= set(g.vertex_blocks[w])
+            shared &= set(incidence[w])
         assert shared
 
 
@@ -156,7 +159,7 @@ def _reference_profile(g) -> DetourProfile:
             (owner[v],) = (w for w in center if d[w, v] == level[v])
             owner_block[v] = blocks_on_path(g, owner[v], v)[0]
     omega = len(center)
-    xi = min(len(g.blocks[b]) - 1 for b in g.vertex_blocks[center[0]]) if omega == 1 else 0
+    xi = min(len(g.blocks[b]) - 1 for b in vertex_blocks(g)[center[0]]) if omega == 1 else 0
     return DetourProfile(
         center=center,
         omega=omega,
@@ -184,9 +187,9 @@ def test_profile_matches_reference_and_center_is_a_cut_vertex_or_a_block() -> No
         profile = detour_profile(g)
         assert profile == _reference_profile(g), g
         if profile.omega == 1:
-            assert profile.center[0] in g.cut_vertices
+            assert profile.center[0] in cut_vertices(g)
         else:
-            assert profile.center in (g.blocks[b] for b in g.vertex_blocks[profile.center[0]])
+            assert profile.center in (g.blocks[b] for b in vertex_blocks(g)[profile.center[0]])
 
 
 def test_xi_values() -> None:

@@ -5,7 +5,7 @@ from collections import deque
 
 import numpy as np
 import pytest
-from conftest import grid_specs
+from conftest import cut_vertices, grid_specs, neighbours, vertex_blocks
 
 import hamcolor.families
 from hamcolor import (
@@ -29,13 +29,15 @@ from hamcolor import (
 
 def ordinary_diameter(g) -> int:
     # two BFS sweeps; exact on block graphs since hop distance is a tree metric
+    adj = neighbours(g)
+
     def far(source):
         dist = [-1] * g.p
         dist[source] = 0
         queue = deque([source])
         while queue:
             u = queue.popleft()
-            for v in g.adjacency[u]:
+            for v in adj[u]:
                 if dist[v] < 0:
                     dist[v] = dist[u] + 1
                     queue.append(v)
@@ -55,8 +57,9 @@ def test_sym_even_shape() -> None:
     assert coords.top_list == (1, 2, 3, 4, 5, 6)
     assert all(coords.depth[v] == 1 for v in coords.top_list)
     # consecutive entries of the top list sit in different blocks at the center
+    incidence = vertex_blocks(g)
     for a, b in zip(coords.top_list, coords.top_list[1:]):
-        assert not set(g.vertex_blocks[a]) & set(g.vertex_blocks[b])
+        assert not set(incidence[a]) & set(incidence[b])
 
 
 def test_sym_odd_shape() -> None:
@@ -85,11 +88,12 @@ def test_sym_small_hand_count() -> None:
 def test_sym_structure_invariants(spec: SymmetricSpec) -> None:
     g, coords = gen_symmetric(spec)
     assert ordinary_diameter(g) == spec.diameter
+    incidence, cuts = vertex_blocks(g), cut_vertices(g)
     for v in range(g.p):
-        if v in g.cut_vertices:
-            assert len(g.vertex_blocks[v]) == spec.cut_degree
+        if v in cuts:
+            assert len(incidence[v]) == spec.cut_degree
         else:
-            assert len(g.vertex_blocks[v]) == 1
+            assert len(incidence[v]) == 1
     # detour level of a depth-i vertex is i * n
     profile = detour_profile(g)
     for v in range(g.p):
@@ -224,8 +228,9 @@ def _reference_coordinates(g, profile) -> dict:
     """The layer-by-layer derivation the array code replaced, kept as its oracle."""
     if len(g.blocks) < 2:
         raise NotSymmetricError("fewer than two blocks")
+    incidence, cuts = vertex_blocks(g), cut_vertices(g)
     sizes = {len(b) for b in g.blocks}
-    degrees = {len(g.vertex_blocks[v]) for v in g.cut_vertices}
+    degrees = {len(incidence[v]) for v in cuts}
     if len(sizes) != 1 or len(degrees) != 1:
         raise NotSymmetricError("mixed sizes or degrees")
     m, kappa = sizes.pop(), degrees.pop()
@@ -243,11 +248,11 @@ def _reference_coordinates(g, profile) -> dict:
     if profile.omega == 1:
         parity = "even"
         w = profile.center[0]
-        if w not in g.cut_vertices:
+        if w not in cuts:
             raise NotSymmetricError("center is not a cut vertex")
         roots = (w,)
         depth[w] = 0
-        top_blocks = sorted(g.vertex_blocks[w])
+        top_blocks = sorted(incidence[w])
         top_list = round_robin([[v for v in g.blocks[bi] if v != w] for bi in top_blocks])
         for pos, v in enumerate(top_list, start=1):
             depth[v], branch[v], parent[v] = 1, pos, w
@@ -263,7 +268,7 @@ def _reference_coordinates(g, profile) -> dict:
         top_list = list(roots)
         used.add(central[0])
         for pos, c in enumerate(roots, start=1):
-            if c not in g.cut_vertices:
+            if c not in cuts:
                 raise NotSymmetricError("central vertex without branches")
             depth[c], branch[c] = 0, pos
         frontier = list(roots)
@@ -272,7 +277,7 @@ def _reference_coordinates(g, profile) -> dict:
     while frontier:
         nxt = []
         for v in frontier:
-            new_blocks = sorted(bi for bi in g.vertex_blocks[v] if bi not in used)
+            new_blocks = sorted(bi for bi in incidence[v] if bi not in used)
             if not new_blocks:
                 continue
             if len(new_blocks) != kappa - 1:
@@ -291,9 +296,9 @@ def _reference_coordinates(g, profile) -> dict:
         raise NotSymmetricError("unreachable")
     r = max(depth)
     for v in range(g.p):
-        if v not in g.cut_vertices and depth[v] != r:
+        if v not in cuts and depth[v] != r:
             raise NotSymmetricError("end vertices at unequal depths")
-        if v in g.cut_vertices and depth[v] == r and r > 0:
+        if v in cuts and depth[v] == r and r > 0:
             raise NotSymmetricError("cut vertex at the outermost depth")
     return {
         "spec": SymmetricSpec(m, kappa, 2 * r if parity == "even" else 2 * r + 1),

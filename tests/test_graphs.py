@@ -9,6 +9,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from conftest import neighbours
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,6 +18,7 @@ from hamcolor import (
     CyclicBlockStructureError,
     DanglingVertexError,
     DisconnectedError,
+    HamcolorError,
     InvalidSpecError,
     OverlappingBlocksError,
     SameVertexError,
@@ -35,13 +37,13 @@ from hamcolor import (
 def test_build_star_k13() -> None:
     g = BlockGraph(4, [{0, 1}, {0, 2}, {0, 3}])
     assert len(g.blocks) == 3
-    assert g.cut_vertices == {0}
-    assert g.adjacency[0] == (1, 2, 3)
+    assert g.block_cut_tree().cut_list == (0,)
+    assert neighbours(g)[0] == (1, 2, 3)
 
 
 def test_build_two_cliques_sharing_one_vertex() -> None:
     g = BlockGraph(7, [{0, 1, 2, 3}, {3, 4, 5, 6}])
-    assert g.cut_vertices == {3}
+    assert g.block_cut_tree().cut_list == (3,)
     assert len(g.blocks) == 2
 
 
@@ -170,6 +172,109 @@ def test_overlap_is_reported_exactly_when_two_blocks_share_two_vertices(seed: in
         assert overlap_free
 
 
+def _reference_overlapping_pair(canon, vertex_blocks):
+    """The overlap search over the full vertex/block incidence graph, frozen as
+    the reference for which pair an input with several overlaps names."""
+    b = len(canon)
+    adj = [[b + v for v in block] for block in canon] + list(vertex_blocks)
+    taken = bytearray(len(adj))
+    for x in sorted(range(len(adj)), key=lambda x: -len(adj[x])):
+        taken[x] = 1
+        first_via: dict[int, int] = {}
+        for y in adj[x]:
+            if taken[y]:
+                continue
+            for z in adj[y]:
+                if taken[z]:
+                    continue
+                if z in first_via:
+                    pair = (x, z) if x < b else (first_via[z], y)
+                    return min(pair), max(pair)
+                first_via[z] = y
+    return None
+
+
+def _reference_error(p, blocks):
+    """(error class, message) that the block list should raise, or None."""
+    canon = tuple(sorted(tuple(sorted(set(b))) for b in blocks))
+    incidence = [[] for _ in range(p)]
+    for bi, block in enumerate(canon):
+        for v in block:
+            incidence[v].append(bi)
+    missing = [v for v in range(p) if not incidence[v]]
+    if missing:
+        return DanglingVertexError, f"vertex {missing[0]} appears in no block"
+    pair = _reference_overlapping_pair(canon, incidence)
+    if pair is not None:
+        return OverlappingBlocksError, (
+            f"blocks {canon[pair[0]]} and {canon[pair[1]]} share two or more vertices"
+        )
+    reached = {canon[0][0]}
+    stack = [canon[0][0]]
+    while stack:
+        for bi in incidence[stack.pop()]:
+            fresh = set(canon[bi]) - reached
+            reached |= fresh
+            stack.extend(fresh)
+    if len(reached) < p:
+        first = min(set(range(p)) - reached)
+        return DisconnectedError, f"vertex {first} is not reachable from vertex {canon[0][0]}"
+    if sum(map(len, canon)) != p + len(canon) - 1:
+        return CyclicBlockStructureError, (
+            "some vertex pair is joined by two distinct block sequences"
+        )
+    return None
+
+
+def _corrupted(seed: int):
+    """A random block graph with extra blocks, overlapping or not, added,
+    blocks removed, ids left uncovered, and its blocks and members shuffled."""
+    rng = random.Random(seed)
+    g = gen_random_block_graph(seed, max_p=rng.randrange(4, 16))
+    p, blocks = g.p, [list(b) for b in g.blocks]
+    for kind in rng.choices(range(5), weights=(4, 2, 2, 1, 1), k=rng.randrange(1, 4)):
+        if kind == 0:  # an extra block sharing two or more vertices with another
+            extra = rng.sample(rng.choice(blocks), 2) + rng.sample(range(p), rng.randrange(3))
+            blocks.append(sorted(set(extra)))
+        elif kind == 1:  # an extra edge, which may close a cycle of blocks
+            blocks.append(rng.sample(range(p), 2))
+        elif kind == 2 and len(blocks) > 1:
+            del blocks[rng.randrange(len(blocks))]
+        elif kind == 3:  # a block on ids of its own
+            blocks.append([p, p + 1])
+            p += 2
+        elif kind == 4:  # ids that no block holds
+            p += rng.randrange(1, 3)
+    for b in blocks:
+        rng.shuffle(b)
+    rng.shuffle(blocks)
+    return p, blocks
+
+
+def test_diagnosis_matches_the_full_incidence_reference() -> None:
+    seen: dict = {}
+    several = 0
+    for seed in range(3000):
+        p, blocks = _corrupted(seed)
+        want = _reference_error(p, blocks)
+        try:
+            BlockGraph(p, blocks)
+            got = None
+        except HamcolorError as e:
+            got = type(e), str(e)
+        assert got == want, (seed, p, blocks)
+        error = got and got[0]
+        seen[error] = seen.get(error, 0) + 1
+        overlaps = sum(len(set(a) & set(b)) >= 2 for a, b in combinations(blocks, 2))
+        several += error is OverlappingBlocksError and overlaps >= 2
+    # every outcome occurs, and many inputs have more than one pair to name
+    assert set(seen) == {
+        None, DanglingVertexError, OverlappingBlocksError, DisconnectedError,
+        CyclicBlockStructureError,
+    }, seen
+    assert seen[OverlappingBlocksError] >= 1000 and several >= 300, (seen, several)
+
+
 def test_large_star_builds_in_linear_time_and_memory() -> None:
     # a hub in 20,000 blocks: a pairwise overlap check over its block list
     # would need about 2 x 10^8 set insertions
@@ -242,7 +347,8 @@ def test_every_edge_in_exactly_one_block(seed: int) -> None:
             counts[e] = counts.get(e, 0) + 1
     assert all(c == 1 for c in counts.values())
     edges = {frozenset(e) for e in counts}
-    adj_edges = {frozenset((u, v)) for u in range(g.p) for v in g.adjacency[u]}
+    adj = neighbours(g)
+    adj_edges = {frozenset((u, v)) for u in range(g.p) for v in adj[u]}
     assert edges == adj_edges
 
 
@@ -250,7 +356,7 @@ def test_every_edge_in_exactly_one_block(seed: int) -> None:
 @settings(max_examples=60)
 def test_blocks_are_maximal_cliques(seed: int) -> None:
     g = gen_random_block_graph(seed, max_p=8)
-    neighborhoods = [set(a) for a in g.adjacency]
+    neighborhoods = [set(a) for a in neighbours(g)]
     for b in g.blocks:
         members = set(b)
         outside = set(range(g.p)) - members
@@ -283,12 +389,22 @@ def test_json_round_trip_preserves_meta() -> None:
         (3, [0, 1, 2]),
         (3.0, [[0, 1], [1, 2]]),
         (True, [[0, 1]]),
+        (3, [[0, 1, 1.0], [1, 2]]),
+        (3, [[0, 1.0, 1], [1, 2]]),
     ],
-    ids=["float", "bool", "numpy-bool", "str", "mixed", "not-iterable", "float-p", "bool-p"],
+    ids=[
+        "float", "bool", "numpy-bool", "str", "mixed", "not-iterable", "float-p", "bool-p",
+        "float-after-equal-int", "float-before-equal-int",
+    ],
 )
 def test_build_rejects_members_and_counts_that_are_not_integers(p, blocks) -> None:
     with pytest.raises(InvalidSpecError):
         BlockGraph(p, blocks)
+
+
+def test_blocks_may_be_generators() -> None:
+    g = BlockGraph(3, ((v for v in b) for b in [[1, 2], [1, 0]]))
+    assert g.blocks == ((0, 1), (1, 2))
 
 
 def test_numpy_integers_are_stored_as_python_ints() -> None:
