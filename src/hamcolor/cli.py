@@ -10,6 +10,7 @@ import argparse
 import json
 import sys
 from itertools import combinations, takewhile
+from typing import Sequence
 
 from . import __version__
 from .coloring import check_colors, color_graph, validate_coloring
@@ -44,6 +45,19 @@ def _write(path: str | None, text: str) -> None:
             fh.write(text)
 
 
+def _int_list_json(key: str, values: Sequence[int]) -> str:
+    """The bytes of ``json.dumps({key: list(values)}) + "\\n"``, built a slice at a time.
+
+    json.dumps makes a string per value before it joins them, about 50 bytes
+    each; here only one slice's strings exist at a time.
+    """
+    step = 4096
+    body = ", ".join(
+        [", ".join(map(str, values[i : i + step])) for i in range(0, len(values), step)]
+    )
+    return f'{{"{key}": [{body}]}}\n'
+
+
 def _load_graph(path: str) -> BlockGraph:
     with open(path, "r", encoding="utf-8") as fh:
         return from_json(fh.read())
@@ -75,7 +89,8 @@ def _parse_range(text: str, least: int, most: int) -> list[int]:
 
 def _cmd_gen(args: argparse.Namespace) -> int:
     if args.family == "sym":
-        g, _ = gen_symmetric(SymmetricSpec(args.block_size, args.cut_degree, args.diameter))
+        # only the graph: the coordinates are not held through to_json
+        g = gen_symmetric(SymmetricSpec(args.block_size, args.cut_degree, args.diameter))[0]
     elif args.family == "union":
         g = gen_union(args.n, args.k)
     elif args.family == "star":
@@ -131,9 +146,9 @@ def _cmd_color(args: argparse.Namespace) -> int:
         f"method={result.method} span={result.coloring.span} "
         f"lower_bound={result.bound} status={result.status}"
     )
-    _write(args.output, json.dumps({"colors": result.coloring.colors}) + "\n")
+    _write(args.output, _int_list_json("colors", result.coloring.colors))
     if args.emit_ordering:
-        _write(args.emit_ordering, json.dumps({"ordering": result.ordering}) + "\n")
+        _write(args.emit_ordering, _int_list_json("ordering", result.ordering))
     return 0
 
 

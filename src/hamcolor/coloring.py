@@ -458,12 +458,16 @@ def color_graph(g: BlockGraph) -> ColorResult:
     except NotSymmetricError:
         coords = None
     if coords is not None and coords.spec.k * coords.spec.n >= 2:
+        spec = coords.spec
         ordering = sym_ordering(g, coords)
-        method = "symmetric" if coords.spec.diameter >= 3 else "union"
+        del coords  # its p-sized arrays are not needed past the ordering
+        method = "symmetric" if spec.diameter >= 3 else "union"
+        forced = method == "union" and spec.cut_degree == 2
     else:
         ordering = greedy_ordering(g, profile)
         method = "greedy"
-    if method == "greedy" or (method == "union" and coords.spec.cut_degree == 2):
+        forced = True
+    if forced:
         coloring = greedy_min_coloring_for_ordering(g, ordering)
     else:
         coloring = coloring_from_ordering(g, profile, ordering)

@@ -24,13 +24,12 @@ the detour center.  Both are built on first use and cached on the graph.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import SameVertexError
-from .graphs import BlockGraph, check_vertices
+from .graphs import BlockGraph, block_index, check_vertices
 
 RELATION_SAME = "same"
 RELATION_DIFFERENT = "different"
@@ -57,7 +56,7 @@ class TreeMetric:
 
     def __init__(self, g: BlockGraph):
         bct = g.block_cut_tree()
-        order = np.array(bct.order, dtype=np.intp)
+        order = bct.order
         n = len(order)
         pos = np.empty(n, dtype=np.intp)
         pos[order] = np.arange(n)
@@ -68,7 +67,7 @@ class TreeMetric:
         # _table[k, i] = min of dep2[parent] over positions i..i + 2**k - 1;
         # position 0 holds the root, which no query range includes
         table = np.zeros((n.bit_length(), n), dtype=np.int64)
-        table[0, 1:] = bct.dist2[np.array(bct.parent, dtype=np.intp)[order[1:]]]
+        table[0, 1:] = bct.dist2[bct.parent[order[1:]]]
         for k in range(1, len(table)):
             half = 1 << (k - 1)
             width = n - 2 * half + 1
@@ -185,20 +184,21 @@ def _build_profile(g: BlockGraph) -> DetourProfile:
         # vertex of its block, so root is w's cut node, whose neighbours are
         # w's blocks
         root = int(anchor[w])
-        xi = min(bct.weight2[x] for x in bct.adj[root])
+        xi = int(bct.weight2[bct.neighbours(root)].min())
     else:
-        root = bisect_left(g.blocks, center)
-        if g.blocks[root : root + 1] != (center,):
+        root = block_index(g, center)
+        if root < 0:
             raise AssertionError("detour center is not one whole block")
         xi = 0
 
     order, parent, dist = bct.sweep(root)
+    parent = parent.tolist()
     # Nodes anchoring central vertices (the root, and the cut nodes just
     # below a root block) keep owner -1.  Below a central cut vertex each
     # block starts a branch, which its whole subtree inherits.
     owner_at = [-1] * bct.node_count
     block_at = [-1] * bct.node_count
-    for x in order[1:]:
+    for x in order[1:].tolist():
         y = parent[x]
         if owner_at[y] >= 0:
             owner_at[x] = owner_at[y]
@@ -212,14 +212,15 @@ def _build_profile(g: BlockGraph) -> DetourProfile:
         level2 -= omega - 1
     level2 //= 2
     level = tuple(level2.tolist())
+    anchors = anchor.tolist()
     return DetourProfile(
         center=center,
         omega=omega,
         xi=xi,
         level=level,
         total_level=sum(level),
-        owner=tuple(owner_at[a] for a in anchor),
-        owner_block=tuple(block_at[a] for a in anchor),
+        owner=tuple(map(owner_at.__getitem__, anchors)),
+        owner_block=tuple(map(block_at.__getitem__, anchors)),
     )
 
 

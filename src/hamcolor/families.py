@@ -16,13 +16,12 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
 from .detour import detour_profile
 from .errors import InvalidSpecError, NotSymmetricError
-from .graphs import BlockGraph
+from .graphs import BlockGraph, block_index
 
 
 @dataclass(frozen=True)
@@ -112,15 +111,14 @@ def symmetric_coordinates(g: BlockGraph) -> SymmetricCoordinates:
     child blocks, plus its block's rank among them.  Streams and renamed
     numbers sum along the parent chains by pointer doubling.
     """
-    if len(g.blocks) < 2:
+    sizes = np.diff(g._starts)
+    if len(sizes) < 2:
         raise NotSymmetricError("a symmetric block graph has at least two blocks")
-    sizes = set(map(len, g.blocks))
-    if len(sizes) != 1:
-        raise NotSymmetricError(f"blocks have mixed sizes {sorted(sizes)}")
-    m = sizes.pop()
+    m = int(sizes[0])
+    if (sizes != m).any():
+        raise NotSymmetricError(f"blocks have mixed sizes {sorted(set(sizes.tolist()))}")
     n = m - 1
-    members = np.fromiter(chain.from_iterable(g.blocks), dtype=np.intp, count=len(g.blocks) * m)
-    members = members.reshape(-1, m)
+    members = g._members.reshape(-1, m)
     degree = np.bincount(members.ravel(), minlength=g.p)
     is_cut = degree >= 2
     degrees = set(degree[is_cut].tolist())
@@ -137,8 +135,8 @@ def symmetric_coordinates(g: BlockGraph) -> SymmetricCoordinates:
     elif profile.omega == m:
         parity = "odd"
         roots = tuple(sorted(profile.center))
-        central = bisect_left(g.blocks, roots)
-        if g.blocks[central : central + 1] != (roots,):
+        central = block_index(g, roots)
+        if central < 0:
             raise NotSymmetricError("detour center is not a whole block")
         if not is_cut[list(roots)].all():
             raise NotSymmetricError("every central vertex must carry its own branches")
@@ -254,6 +252,7 @@ def gen_symmetric(spec: SymmetricSpec) -> tuple[BlockGraph, SymmetricCoordinates
         blocks,
         meta={"family": "symmetric", "block_size": m, "cut_degree": kappa, "diameter": d},
     )
+    blocks.clear()  # the graph holds its own arrays; free the lists before the check
     coords = symmetric_coordinates(g)
     if coords.spec != spec:
         raise AssertionError(f"generator produced {coords.spec}, wanted {spec}")

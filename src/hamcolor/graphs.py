@@ -10,7 +10,7 @@ threads.
 from __future__ import annotations
 
 import json
-from itertools import chain, combinations
+from itertools import chain, combinations, pairwise
 from typing import Iterable, NoReturn, Sequence
 
 import numpy as np
@@ -25,24 +25,105 @@ from .errors import (
 )
 
 
-def _canonical_blocks(blocks: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], ...]:
-    """Sort members ascending and blocks by smallest member, then lexicographically.
+def _member_lists(blocks: Iterable[Iterable[int]]) -> list:
+    """The blocks as sequences, each iterated once, so blocks may be generators.
 
-    Members must be integers, numpy's included, and are stored as Python
-    ints, so every graph serializes; any other member raises InvalidSpecError.
+    Members must be integers, numpy's included; any other member raises
+    InvalidSpecError.
     """
     malformed = "blocks must be collections of integer vertex ids"
     try:
-        raw = list(map(tuple, blocks))  # once, so blocks may be generators
+        raw = [b if isinstance(b, (list, tuple)) else tuple(b) for b in blocks]
     except TypeError:  # blocks, or a block, that is not iterable
         raise InvalidSpecError(malformed) from None
-    # one pass over the member types at C speed, before set() merges a float
-    # into an equal int; bool is a type of its own
+    # one pass over the member types at C speed, before repeats are merged,
+    # so a float equal to an int is caught; bool is a type of its own
     types = set(map(type, chain.from_iterable(raw)))
     if not all(t is int or issubclass(t, np.integer) for t in types):
         raise InvalidSpecError(malformed)
-    canon = tuple(sorted(tuple(sorted(set(b))) for b in raw))
-    return canon if types <= {int} else tuple(tuple(map(int, b)) for b in canon)
+    return raw
+
+
+def _vertex_count(p) -> int:
+    if isinstance(p, bool) or not isinstance(p, (int, np.integer)):
+        raise InvalidSpecError(f"vertex count must be an integer, got {p!r}")
+    if p < 1:
+        raise InvalidSpecError(f"vertex count must be positive, got {p}")
+    return int(p)
+
+
+def _canonical_members(p: int, raw: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """Members ascending within blocks, blocks by smallest member, then lexicographically.
+
+    Returns the members of all blocks, block after block, and the blocks'
+    start offsets followed by the member count.  On arrays, one sort of
+    ``block * p + member`` orders and merges each block's members, and one
+    sort of ``first * p + second`` on each block's two smallest members
+    orders the blocks: two distinct blocks tie there only when they share
+    two vertices.  Anything the arrays do not settle, a tie, an id outside
+    0..p-1 or beyond int64, a block of fewer than two vertices, too few
+    members to cover p ids or no block at all, takes the tuple sort of
+    :func:`_canonical_by_tuples`, which raises the input's error.
+    """
+    sizes = np.fromiter(map(len, raw), dtype=np.intp, count=len(raw))
+    try:
+        flat = np.fromiter(chain.from_iterable(raw), dtype=np.intp, count=int(sizes.sum()))
+    except OverflowError:
+        return _canonical_by_tuples(p, raw)
+    if not len(sizes) or len(flat) < p or flat.min() < 0 or flat.max() >= p:
+        return _canonical_by_tuples(p, raw)
+    # Both keys stay below len(flat) ** 2, as p <= len(flat).  Every sort is
+    # numpy's stable argsort, which the block-cut tree uses too: the default
+    # sort would touch a second routine, about 0.2 MB more RSS per process.
+    block_of = np.repeat(np.arange(len(sizes)), sizes)
+    key = block_of * p
+    key += flat
+    key = key[np.argsort(key, kind="stable")]  # block_of, ascending, still matches it
+    repeat = key[1:] == key[:-1]
+    if repeat.any():
+        keep = np.append(True, ~repeat)
+        key, block_of = key[keep], block_of[keep]
+        sizes = np.bincount(block_of, minlength=len(sizes))
+        if len(key) < p:
+            return _canonical_by_tuples(p, raw)
+    if sizes.min() < 2:
+        return _canonical_by_tuples(p, raw)
+    members = key
+    members -= block_of * p
+    starts = np.cumsum(sizes) - sizes
+    pair = members[starts] * p + members[starts + 1]
+    order = np.argsort(pair, kind="stable")
+    if (pair[order[1:]] == pair[order[:-1]]).any():
+        return _canonical_by_tuples(p, raw)
+    sizes = sizes[order]
+    ends = np.cumsum(sizes)
+    members = members[np.repeat(starts[order] - (ends - sizes), sizes) + np.arange(len(members))]
+    return members, np.append(0, ends)
+
+
+def _canonical_by_tuples(p: int, raw: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """The canonical members by sorting tuples of Python ints, raising what is wrong first.
+
+    Blocks are checked in canonical order for size and ids, then the
+    member count against p; an input passing every check (one whose
+    blocks share two vertices) is returned as arrays for the diagnosis.
+    """
+    canon = tuple(sorted(tuple(sorted(set(map(int, b)))) for b in raw))
+    if not canon:
+        raise InvalidSpecError("a block graph needs at least one block")
+    for b in canon:
+        if len(b) < 2:
+            raise InvalidSpecError(f"block {b} has fewer than 2 vertices")
+        if b[0] < 0 or b[-1] >= p:
+            raise InvalidSpecError(f"block {b} uses ids outside 0..{p - 1}")
+    sizes = np.fromiter(map(len, canon), dtype=np.intp, count=len(canon))
+    incidence = int(sizes.sum())
+    # in time and memory proportional to the input, so a huge p with few
+    # blocks is rejected before any per-vertex array exists
+    if incidence < p:
+        raise DanglingVertexError(f"vertex {_first_missing(canon)} appears in no block")
+    members = np.fromiter(chain.from_iterable(canon), dtype=np.intp, count=incidence)
+    return members, np.append(0, np.cumsum(sizes))
 
 
 def _first_missing(canon: tuple[tuple[int, ...], ...]) -> int:
@@ -51,9 +132,13 @@ def _first_missing(canon: tuple[tuple[int, ...], ...]) -> int:
     return next((i for i, v in enumerate(members) if i != v), len(members))
 
 
-def _overlapping_pair(
-    canon: tuple[tuple[int, ...], ...], bct: BlockCutTree
-) -> tuple[int, int] | None:
+def _split(members: np.ndarray, starts: np.ndarray) -> list[list[int]]:
+    """The blocks as lists of Python ints."""
+    flat = members.tolist()
+    return [flat[s:e] for s, e in pairwise(starts.tolist())]
+
+
+def _overlapping_pair(sizes: np.ndarray, bct: BlockCutTree) -> tuple[int, int] | None:
     """Ids a < b of two blocks sharing two or more vertices, or None.
 
     Two blocks share two vertices exactly when the vertex/block incidence
@@ -70,15 +155,17 @@ def _overlapping_pair(
     ordered by size, their degree in the incidence graph, so the pair
     named is the one a walk of the whole incidence graph names.
     """
-    b, adj = len(canon), bct.adj
-    taken = bytearray(len(adj))
-    for x in sorted(range(len(adj)), key=lambda x: -len(canon[x] if x < b else adj[x])):
+    b = bct.block_count
+    ptr, nbr = bct.indptr.tolist(), bct.indices.tolist()
+    degree = np.append(sizes, np.diff(bct.indptr)[b:])
+    taken = bytearray(bct.node_count)
+    for x in np.argsort(-degree, kind="stable").tolist():
         taken[x] = 1
         first_via: dict[int, int] = {}
-        for y in adj[x]:
+        for y in nbr[ptr[x] : ptr[x + 1]]:
             if taken[y]:
                 continue
-            for z in adj[y]:
+            for z in nbr[ptr[y] : ptr[y + 1]]:
                 if taken[z]:
                     continue
                 if z in first_via:
@@ -90,24 +177,23 @@ def _overlapping_pair(
     return None
 
 
-def _diagnose(canon: tuple[tuple[int, ...], ...], bct: BlockCutTree) -> NoReturn:
+def _diagnose(members: np.ndarray, starts: np.ndarray, bct: BlockCutTree) -> NoReturn:
     """Raise the error that names what is wrong with a covering block list.
 
     Called only once the tree test has failed.  The checks run in a fixed
     order, overlapping blocks, then disconnection, then a cycle of blocks,
     so each input gets one error whichever test it failed.
     """
-    pair = _overlapping_pair(canon, bct)
+    pair = _overlapping_pair(np.diff(starts), bct)
     if pair is not None:
-        raise OverlappingBlocksError(
-            f"blocks {canon[pair[0]]} and {canon[pair[1]]} share two or more vertices"
-        )
+        a, b = (tuple(members[starts[i] : starts[i + 1]].tolist()) for i in pair)
+        raise OverlappingBlocksError(f"blocks {a} and {b} share two or more vertices")
 
     # A vertex is reachable from the smallest member of block 0 exactly
     # when the constructor's sweep from block node 0 reached its anchor.
     unreached = np.flatnonzero(bct.dist2[bct.anchor] < 0)
     if unreached.size:
-        raise DisconnectedError(f"vertex {unreached[0]} is not reachable from vertex {canon[0][0]}")
+        raise DisconnectedError(f"vertex {unreached[0]} is not reachable from vertex {members[0]}")
 
     # Connected without overlaps, so sum(|B|) != p + #blocks - 1.
     raise CyclicBlockStructureError("some vertex pair is joined by two distinct block sequences")
@@ -120,7 +206,9 @@ class BlockGraph:
     :class:`~hamcolor.errors.GraphStructureError` subclass on failure.
     Blocks are stored in canonical order (sorted by smallest member,
     members ascending), which fixes serialization and all downstream
-    tie-breaking.
+    tie-breaking.  They are held as two read-only integer arrays, every
+    block's members one after another and each block's start offset;
+    :attr:`blocks` is their tuple view, built on first read.
 
     A valid input is proved so in linear time: every id is covered,
     sum(|B|) == p + #blocks - 1, and the depth-first sweep of the
@@ -130,50 +218,32 @@ class BlockGraph:
     cycle of blocks.
     """
 
-    __slots__ = ("p", "blocks", "meta", "_bct", "_metric", "_profile")
+    __slots__ = ("p", "meta", "_members", "_starts", "_blocks", "_bct", "_metric", "_profile")
 
     def __init__(self, p: int, blocks: Iterable[Iterable[int]], meta: dict | None = None):
-        if isinstance(p, bool) or not isinstance(p, (int, np.integer)):
-            raise InvalidSpecError(f"vertex count must be an integer, got {p!r}")
-        if p < 1:
-            raise InvalidSpecError(f"vertex count must be positive, got {p}")
-        p = int(p)
-        canon = _canonical_blocks(blocks)
-        if not canon:
-            raise InvalidSpecError("a block graph needs at least one block")
-        for b in canon:
-            if len(b) < 2:
-                raise InvalidSpecError(f"block {b} has fewer than 2 vertices")
-            if b[0] < 0 or b[-1] >= p:
-                raise InvalidSpecError(f"block {b} uses ids outside 0..{p - 1}")
+        p = _vertex_count(p)
+        self._build(p, *_canonical_members(p, _member_lists(blocks)), meta)
 
-        # Coverage first, in time and memory proportional to the input, so a
-        # huge p with few blocks is rejected before any per-vertex list exists.
-        sizes = np.fromiter(map(len, canon), dtype=np.intp, count=len(canon))
-        incidence = int(sizes.sum())
-        if incidence >= p:
-            flat = np.fromiter(chain.from_iterable(canon), dtype=np.intp, count=incidence)
-            degree = np.bincount(flat, minlength=p)
-        if incidence < p or not degree.all():
-            raise DanglingVertexError(f"vertex {_first_missing(canon)} appears in no block")
+    @classmethod
+    def _from_members(
+        cls, p: int, members: np.ndarray, starts: np.ndarray, meta: dict | None
+    ) -> "BlockGraph":
+        """A graph from :func:`_canonical_members`' arrays."""
+        g = cls.__new__(cls)
+        g._build(p, members, starts, meta)
+        return g
 
-        # Block ids grouped by vertex, ascending within each vertex; only the
-        # cut vertices' groups are kept, as their tree nodes' block lists.
-        block_of = np.repeat(np.arange(len(canon)), sizes)[np.argsort(flat, kind="stable")]
-        start = np.cumsum(degree) - degree
-        anchor = block_of[start]
-        cuts = np.flatnonzero(degree >= 2)
-        cut_blocks = [
-            tuple(block_of[s : s + d].tolist())
-            for s, d in zip(start[cuts].tolist(), degree[cuts].tolist())
-        ]
-        # A non-cut vertex is anchored at its one block, a cut vertex at its
-        # own tree node; cut nodes follow the blocks in ascending id order.
-        anchor[cuts] = len(canon) + np.arange(len(cuts))
-
+    def _build(self, p: int, members: np.ndarray, starts: np.ndarray, meta: dict | None) -> None:
+        degree = np.bincount(members, minlength=p)
+        if not degree.all():
+            raise DanglingVertexError(f"vertex {np.argmin(degree)} appears in no block")
+        for a in (members, starts):
+            a.flags.writeable = False
         self.p = p
-        self.blocks = canon
         self.meta = dict(meta) if meta else {}
+        self._members = members
+        self._starts = starts
+        self._blocks = None  # the tuple view, built by the blocks property
         self._metric = None  # detour.TreeMetric, built by detour.tree_metric
         self._profile = None  # detour.DetourProfile, built by detour.detour_profile
 
@@ -182,9 +252,17 @@ class BlockGraph:
         # vertices would close a cycle in it.  Every non-cut vertex hangs off
         # one block, so connectivity is the block-cut tree's sweep reaching
         # every node.  Only an input failing either test pays for the diagnosis.
-        self._bct = BlockCutTree(canon, cut_blocks, anchor)
-        if incidence != p + len(canon) - 1 or len(self._bct.order) != self._bct.node_count:
-            _diagnose(canon, self._bct)
+        self._bct = BlockCutTree(members, starts, degree)
+        bct = self._bct
+        if len(members) != p + bct.block_count - 1 or len(bct.order) != bct.node_count:
+            _diagnose(members, starts, bct)
+
+    @property
+    def blocks(self) -> tuple[tuple[int, ...], ...]:
+        """The blocks as tuples of Python ints in canonical order, built on first read."""
+        if self._blocks is None:
+            self._blocks = tuple(map(tuple, _split(self._members, self._starts)))
+        return self._blocks
 
     def block_cut_tree(self) -> "BlockCutTree":
         """The block-cut tree, built and checked by the constructor."""
@@ -194,63 +272,76 @@ class BlockGraph:
         return (
             isinstance(other, BlockGraph)
             and self.p == other.p
-            and self.blocks == other.blocks
+            and np.array_equal(self._starts, other._starts)
+            and np.array_equal(self._members, other._members)
         )
 
     def __hash__(self) -> int:
-        return hash((self.p, self.blocks))
+        return hash((self.p, self._starts.tobytes(), self._members.tobytes()))
 
     def __repr__(self) -> str:
-        return f"BlockGraph(p={self.p}, blocks={len(self.blocks)})"
+        return f"BlockGraph(p={self.p}, blocks={len(self._starts) - 1})"
 
 
 class BlockCutTree:
     """The bipartite tree of blocks and cut vertices.
 
     Nodes ``0..b-1`` are the blocks in canonical order; nodes ``b..b+c-1``
-    are the cut vertices in ascending id order, built from ``cut_blocks``,
-    each cut vertex's block ids ascending.  It is the graph's one record
-    of which vertex lies in which block.  Weights are doubled to
-    stay integral: ``weight2[x]`` is |B| - 1 on a block node and 0 on a cut
-    node, and an edge weighs ``weight2[x] + weight2[y]``.  Per vertex v,
-    ``anchor[v]`` is its cut node or its one block node, and ``half2[v]``
-    is ``weight2[anchor[v]]``.  :meth:`sweep` is the one walk of the tree;
-    the constructor keeps its sweep from node 0 as ``order``, ``parent``
-    and ``dist2``.
+    are the cut vertices in ascending id order (``cut_list``).  It is the
+    graph's one record of which vertex lies in which block.  The
+    neighbours of node x are ``indices[indptr[x]:indptr[x + 1]]``,
+    ascending: a block's cut nodes, and a cut vertex's blocks.  Weights
+    are doubled to stay integral: ``weight2[x]`` is |B| - 1 on a block
+    node and 0 on a cut node, and an edge weighs ``weight2[x] +
+    weight2[y]``.  Per vertex v, ``anchor[v]`` is its cut node or its one
+    block node, and ``half2[v]`` is ``weight2[anchor[v]]``.
+    :meth:`sweep` is the one walk of the tree; the constructor keeps its
+    sweep from node 0 as ``order``, ``parent`` and ``dist2``.  Every
+    array is read-only.
     """
 
     __slots__ = (
-        "block_count", "cut_list", "node_count", "adj", "weight2", "anchor", "half2",
-        "order", "parent", "dist2",
+        "block_count", "cut_list", "node_count", "indptr", "indices", "weight2", "anchor",
+        "half2", "order", "parent", "dist2",
     )
 
-    def __init__(self, blocks: tuple, cut_blocks: list, anchor: np.ndarray):
-        b = len(blocks)
+    def __init__(self, members: np.ndarray, starts: np.ndarray, degree: np.ndarray):
+        sizes = np.diff(starts)
+        b = len(sizes)
+        # Block ids grouped by vertex, ascending within each vertex.
+        block_of = np.repeat(np.arange(b), sizes)[np.argsort(members, kind="stable")]
+        cuts = np.flatnonzero(degree >= 2)
+        # A non-cut vertex is anchored at its one block, a cut vertex at its
+        # own tree node; cut nodes follow the blocks in ascending id order.
+        anchor = block_of[np.cumsum(degree) - degree]
+        anchor[cuts] = b + np.arange(len(cuts))
+        # A block's cut nodes ascend with its members; a cut vertex's blocks
+        # are its group of block_of.
+        node = anchor[members]
+        is_cut = node >= b
+        cut_members = np.bincount(np.repeat(np.arange(b), sizes)[is_cut], minlength=b)
+        rows = np.append(cut_members, degree[cuts])
+        self.indices = np.append(node[is_cut], block_of[np.repeat(degree >= 2, degree)])
+        self.indptr = np.append(0, np.cumsum(rows))
+
         self.block_count = b
-        self.cut_list = tuple(np.flatnonzero(anchor >= b).tolist())
-        self.node_count = b + len(cut_blocks)
-        self.weight2 = tuple([len(bl) - 1 for bl in blocks] + [0] * len(cut_blocks))
-
-        adj: list = [[] for _ in range(b)]
-        for cn, bs in enumerate(cut_blocks, start=b):
-            for bi in bs:
-                adj[bi].append(cn)
-        self.adj = tuple(map(tuple, adj)) + tuple(cut_blocks)
-
+        self.cut_list = tuple(cuts.tolist())
+        self.node_count = b + len(cuts)
+        self.weight2 = np.append(sizes - 1, np.zeros(len(cuts), dtype=sizes.dtype))
         self.anchor = anchor
-        self.half2 = np.array(self.weight2, dtype=np.int64)[anchor]
-        self.order, self.parent, self.dist2 = self.sweep(0)
-        for a in (self.anchor, self.half2, self.dist2):
+        self.half2 = self.weight2[anchor]
+        for a in (self.indptr, self.indices, self.weight2, self.anchor, self.half2):
             a.flags.writeable = False
+        self.order, self.parent, self.dist2 = self.sweep(0)
 
-    def sweep(self, root: int) -> tuple[tuple[int, ...], tuple[int, ...], np.ndarray]:
+    def sweep(self, root: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Depth-first preorder, parents and doubled distances of the nodes from root.
 
         Nodes are marked when pushed, so the walk also ends on a cyclic
         structure; nodes it does not reach are left out of the order and
-        keep parent -1 and distance -1.
+        keep parent -1 and distance -1.  The arrays are read-only.
         """
-        adj, weight2 = self.adj, self.weight2
+        ptr, nbr, weight2 = self.indptr.tolist(), self.indices.tolist(), self.weight2.tolist()
         parent = [-1] * self.node_count
         dist2 = [-1] * self.node_count
         dist2[root] = 0
@@ -260,12 +351,19 @@ class BlockCutTree:
             x = stack.pop()
             order.append(x)
             dx = dist2[x] + weight2[x]
-            for y in adj[x]:
+            for y in nbr[ptr[x] : ptr[x + 1]]:
                 if dist2[y] < 0:
                     parent[y] = x
                     dist2[y] = dx + weight2[y]
                     stack.append(y)
-        return tuple(order), tuple(parent), np.array(dist2, dtype=np.int64)
+        out = (np.array(order, dtype=np.intp), np.array(parent, dtype=np.intp), np.array(dist2))
+        for a in out:
+            a.flags.writeable = False
+        return out
+
+    def neighbours(self, x: int) -> np.ndarray:
+        """The neighbours of node x, ascending."""
+        return self.indices[self.indptr[x] : self.indptr[x + 1]]
 
     def node_path(self, a: int, b: int) -> list[int]:
         """Tree nodes from a to b inclusive."""
@@ -275,12 +373,12 @@ class BlockCutTree:
         # of two distinct nodes, one at least as far from the root is not
         # an ancestor of the other, so its parent is still on the path
         while a != b:
-            if dist2[a] >= dist2[b]:
+            if dist2.item(a) >= dist2.item(b):
                 left.append(a)
-                a = parent[a]
+                a = parent.item(a)
             else:
                 right.append(b)
-                b = parent[b]
+                b = parent.item(b)
         return left + [a] + right[::-1]
 
 
@@ -289,6 +387,20 @@ def check_vertices(g: BlockGraph, *ids: int) -> None:
     for v in ids:
         if not 0 <= v < g.p:
             raise InvalidSpecError(f"vertex id {v} is outside 0..{g.p - 1}")
+
+
+def block_index(g: BlockGraph, vertices: Sequence[int]) -> int:
+    """Id of the block whose members are the ascending ``vertices``, or -1.
+
+    Distinct blocks of a block graph share at most one vertex, so at most
+    one starts with the first two of them.
+    """
+    members, starts = g._members, g._starts
+    first = starts[:-1]
+    hit = np.flatnonzero((members[first] == vertices[0]) & (members[first + 1] == vertices[1]))
+    if hit.size and members[starts[hit[0]] : starts[hit[0] + 1]].tolist() == list(vertices):
+        return int(hit[0])
+    return -1
 
 
 def blocks_on_path(g: BlockGraph, u: int, v: int) -> list[int]:
@@ -309,7 +421,7 @@ def blocks_on_path(g: BlockGraph, u: int, v: int) -> list[int]:
 
 def to_json(g: BlockGraph) -> str:
     """Canonical JSON form; parse -> serialize is byte-identical."""
-    doc: dict = {"p": g.p, "blocks": [list(b) for b in g.blocks]}
+    doc: dict = {"p": g.p, "blocks": _split(g._members, g._starts)}
     if g.meta:
         doc["meta"] = g.meta
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
@@ -344,7 +456,12 @@ def from_json(text: str) -> BlockGraph:
     meta = doc.get("meta")
     if meta is not None and not isinstance(meta, dict):
         raise InvalidSpecError('"meta" must be an object when present')
-    return BlockGraph(p, blocks, meta)
+    # the check above is the one pass over the member types; the document
+    # is let go before the block-cut tree is built
+    p = _vertex_count(p)
+    members, starts = _canonical_members(p, blocks)
+    del doc, blocks
+    return BlockGraph._from_members(p, members, starts, meta)
 
 
 def to_dot(

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from collections import deque
+
 import pytest
 
 from hamcolor import (
@@ -47,7 +49,7 @@ def grid_instances():
     for spec in grid_specs():
         g, coords = gen_symmetric(spec)
         assert g.p == sym_order_count(spec), spec
-        assert _hop_diameter(g) == spec.diameter, spec
+        assert hop_diameter(g) == spec.diameter, spec
         out.append((spec, g, coords, detour_profile(g)))
     return out
 
@@ -75,10 +77,9 @@ def neighbours(g) -> list[tuple[int, ...]]:
     return [tuple(sorted(s - {v})) for v, s in enumerate(out)]
 
 
-def _hop_diameter(g) -> int:
-    # two sweeps; exact on block graphs, whose hop metric is a tree metric
-    from collections import deque
-
+def hop_diameter(g) -> int:
+    """The ordinary diameter by two breadth-first sweeps, read from ``g.blocks`` alone;
+    exact on block graphs, whose hop metric is a tree metric."""
     adj = neighbours(g)
 
     def farthest(source: int) -> tuple[int, int]:

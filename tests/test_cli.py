@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -22,6 +23,38 @@ def _python(*args: str) -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120
     )
+
+
+@pytest.mark.parametrize("n", [0, 1, 4095, 4096, 4097, 10_000])
+def test_int_list_json_matches_json_dumps(n) -> None:
+    values = tuple(random.Random(n).choices([0, 7, 10**12, 2**70], k=n))
+    for key in ("colors", "ordering"):
+        want = json.dumps({key: values}) + "\n"
+        assert hamcolor.cli._int_list_json(key, values) == want
+        assert hamcolor.cli._int_list_json(key, list(values)) == want
+
+
+def test_gen_color_and_verify_leave_numpy_ma_unimported(tmp_path) -> None:
+    # numpy.ma, which np.unique imports on first use, adds about 1 MB of RSS
+    # and start-up time to every process
+    graph, colors = str(tmp_path / "g.json"), str(tmp_path / "c.json")
+    commands = [
+        ["gen", "sym", "--block-size", "3", "--cut-degree", "3", "--diameter", "5", "-o", graph],
+        ["color", graph, "-o", colors],
+        ["verify", graph, colors],
+        ["gen", "random", "--seed", "3", "--max-p", "300", "-o", graph],
+        ["color", graph, "-o", colors],
+        ["verify", graph, colors],
+    ]
+    code = (
+        "import sys\n"
+        "from hamcolor.cli import run\n"
+        f"codes = [run(argv) for argv in {commands!r}]\n"
+        "print(codes, 'numpy.ma' in sys.modules)\n"
+    )
+    done = _python("-c", code)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0, 0] False"
 
 
 def test_gen_color_verify_pipeline(tmp_path, capsys) -> None:

@@ -22,6 +22,7 @@ from hamcolor import (
     coloring_from_ordering,
     detour_matrix,
     detour_profile,
+    from_json,
     gen_path,
     gen_random_block_graph,
     gen_star,
@@ -31,6 +32,7 @@ from hamcolor import (
     greedy_ordering,
     lower_bound,
     sym_ordering,
+    to_json,
     validate_coloring,
 )
 from conftest import grid_specs
@@ -235,6 +237,21 @@ def test_violations_take_24_bytes_each() -> None:
     assert violations[-1] == (g.p - 2, g.p - 1, g.p - 3)
     assert held < 32 * n
     assert peak < 64 * n
+
+
+def test_color_graph_traced_peak_on_a_symmetric_graph() -> None:
+    # sym(5,5,6), p = 5,461, parsed fresh: the traced peak was 1,005,460 bytes
+    # while the coordinates outlived the ordering and the graph held per-block
+    # tuples; with both released it is about 791,000
+    g = from_json(to_json(gen_symmetric(SymmetricSpec(5, 5, 6))[0]))
+    tracemalloc.start()
+    try:
+        result = color_graph(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.method == "symmetric" and result.coloring.span == result.bound
+    assert peak < 900_000
 
 
 def union_coloring(n: int, k: int) -> HamColoring:

@@ -1,11 +1,10 @@
 from __future__ import annotations
 
 import random
-from collections import deque
 
 import numpy as np
 import pytest
-from conftest import cut_vertices, grid_specs, neighbours, vertex_blocks
+from conftest import cut_vertices, grid_specs, hop_diameter, vertex_blocks
 
 import hamcolor.families
 from hamcolor import (
@@ -25,28 +24,6 @@ from hamcolor import (
     symmetric_coordinates,
     to_json,
 )
-
-
-def ordinary_diameter(g) -> int:
-    # two BFS sweeps; exact on block graphs since hop distance is a tree metric
-    adj = neighbours(g)
-
-    def far(source):
-        dist = [-1] * g.p
-        dist[source] = 0
-        queue = deque([source])
-        while queue:
-            u = queue.popleft()
-            for v in adj[u]:
-                if dist[v] < 0:
-                    dist[v] = dist[u] + 1
-                    queue.append(v)
-        far_v = max(range(g.p), key=lambda v: dist[v])
-        return far_v, dist[far_v]
-
-    a, _ = far(0)
-    _, d = far(a)
-    return d
 
 
 def test_sym_even_shape() -> None:
@@ -87,7 +64,7 @@ def test_sym_small_hand_count() -> None:
 )
 def test_sym_structure_invariants(spec: SymmetricSpec) -> None:
     g, coords = gen_symmetric(spec)
-    assert ordinary_diameter(g) == spec.diameter
+    assert hop_diameter(g) == spec.diameter
     incidence, cuts = vertex_blocks(g), cut_vertices(g)
     for v in range(g.p):
         if v in cuts:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import ast
+import json
 import random
 import re
 import time
@@ -22,12 +23,14 @@ from hamcolor import (
     InvalidSpecError,
     OverlappingBlocksError,
     SameVertexError,
+    SymmetricSpec,
     blocks_on_path,
     detour_profile,
     from_json,
     gen_path,
     gen_random_block_graph,
     gen_star,
+    gen_symmetric,
     gen_union,
     to_dot,
     to_json,
@@ -273,6 +276,120 @@ def test_diagnosis_matches_the_full_incidence_reference() -> None:
         CyclicBlockStructureError,
     }, seen
     assert seen[OverlappingBlocksError] >= 1000 and several >= 300, (seen, several)
+
+
+def _tuple_canonical(p, blocks):
+    """The tuple sort and the first checks as they stood before the array
+    build, frozen as the reference: (canonical blocks, expected error or None)."""
+    ints = [[int(v) for v in b] for b in blocks]
+    canon = tuple(sorted(tuple(sorted(set(b))) for b in ints))
+    if not canon:
+        return None, (InvalidSpecError, "a block graph needs at least one block")
+    for b in canon:
+        if len(b) < 2:
+            return None, (InvalidSpecError, f"block {b} has fewer than 2 vertices")
+        if b[0] < 0 or b[-1] >= p:
+            return None, (InvalidSpecError, f"block {b} uses ids outside 0..{p - 1}")
+    return canon, _reference_error(p, ints)
+
+
+_SMALL_SYMMETRIC = [
+    gen_symmetric(SymmetricSpec(m, kappa, d))[0]
+    for m, kappa, d in [(3, 2, 4), (2, 3, 5), (4, 3, 3), (3, 3, 4), (5, 2, 3)]
+]
+
+
+def _canonicalization_case(seed: int):
+    """A seeded block list in one of six kinds: shuffled random graphs,
+    relabeled symmetric graphs, repeated members, numpy-integer members,
+    corrupted graphs (whose overlapping blocks tie), and malformed lists."""
+    rng = random.Random(seed)
+    kind = seed % 6
+    if kind == 1:
+        g = rng.choice(_SMALL_SYMMETRIC)
+        perm = list(range(g.p))
+        rng.shuffle(perm)
+        p, blocks = g.p, [[perm[v] for v in b] for b in g.blocks]
+    elif kind == 4:
+        p, blocks = _corrupted(seed)
+    else:
+        g = gen_random_block_graph(seed, max_p=rng.randrange(2, 40), max_block_size=rng.randrange(2, 7))
+        p, blocks = g.p, [list(b) for b in g.blocks]
+    for b in blocks:
+        rng.shuffle(b)
+    rng.shuffle(blocks)
+    if kind == 2:  # members repeated within their block
+        for b in rng.sample(blocks, rng.randrange(1, len(blocks) + 1)):
+            b.extend(rng.choices(b, k=rng.randrange(1, 3)))
+            rng.shuffle(b)
+    elif kind == 3:  # numpy integers of several widths, mixed with Python ints
+        dtypes = (np.int8, np.uint16, np.int32, np.int64)
+        blocks = [np.array(b, dtype=rng.choice(dtypes)) if rng.random() < 0.7 else b for b in blocks]
+    elif kind == 5:  # a block too small, an id out of range, or no blocks at all
+        fault = rng.randrange(4)
+        if fault == 0:
+            blocks.append([rng.randrange(p)])
+        elif fault == 1:
+            rng.choice(blocks).append(rng.choice([-1, p, p + 3, 2**70]))
+        elif fault == 2:
+            blocks.append([0, 1, 1])
+        else:
+            blocks = []
+    return p, blocks
+
+
+def test_array_canonicalization_matches_the_tuple_sort(monkeypatch) -> None:
+    import hamcolor.graphs
+
+    fallbacks = []
+    by_tuples = hamcolor.graphs._canonical_by_tuples
+
+    def counted(p, raw):
+        fallbacks.append(p)
+        return by_tuples(p, raw)
+
+    monkeypatch.setattr(hamcolor.graphs, "_canonical_by_tuples", counted)
+    built = 0
+    for seed in range(2400):
+        p, blocks = _canonicalization_case(seed)
+        canon, want = _tuple_canonical(p, blocks)
+        documents = [lambda: BlockGraph(p, blocks)]
+        if all(type(v) is int for b in blocks for v in b):
+            text = json.dumps({"p": p, "blocks": [list(b) for b in blocks]})
+            documents.append(lambda: from_json(text))
+        for build in documents:
+            try:
+                g, got = build(), None
+            except HamcolorError as e:
+                g, got = None, (type(e), str(e))
+            assert got == want, (seed, p, blocks)
+            if g is not None:
+                built += 1
+                assert g.blocks == canon
+                assert to_json(g) == json.dumps(
+                    {"blocks": [list(b) for b in canon], "p": p}, separators=(",", ":")
+                ) + "\n"
+                assert from_json(to_json(g)) == g
+    # both paths are exercised: valid inputs never tie, overlaps always do
+    assert built >= 1500 and len(fallbacks) >= 400, (built, len(fallbacks))
+
+
+@pytest.mark.parametrize(
+    ("make", "bound"),
+    [(lambda: gen_star(20_000), 130), (lambda: gen_path(20_000), 260)],
+    ids=["star", "path"],
+)
+def test_parsed_graph_holds_arrays_not_per_block_objects(make, bound) -> None:
+    # bytes per vertex that from_json's graph keeps; per-block tuples of the
+    # decoder's ints held 241 (star) and 458 (path), the arrays hold 96 and 192
+    text = to_json(make())
+    tracemalloc.start()
+    try:
+        g = from_json(text)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held / g.p < bound
 
 
 def test_large_star_builds_in_linear_time_and_memory() -> None:
