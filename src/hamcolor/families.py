@@ -304,6 +304,8 @@ def gen_random_block_graph(
     """
     if max_p < 2:
         raise InvalidSpecError(f"max_p must be >= 2, got {max_p}")
+    if max_block_size < 2:
+        raise InvalidSpecError(f"max_block_size must be >= 2, got {max_block_size}")
     rng = random.Random(seed)
     target = rng.randint(2, max_p)
     first = rng.randint(2, min(max_block_size, target))

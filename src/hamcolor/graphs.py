@@ -59,19 +59,18 @@ def _canonical_members(p: int, raw: Sequence[Sequence[int]]) -> tuple[np.ndarray
     start offsets followed by the member count.  On arrays, one sort of
     ``block * p + member`` orders and merges each block's members, and one
     sort of ``first * p + second`` on each block's two smallest members
-    orders the blocks: two distinct blocks tie there only when they share
-    two vertices.  Anything the arrays do not settle, a tie, an id outside
-    0..p-1 or beyond int64, a block of fewer than two vertices, too few
-    members to cover p ids or no block at all, takes the tuple sort of
-    :func:`_canonical_by_tuples`, which raises the input's error.
+    orders the blocks.  Two distinct blocks tie there only when they share
+    two vertices, so the list is no block graph; its blocks are then
+    ordered by their member lists, for the diagnosis.  A list the arrays
+    show malformed goes to :func:`_reject`, which raises its error.
     """
     sizes = np.fromiter(map(len, raw), dtype=np.intp, count=len(raw))
     try:
         flat = np.fromiter(chain.from_iterable(raw), dtype=np.intp, count=int(sizes.sum()))
     except OverflowError:
-        return _canonical_by_tuples(p, raw)
+        _reject(p, raw)
     if not len(sizes) or len(flat) < p or flat.min() < 0 or flat.max() >= p:
-        return _canonical_by_tuples(p, raw)
+        _reject(p, raw)
     # Both keys stay below len(flat) ** 2, as p <= len(flat).  Every sort is
     # numpy's stable argsort, which the block-cut tree uses too: the default
     # sort would touch a second routine, about 0.2 MB more RSS per process.
@@ -84,31 +83,30 @@ def _canonical_members(p: int, raw: Sequence[Sequence[int]]) -> tuple[np.ndarray
         keep = np.append(True, ~repeat)
         key, block_of = key[keep], block_of[keep]
         sizes = np.bincount(block_of, minlength=len(sizes))
-        if len(key) < p:
-            return _canonical_by_tuples(p, raw)
-    if sizes.min() < 2:
-        return _canonical_by_tuples(p, raw)
+    if len(key) < p or sizes.min() < 2:
+        _reject(p, raw)
     members = key
     members -= block_of * p
     starts = np.cumsum(sizes) - sizes
     pair = members[starts] * p + members[starts + 1]
     order = np.argsort(pair, kind="stable")
     if (pair[order[1:]] == pair[order[:-1]]).any():
-        return _canonical_by_tuples(p, raw)
+        lists = _split(members, np.append(starts, len(members)))
+        order = np.array(sorted(range(len(lists)), key=lists.__getitem__))
     sizes = sizes[order]
     ends = np.cumsum(sizes)
     members = members[np.repeat(starts[order] - (ends - sizes), sizes) + np.arange(len(members))]
     return members, np.append(0, ends)
 
 
-def _canonical_by_tuples(p: int, raw: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
-    """The canonical members by sorting tuples of Python ints, raising what is wrong first.
+def _reject(p: int, raw: Sequence[Sequence[int]]) -> NoReturn:
+    """Raise the error of a block list that the arrays found malformed.
 
     Blocks are checked in canonical order for size and ids, then the
-    member count against p; an input passing every check (one whose
-    blocks share two vertices) is returned as arrays for the diagnosis.
+    smallest id that no block holds is named, in time and memory
+    proportional to the input, so a huge p is rejected at once.
     """
-    canon = tuple(sorted(tuple(sorted(set(map(int, b)))) for b in raw))
+    canon = sorted(tuple(sorted(set(map(int, b)))) for b in raw)
     if not canon:
         raise InvalidSpecError("a block graph needs at least one block")
     for b in canon:
@@ -116,20 +114,9 @@ def _canonical_by_tuples(p: int, raw: Sequence[Sequence[int]]) -> tuple[np.ndarr
             raise InvalidSpecError(f"block {b} has fewer than 2 vertices")
         if b[0] < 0 or b[-1] >= p:
             raise InvalidSpecError(f"block {b} uses ids outside 0..{p - 1}")
-    sizes = np.fromiter(map(len, canon), dtype=np.intp, count=len(canon))
-    incidence = int(sizes.sum())
-    # in time and memory proportional to the input, so a huge p with few
-    # blocks is rejected before any per-vertex array exists
-    if incidence < p:
-        raise DanglingVertexError(f"vertex {_first_missing(canon)} appears in no block")
-    members = np.fromiter(chain.from_iterable(canon), dtype=np.intp, count=incidence)
-    return members, np.append(0, np.cumsum(sizes))
-
-
-def _first_missing(canon: tuple[tuple[int, ...], ...]) -> int:
-    """Smallest non-negative id that no block contains."""
-    members = sorted(set(chain.from_iterable(canon)))
-    return next((i for i, v in enumerate(members) if i != v), len(members))
+    held = set(chain.from_iterable(canon))
+    missing = min(set(range(len(held) + 1)) - held)
+    raise DanglingVertexError(f"vertex {missing} appears in no block")
 
 
 def _split(members: np.ndarray, starts: np.ndarray) -> list[list[int]]:
@@ -385,6 +372,8 @@ class BlockCutTree:
 def check_vertices(g: BlockGraph, *ids: int) -> None:
     """Raise InvalidSpecError naming the first id that is not a vertex of g."""
     for v in ids:
+        if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+            raise InvalidSpecError(f"vertex id {v!r} is not an integer")
         if not 0 <= v < g.p:
             raise InvalidSpecError(f"vertex id {v} is outside 0..{g.p - 1}")
 

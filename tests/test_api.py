@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import ast
 import dataclasses
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -101,3 +104,31 @@ def test_block_graph_surface_is_pinned() -> None:
     assert {name for name in dir(g) if not name.startswith("_")} == {
         "p", "blocks", "meta", "block_cut_tree",
     }
+
+
+def _referenced_names(node: ast.AST) -> Counter:
+    """How often each name is read, as a bare name or an attribute, under node."""
+    return Counter(
+        sub.id if isinstance(sub, ast.Name) else sub.attr
+        for sub in ast.walk(node)
+        if isinstance(sub, (ast.Name, ast.Attribute))
+    )
+
+
+def test_every_private_helper_has_a_caller() -> None:
+    # a module- or class-level function or class named _x that nothing in
+    # the package names outside its own definition is dead code
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    trees = [ast.parse(path.read_text()) for path in Path(hamcolor.__file__).parent.glob("*.py")]
+    everywhere = sum(map(_referenced_names, trees), Counter())
+    helpers = []
+    for tree in trees:
+        for node in tree.body:
+            scope = [node] + (node.body if isinstance(node, ast.ClassDef) else [])
+            helpers += [
+                d for d in scope
+                if isinstance(d, defs) and d.name.startswith("_") and not d.name.startswith("__")
+            ]
+    assert len(helpers) >= 20, len(helpers)  # the scan saw the package
+    dead = [d.name for d in helpers if everywhere[d.name] == _referenced_names(d)[d.name]]
+    assert not dead, dead

@@ -225,6 +225,13 @@ def test_invalid_graph_exits_two(tmp_path) -> None:
     assert run(["color", str(bad)]) == 2
 
 
+def test_gen_random_rejects_blocks_below_two_vertices(capsys) -> None:
+    assert run(["gen", "random", "--seed", "1", "--max-p", "10", "--max-block-size", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: max_block_size must be >= 2, got 1\n"
+
+
 def test_formula_prints_value(capsys) -> None:
     assert run(
         ["formula", "sym", "--block-size", "4", "--cut-degree", "2", "--diameter", "5"]

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import re
 from collections import deque
 from itertools import combinations
 
+import numpy as np
 import pytest
 from conftest import cut_vertices, neighbours, vertex_blocks
 from hypothesis import given, settings
@@ -66,6 +68,21 @@ def test_out_of_range_vertex_ids_are_rejected(query, bad: int) -> None:
             query(g, u, v)
     assert detour_distance(g, 4, 0) == 4 and detour_distance(g, 2, 2) == 0
     assert blocks_on_path(g, 4, 0) == [3, 2, 1, 0]
+
+
+@pytest.mark.parametrize(
+    "query", [detour_distance, blocks_on_path, brute_longest_path, branch_relation_of]
+)
+def test_non_integer_vertex_ids_are_rejected(query) -> None:
+    # a float raised a bare TypeError or IndexError, or brute_longest_path
+    # answered as if it were the integer it equals
+    g = gen_path(5)
+    for bad in (0.5, 2.0, True, np.float64(1.0), "1", None):
+        message = f"^vertex id {re.escape(repr(bad))} is not an integer$"
+        for u, v in ((bad, 0), (0, bad)):
+            with pytest.raises(InvalidSpecError, match=message):
+                query(g, u, v)
+    assert detour_distance(g, np.int32(4), np.uint8(0)) == 4
 
 
 @given(st.integers(0, 10_000))

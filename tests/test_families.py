@@ -156,6 +156,13 @@ def test_gen_path_and_star() -> None:
         gen_union(4, 1)
 
 
+def test_random_generator_rejects_blocks_below_two_vertices() -> None:
+    # random.randint(2, 1) raised a bare ValueError from the RNG
+    for size in (1, 0, -3):
+        with pytest.raises(InvalidSpecError, match=f"^max_block_size must be >= 2, got {size}$"):
+            gen_random_block_graph(1, max_p=10, max_block_size=size)
+
+
 def test_random_generator_is_deterministic() -> None:
     a = gen_random_block_graph(1, max_p=9)
     b = gen_random_block_graph(1, max_p=9)

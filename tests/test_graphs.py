@@ -98,6 +98,23 @@ def test_dangling_reports_smallest_missing_vertex() -> None:
 @pytest.mark.parametrize(
     ("p", "blocks", "error", "message"),
     [
+        # every id fits 0..p-1 but not int64, and two ids cannot cover p
+        (2**70, [[0, 2**65]], DanglingVertexError, "vertex 1 appears in no block"),
+        # the out-of-range block sorts before the one that is too small
+        (5, [[3], [0, 2**70]], InvalidSpecError, f"block (0, {2**70}) uses ids outside 0..4"),
+    ],
+    ids=["ids-beyond-int64", "range-before-size"],
+)
+def test_malformed_lists_beyond_int64_name_their_first_fault(p, blocks, error, message) -> None:
+    with pytest.raises(error) as caught:
+        BlockGraph(p, blocks)
+    assert type(caught.value) is error
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize(
+    ("p", "blocks", "error", "message"),
+    [
         (5, [{0, 1, 2}, {1, 2, 3, 4}], OverlappingBlocksError,
          "blocks (0, 1, 2) and (1, 2, 3, 4) share two or more vertices"),
         (7, [{0, 1, 2}, {1, 2, 3}, {4, 5, 6}], OverlappingBlocksError,
@@ -341,15 +358,22 @@ def _canonicalization_case(seed: int):
 def test_array_canonicalization_matches_the_tuple_sort(monkeypatch) -> None:
     import hamcolor.graphs
 
-    fallbacks = []
-    by_tuples = hamcolor.graphs._canonical_by_tuples
+    # _reject raises the error of a malformed list; during a build, _split
+    # runs only to order blocks that tie on their two smallest members
+    calls = {"reject": 0, "split": 0}
+    reject, split = hamcolor.graphs._reject, hamcolor.graphs._split
 
-    def counted(p, raw):
-        fallbacks.append(p)
-        return by_tuples(p, raw)
+    def counted_reject(p, raw):
+        calls["reject"] += 1
+        reject(p, raw)
 
-    monkeypatch.setattr(hamcolor.graphs, "_canonical_by_tuples", counted)
-    built = 0
+    def counted_split(members, starts):
+        calls["split"] += 1
+        return split(members, starts)
+
+    monkeypatch.setattr(hamcolor.graphs, "_reject", counted_reject)
+    monkeypatch.setattr(hamcolor.graphs, "_split", counted_split)
+    built = tie_sorts = 0
     for seed in range(2400):
         p, blocks = _canonicalization_case(seed)
         canon, want = _tuple_canonical(p, blocks)
@@ -358,10 +382,12 @@ def test_array_canonicalization_matches_the_tuple_sort(monkeypatch) -> None:
             text = json.dumps({"p": p, "blocks": [list(b) for b in blocks]})
             documents.append(lambda: from_json(text))
         for build in documents:
+            splits = calls["split"]
             try:
                 g, got = build(), None
             except HamcolorError as e:
                 g, got = None, (type(e), str(e))
+            tie_sorts += calls["split"] > splits
             assert got == want, (seed, p, blocks)
             if g is not None:
                 built += 1
@@ -370,8 +396,9 @@ def test_array_canonicalization_matches_the_tuple_sort(monkeypatch) -> None:
                     {"blocks": [list(b) for b in canon], "p": p}, separators=(",", ":")
                 ) + "\n"
                 assert from_json(to_json(g)) == g
-    # both paths are exercised: valid inputs never tie, overlaps always do
-    assert built >= 1500 and len(fallbacks) >= 400, (built, len(fallbacks))
+    # every path is exercised (valid inputs never tie); over both builds the
+    # corpus measured 692 rejections and 586 tie sorts
+    assert built >= 1500 and calls["reject"] >= 650 and tie_sorts >= 550, (built, calls, tie_sorts)
 
 
 @pytest.mark.parametrize(
