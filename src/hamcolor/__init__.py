@@ -67,7 +67,6 @@ from .formulas import (
 from .graphs import (
     BlockCutTree,
     BlockGraph,
-    blocks_on_path,
     from_json,
     to_dot,
     to_json,
@@ -84,7 +83,6 @@ __all__ = [
     "SearchBudget",
     "SymmetricCoordinates",
     "SymmetricSpec",
-    "blocks_on_path",
     "branch_relation",
     "brute_longest_path",
     "check_ordering_conditions",

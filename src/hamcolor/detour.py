@@ -11,15 +11,18 @@ Equivalently D is the metric of the block-cut tree with weight
 correction of (|B_u| - 1)/2 for each non-cut endpoint.  All code below
 works in doubled weights so everything stays integral.
 
-Every walk of the tree is :meth:`BlockCutTree.sweep`, a depth-first
-preorder with doubled distances.  Batched distance queries go through
-:class:`TreeMetric`, which reuses the constructor's sweep from node 0:
-a sparse table for range minima over preorder positions answers any
-number of pairs in O(1) numpy work each after an O(n log n) build
-(Bender and Farach-Colton, "The LCA problem revisited", 2000), and one
-pair in a few scalar lookups.  The per-vertex :class:`DetourProfile`
-takes that same sweep plus three more, O(n) each, the last one rooted at
-the detour center.  Both are built on first use and cached on the graph.
+Nothing here walks the tree: everything reads the block-cut tree
+constructor's one depth-first walk from node 0, in which ``dist2`` rises
+strictly away from the root.  For nodes at preorder positions i < j, the
+shallowest node at positions i+1..j is a child of their LCA, so the
+minimum of ``dist2[parent]`` there is ``dist2[lca]``.  Batched distance
+queries go through :class:`TreeMetric`, a sparse table for these range
+minima that answers any number of pairs in O(1) numpy work each after an
+O(n log n) build (Bender and Farach-Colton, "The LCA problem revisited",
+2000), and one pair in a few scalar lookups.  The per-vertex
+:class:`DetourProfile` needs distances from only three nodes, each two
+running minima from the node's position, so it is O(n) and builds no
+table.  Both are built on first use and cached on the graph.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SameVertexError
-from .graphs import BlockGraph, block_index, check_vertices
+from .graphs import BlockCutTree, BlockGraph, block_index, check_vertices
 
 RELATION_SAME = "same"
 RELATION_DIFFERENT = "different"
@@ -40,12 +43,9 @@ RELATION_INVOLVES_CENTRAL = "involves_central"
 class TreeMetric:
     """The detour metric of a block graph as a rooted block-cut tree with LCA.
 
-    It reads the constructor's sweep from node 0, whose ``dist2`` (``dep2``
-    here) rises strictly away from the root.  For nodes at preorder
-    positions i < j, the shallowest node at positions i+1..j is a child of
-    their LCA, so the minimum of ``dep2[parent]`` there is ``dep2[lca]``.
-    Per vertex, ``pos[v]`` is the position of v's anchor and ``root2[v]``
-    is ``dep2[anchor(v)] + half2(v)``, so for distinct u and v
+    ``dep2`` is ``dist2`` by preorder position.  Per vertex, ``pos[v]`` is
+    the position of v's anchor and ``root2[v]`` is ``dep2[anchor(v)] +
+    half2(v)``, so for distinct u and v
 
         2 D(u, v) = root2[u] + root2[v] - 2 dep2[lca(anchor(u), anchor(v))],
 
@@ -56,18 +56,15 @@ class TreeMetric:
 
     def __init__(self, g: BlockGraph):
         bct = g.block_cut_tree()
-        order = bct.order
-        n = len(order)
-        pos = np.empty(n, dtype=np.intp)
-        pos[order] = np.arange(n)
+        pos, self._dep2, up = _preorder(bct)
         self.pos = pos[bct.anchor]
         self.root2 = bct.dist2[bct.anchor] + bct.half2
-        self._dep2 = bct.dist2[order]
 
         # _table[k, i] = min of dep2[parent] over positions i..i + 2**k - 1;
         # position 0 holds the root, which no query range includes
+        n = len(pos)
         table = np.zeros((n.bit_length(), n), dtype=np.int64)
-        table[0, 1:] = bct.dist2[bct.parent[order[1:]]]
+        table[0, 1:] = up[1:]
         for k in range(1, len(table)):
             half = 1 << (k - 1)
             width = n - 2 * half + 1
@@ -110,6 +107,14 @@ class TreeMetric:
         return (self.root2.item(u) + self.root2.item(v) - 2 * lca2) // 2
 
 
+def _preorder(bct: BlockCutTree) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per node, its preorder position; per position, dist2 and the parent's (unread at 0)."""
+    order = bct.order
+    pos = np.empty(len(order), dtype=np.intp)
+    pos[order] = np.arange(len(order))
+    return pos, bct.dist2[order], bct.dist2[bct.parent[order]]
+
+
 def tree_metric(g: BlockGraph) -> TreeMetric:
     """The detour metric core of g, built on first use and cached on the graph."""
     if g._metric is None:
@@ -145,13 +150,15 @@ def detour_profile(g: BlockGraph) -> DetourProfile:
     """Center, levels and branch ownership, cached on the graph.
 
     The vertex a farthest from block node 0 ends a longest path, as the
-    farthest point from any point of a tree does, so the constructor's
-    sweep from node 0 finds it.  Two more sweeps (from a, and from b, the
-    vertex farthest from a) give every eccentricity as
+    farthest point from any point of a tree does.  Distances from a, and
+    from b, the vertex farthest from a, give every eccentricity as
     max(D(v, a), D(v, b)), and the center is the vertices of least
-    eccentricity.  It is one cut vertex or one whole block, and a last
-    sweep rooted there gives each vertex its level, its nearest central
-    vertex and the first block on the way to it.
+    eccentricity.  It is one cut vertex or one whole block, and distances
+    from it give the levels.  Each of these rows is two running minima over
+    the constructor's preorder, one each way from the row's node.  A
+    vertex's branch is the first block on the way from the center to it:
+    a ``searchsorted`` of its position among the positions of the blocks
+    that head a branch, for all vertices at once.
     """
     if g._profile is None:
         g._profile = _build_profile(g)
@@ -160,67 +167,78 @@ def detour_profile(g: BlockGraph) -> DetourProfile:
 
 def _build_profile(g: BlockGraph) -> DetourProfile:
     bct = g.block_cut_tree()
-    anchor, half2 = bct.anchor, bct.half2
+    anchor, half2, parent, order = bct.anchor, bct.half2, bct.parent, bct.order
+    pos, dep, up = _preorder(bct)
 
-    def to_vertices(node_dist2: np.ndarray) -> np.ndarray:
-        # in-place updates keep extra p-sized arrays out of the peak memory
-        d2 = node_dist2[anchor]
+    def from_node(c: int) -> np.ndarray:
+        # per vertex, twice the distance from node c to its anchor, plus half2;
+        # the LCAs' dist2 are running minima of up, each way from c's position
+        i = pos[c]
+        before, after = np.minimum.accumulate(up[i:0:-1])[::-1], np.minimum.accumulate(up[i + 1 :])
+        lca2 = np.concatenate((before, dep[i : i + 1], after))
+        d2 = (dep + dep[i] - 2 * lca2)[pos][anchor]
         d2 += half2
         return d2
 
     def from_vertex(u: int) -> np.ndarray:
-        d2 = to_vertices(bct.sweep(int(anchor[u]))[2])
+        d2 = from_node(anchor[u])
         d2 += half2[u]
         d2[u] = 0
         return d2
 
-    d_a = from_vertex(int(np.argmax(to_vertices(bct.dist2))))
-    ecc2 = np.maximum(d_a, from_vertex(int(np.argmax(d_a))))
+    ecc2 = from_vertex(int(np.argmax(bct.dist2[anchor] + half2)))
+    np.maximum(ecc2, from_vertex(int(np.argmax(ecc2))), out=ecc2)
     center = tuple(np.flatnonzero(ecc2 == ecc2.min()).tolist())
+    del ecc2
     omega = len(center)
-    w = center[0]
     if omega == 1:
-        # w is a cut vertex: a non-cut vertex ties in eccentricity with a cut
-        # vertex of its block, so root is w's cut node, whose neighbours are
-        # w's blocks
-        root = int(anchor[w])
+        # a cut vertex: a non-cut vertex ties in eccentricity with a cut
+        # vertex of its block; its neighbours are its blocks
+        root = int(anchor[center[0]])
         xi = int(bct.weight2[bct.neighbours(root)].min())
     else:
         root = block_index(g, center)
         if root < 0:
             raise AssertionError("detour center is not one whole block")
         xi = 0
+    level = tuple(((from_node(root) - (omega - 1)) // 2).tolist())
 
-    order, parent, dist = bct.sweep(root)
-    parent = parent.tolist()
-    # Nodes anchoring central vertices (the root, and the cut nodes just
-    # below a root block) keep owner -1.  Below a central cut vertex each
-    # block starts a branch, which its whole subtree inherits.
-    owner_at = [-1] * bct.node_count
-    block_at = [-1] * bct.node_count
-    for x in order[1:].tolist():
-        y = parent[x]
-        if owner_at[y] >= 0:
-            owner_at[x] = owner_at[y]
-            block_at[x] = block_at[y]
-        elif x < bct.block_count:
-            owner_at[x] = bct.cut_list[y - bct.block_count]
-            block_at[x] = x
-
-    level2 = to_vertices(dist)
+    # A branch is headed by its first block h, below the central cut vertex
+    # parent[h].  The heads are the root's children when omega = 1 and its
+    # grandchildren otherwise, plus the child blocks of the cut vertex above
+    # a root block, which is then top.  A node in top's subtree takes the
+    # index of the last head at or before it in preorder, any other node the
+    # index of top's parent block, and a central node -1, the last entry.
+    kids = parent == root
+    top = root
+    if omega == 1:
+        heads = kids
+    else:
+        heads = kids[parent] & (parent >= 0)
+        if root:
+            top = int(parent[root])
+            heads |= parent == top
+    heads = np.sort(pos[heads])
+    i = pos[top]  # top's subtree ends at the first later node whose parent is above top
+    end = i + 1 + int(np.append(up[i + 1 :] < dep[i], True).argmax())
+    code = np.full(len(pos), len(heads))
+    code[i + 1 : end] = np.searchsorted(heads, np.arange(i + 1, end), side="right") - 1
+    code[pos[[root, top]]] = -1
     if omega > 1:
-        level2 -= omega - 1
-    level2 //= 2
-    level = tuple(level2.tolist())
-    anchors = anchor.tolist()
+        code[pos[kids]] = -1
+    first = order[heads]
+    firsts = first.tolist() + [int(parent[top]), -1]
+    owners = list(map(bct.cut_list.__getitem__, (parent[first] - bct.block_count).tolist()))
+    owners += [bct.cut_list[top - bct.block_count] if top else -1, -1]
+    codes = code[pos][anchor].tolist()
     return DetourProfile(
         center=center,
         omega=omega,
         xi=xi,
         level=level,
         total_level=sum(level),
-        owner=tuple(map(owner_at.__getitem__, anchors)),
-        owner_block=tuple(map(block_at.__getitem__, anchors)),
+        owner=tuple(map(owners.__getitem__, codes)),
+        owner_block=tuple(map(firsts.__getitem__, codes)),
     )
 
 

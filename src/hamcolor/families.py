@@ -21,7 +21,7 @@ import numpy as np
 
 from .detour import detour_profile
 from .errors import InvalidSpecError, NotSymmetricError
-from .graphs import BlockGraph, block_index
+from .graphs import BlockGraph, block_index, check_integer
 
 
 @dataclass(frozen=True)
@@ -38,12 +38,12 @@ class SymmetricSpec:
     diameter: int
 
     def __post_init__(self):
-        if self.block_size < 2:
-            raise InvalidSpecError(f"block size must be >= 2, got {self.block_size}")
-        if self.cut_degree < 2:
-            raise InvalidSpecError(f"cut degree must be >= 2, got {self.cut_degree}")
-        if self.diameter < 2:
-            raise InvalidSpecError(f"diameter must be >= 2, got {self.diameter}")
+        for name in ("block_size", "cut_degree", "diameter"):
+            what = name.replace("_", " ")
+            value = check_integer(getattr(self, name), what)
+            if value < 2:
+                raise InvalidSpecError(f"{what} must be >= 2, got {value}")
+            object.__setattr__(self, name, value)
 
     @property
     def n(self) -> int:
@@ -261,6 +261,7 @@ def gen_symmetric(spec: SymmetricSpec) -> tuple[BlockGraph, SymmetricCoordinates
 
 def gen_union(n: int, k: int) -> BlockGraph:
     """One-point union of k complete graphs K_n sharing vertex 0."""
+    n, k = check_integer(n, "block size"), check_integer(k, "copy count")
     if n < 2 or k < 2:
         raise InvalidSpecError(f"union needs block size >= 2 and >= 2 copies, got ({n}, {k})")
     blocks = []
@@ -273,6 +274,7 @@ def gen_union(n: int, k: int) -> BlockGraph:
 
 def gen_path(p: int) -> BlockGraph:
     """Path on p vertices as a chain of edge blocks."""
+    p = check_integer(p, "vertex count")
     if p < 2:
         raise InvalidSpecError(f"a path needs >= 2 vertices, got {p}")
     return BlockGraph(
@@ -282,6 +284,7 @@ def gen_path(p: int) -> BlockGraph:
 
 def gen_star(leaves: int) -> BlockGraph:
     """Star with the given number of leaves around hub 0."""
+    leaves = check_integer(leaves, "leaf count")
     if leaves < 2:
         raise InvalidSpecError(f"a star needs >= 2 leaves, got {leaves}")
     return BlockGraph(
@@ -302,6 +305,9 @@ def gen_random_block_graph(
     Covers single-block graphs (first block takes everything), tree-like
     shapes (all edge blocks) and mixed shapes in between.
     """
+    max_p = check_integer(max_p, "max_p")
+    max_block_size = check_integer(max_block_size, "max_block_size")
+    max_blocks_per_cut = check_integer(max_blocks_per_cut, "max_blocks_per_cut")
     if max_p < 2:
         raise InvalidSpecError(f"max_p must be >= 2, got {max_p}")
     if max_block_size < 2:

@@ -11,11 +11,12 @@ import warnings
 from .detour import DetourProfile
 from .errors import InvalidSpecError, OutOfStatedRangeWarning
 from .families import SymmetricSpec
-from .graphs import BlockGraph
+from .graphs import BlockGraph, check_integer
 
 
 def phi(r: int, x: int) -> int:
     """Geometric sum 1 + x + ... + x^(r-1); phi(0, x) == 0."""
+    r, x = check_integer(r, "r"), check_integer(x, "x")
     if r < 0:
         raise InvalidSpecError(f"phi needs r >= 0, got {r}")
     if x < 1:
@@ -87,6 +88,7 @@ def sym_hc(spec: SymmetricSpec) -> int:
 
 def star_hc(n: int) -> int:
     """Hamiltonian chromatic number (n-1)^2 of the star with n leaves."""
+    n = check_integer(n, "leaf count")
     if n < 1:
         raise InvalidSpecError(f"star needs >= 1 leaf, got {n}")
     if n < 3:
@@ -98,6 +100,7 @@ def star_hc(n: int) -> int:
 
 def path_hc(order: int) -> int:
     """Hamiltonian chromatic number of the path on ``order`` vertices."""
+    order = check_integer(order, "vertex count")
     if order < 2:
         raise InvalidSpecError(f"path needs >= 2 vertices, got {order}")
     if order < 5:
@@ -113,6 +116,7 @@ def path_hc(order: int) -> int:
 
 def union_hc(n: int, k: int) -> int:
     """Hamiltonian chromatic number of the one-point union of k copies of K_n."""
+    n, k = check_integer(n, "block size"), check_integer(k, "copy count")
     if n < 2 or k < 1:
         raise InvalidSpecError(f"union needs n >= 2 and k >= 1, got ({n}, {k})")
     if k < 2:

@@ -21,7 +21,6 @@ from .errors import (
     DisconnectedError,
     InvalidSpecError,
     OverlappingBlocksError,
-    SameVertexError,
 )
 
 
@@ -44,10 +43,16 @@ def _member_lists(blocks: Iterable[Iterable[int]]) -> list:
     return raw
 
 
+def check_integer(value, what: str) -> int:
+    """value as a Python int; InvalidSpecError naming ``what`` unless it is a
+    Python or numpy integer.  bool and floats fail, a float equal to an int too."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InvalidSpecError(f"{what} {value!r} is not an integer")
+    return int(value)
+
+
 def _vertex_count(p) -> int:
-    if isinstance(p, bool) or not isinstance(p, (int, np.integer)):
-        raise InvalidSpecError(f"vertex count must be an integer, got {p!r}")
-    if p < 1:
+    if check_integer(p, "vertex count") < 1:
         raise InvalidSpecError(f"vertex count must be positive, got {p}")
     return int(p)
 
@@ -282,9 +287,10 @@ class BlockCutTree:
     node and 0 on a cut node, and an edge weighs ``weight2[x] +
     weight2[y]``.  Per vertex v, ``anchor[v]`` is its cut node or its one
     block node, and ``half2[v]`` is ``weight2[anchor[v]]``.
-    :meth:`sweep` is the one walk of the tree; the constructor keeps its
-    sweep from node 0 as ``order``, ``parent`` and ``dist2``.  Every
-    array is read-only.
+    The constructor walks the tree once, depth first from node 0, and
+    keeps the preorder as ``order`` and, per node, ``parent`` and the
+    doubled distance ``dist2`` from node 0; no other code walks the tree.
+    Every array is read-only.
     """
 
     __slots__ = (
@@ -317,23 +323,17 @@ class BlockCutTree:
         self.weight2 = np.append(sizes - 1, np.zeros(len(cuts), dtype=sizes.dtype))
         self.anchor = anchor
         self.half2 = self.weight2[anchor]
-        for a in (self.indptr, self.indices, self.weight2, self.anchor, self.half2):
-            a.flags.writeable = False
-        self.order, self.parent, self.dist2 = self.sweep(0)
 
-    def sweep(self, root: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Depth-first preorder, parents and doubled distances of the nodes from root.
-
-        Nodes are marked when pushed, so the walk also ends on a cyclic
-        structure; nodes it does not reach are left out of the order and
-        keep parent -1 and distance -1.  The arrays are read-only.
-        """
+        # The tree's one walk: a depth-first preorder from node 0 with parents
+        # and doubled distances.  Nodes are marked when pushed, so the walk
+        # also ends on a cyclic structure; nodes it does not reach are left
+        # out of the order and keep parent -1 and distance -1.
         ptr, nbr, weight2 = self.indptr.tolist(), self.indices.tolist(), self.weight2.tolist()
         parent = [-1] * self.node_count
         dist2 = [-1] * self.node_count
-        dist2[root] = 0
+        dist2[0] = 0
         order = []
-        stack = [root]
+        stack = [0]
         while stack:
             x = stack.pop()
             order.append(x)
@@ -343,38 +343,22 @@ class BlockCutTree:
                     parent[y] = x
                     dist2[y] = dx + weight2[y]
                     stack.append(y)
-        out = (np.array(order, dtype=np.intp), np.array(parent, dtype=np.intp), np.array(dist2))
-        for a in out:
+        self.order = np.array(order, dtype=np.intp)
+        self.parent = np.array(parent, dtype=np.intp)
+        self.dist2 = np.array(dist2)
+        for a in (self.indptr, self.indices, self.weight2, self.anchor, self.half2, self.order,
+                  self.parent, self.dist2):
             a.flags.writeable = False
-        return out
 
     def neighbours(self, x: int) -> np.ndarray:
         """The neighbours of node x, ascending."""
         return self.indices[self.indptr[x] : self.indptr[x + 1]]
 
-    def node_path(self, a: int, b: int) -> list[int]:
-        """Tree nodes from a to b inclusive."""
-        left: list[int] = []
-        right: list[int] = []
-        dist2, parent = self.dist2, self.parent
-        # of two distinct nodes, one at least as far from the root is not
-        # an ancestor of the other, so its parent is still on the path
-        while a != b:
-            if dist2.item(a) >= dist2.item(b):
-                left.append(a)
-                a = parent.item(a)
-            else:
-                right.append(b)
-                b = parent.item(b)
-        return left + [a] + right[::-1]
-
 
 def check_vertices(g: BlockGraph, *ids: int) -> None:
     """Raise InvalidSpecError naming the first id that is not a vertex of g."""
     for v in ids:
-        if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-            raise InvalidSpecError(f"vertex id {v!r} is not an integer")
-        if not 0 <= v < g.p:
+        if not 0 <= check_integer(v, "vertex id") < g.p:
             raise InvalidSpecError(f"vertex id {v} is outside 0..{g.p - 1}")
 
 
@@ -390,20 +374,6 @@ def block_index(g: BlockGraph, vertices: Sequence[int]) -> int:
     if hit.size and members[starts[hit[0]] : starts[hit[0] + 1]].tolist() == list(vertices):
         return int(hit[0])
     return -1
-
-
-def blocks_on_path(g: BlockGraph, u: int, v: int) -> list[int]:
-    """Block indices every u-v path traverses, in order from u to v.
-
-    Consecutive blocks share exactly one cut vertex; u lies in the first
-    block, v in the last.
-    """
-    check_vertices(g, u, v)
-    if u == v:
-        raise SameVertexError(f"path query needs distinct endpoints, got {u} twice")
-    bct = g.block_cut_tree()
-    nodes = bct.node_path(int(bct.anchor[u]), int(bct.anchor[v]))
-    return [x for x in nodes if x < bct.block_count]
 
 
 # -- serialization ----------------------------------------------------------

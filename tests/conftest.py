@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import random
 from collections import deque
 
 import pytest
 
 from hamcolor import (
+    BlockGraph,
     SymmetricSpec,
     detour_profile,
     gen_random_block_graph,
@@ -54,6 +56,13 @@ def grid_instances():
     return out
 
 
+def relabeled(g, seed: int) -> BlockGraph:
+    """g with its vertex ids permuted by a seeded shuffle."""
+    perm = list(range(g.p))
+    random.Random(seed).shuffle(perm)
+    return BlockGraph(g.p, [[perm[v] for v in b] for b in g.blocks])
+
+
 def vertex_blocks(g) -> list[tuple[int, ...]]:
     """Each vertex's block ids, ascending, read from ``g.blocks`` alone."""
     out: list[list[int]] = [[] for _ in range(g.p)]
@@ -61,6 +70,35 @@ def vertex_blocks(g) -> list[tuple[int, ...]]:
         for v in b:
             out[v].append(bi)
     return list(map(tuple, out))
+
+
+def block_paths(g, source: int) -> list[list[int]]:
+    """Per vertex v, the ids of the blocks every source-v path traverses, in order
+    from source, and [] for source itself.
+
+    A breadth-first search over the vertex/block incidence graph, a tree on
+    a block graph, read from ``g.blocks`` alone.
+    """
+    incidence = vertex_blocks(g)
+    paths: list = [None] * g.p
+    paths[source] = []
+    seen: set[int] = set()
+    queue = deque([source])
+    while queue:
+        x = queue.popleft()
+        for bi in incidence[x]:
+            if bi not in seen:
+                seen.add(bi)
+                for y in g.blocks[bi]:
+                    if paths[y] is None:
+                        paths[y] = paths[x] + [bi]
+                        queue.append(y)
+    return paths
+
+
+def blocks_on_path(g, u: int, v: int) -> list[int]:
+    """The ids of the blocks every u-v path traverses, in order from u to v."""
+    return block_paths(g, u)[v]
 
 
 def cut_vertices(g) -> set[int]:

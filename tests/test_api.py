@@ -20,7 +20,6 @@ PUBLIC = {
     "SearchBudget",
     "SymmetricCoordinates",
     "SymmetricSpec",
-    "blocks_on_path",
     "branch_relation",
     "brute_longest_path",
     "check_ordering_conditions",
@@ -103,6 +102,16 @@ def test_block_graph_surface_is_pinned() -> None:
     g = hamcolor.gen_path(3)
     assert {name for name in dir(g) if not name.startswith("_")} == {
         "p", "blocks", "meta", "block_cut_tree",
+    }
+
+
+def test_block_cut_tree_surface_is_pinned() -> None:
+    # the constructor's walk from node 0 is the tree's one walk: no re-rooted
+    # sweep and no path walk beside it
+    bct = hamcolor.gen_path(3).block_cut_tree()
+    assert {name for name in dir(bct) if not name.startswith("_")} == {
+        "block_count", "cut_list", "node_count", "indptr", "indices", "weight2", "anchor",
+        "half2", "order", "parent", "dist2", "neighbours",
     }
 
 

@@ -35,7 +35,7 @@ from hamcolor import (
     to_json,
     validate_coloring,
 )
-from conftest import grid_specs
+from conftest import grid_specs, relabeled
 
 
 def sym_instance(m: int, kappa: int, d: int):
@@ -252,6 +252,16 @@ def test_color_graph_traced_peak_on_a_symmetric_graph() -> None:
         tracemalloc.stop()
     assert result.method == "symmetric" and result.coloring.span == result.bound
     assert peak < 900_000
+
+
+def test_symmetric_coloring_builds_no_tree_metric() -> None:
+    # the profile reads the block-cut tree's preorder itself, so the
+    # symmetric path never pays for the metric's sparse table
+    for spec, seed in (((4, 2, 5), 1), ((3, 3, 4), 2), ((5, 5, 6), 3)):
+        g = relabeled(gen_symmetric(SymmetricSpec(*spec))[0], seed)
+        result = color_graph(g)
+        assert result.method == "symmetric" and result.coloring.span == result.bound
+        assert g._metric is None
 
 
 def union_coloring(n: int, k: int) -> HamColoring:

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import re
+import sys
+import tracemalloc
 from collections import deque
 from itertools import combinations
 
 import numpy as np
 import pytest
-from conftest import cut_vertices, neighbours, vertex_blocks
+from conftest import block_paths, cut_vertices, neighbours, relabeled, vertex_blocks
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,8 +16,8 @@ from hamcolor import (
     BlockGraph,
     DetourProfile,
     InvalidSpecError,
+    SameVertexError,
     SymmetricSpec,
-    blocks_on_path,
     branch_relation,
     brute_longest_path,
     detour_distance,
@@ -55,9 +57,7 @@ def branch_relation_of(g, u: int, v: int) -> str:
     return branch_relation(g, detour_profile(g), u, v)
 
 
-@pytest.mark.parametrize(
-    "query", [detour_distance, blocks_on_path, brute_longest_path, branch_relation_of]
-)
+@pytest.mark.parametrize("query", [detour_distance, brute_longest_path, branch_relation_of])
 @pytest.mark.parametrize("bad", [-1, 5, 10**12])
 def test_out_of_range_vertex_ids_are_rejected(query, bad: int) -> None:
     # indexing would wrap -1 to the last vertex and fail on 5 with a bare
@@ -67,12 +67,9 @@ def test_out_of_range_vertex_ids_are_rejected(query, bad: int) -> None:
         with pytest.raises(InvalidSpecError, match=f"vertex id {bad} "):
             query(g, u, v)
     assert detour_distance(g, 4, 0) == 4 and detour_distance(g, 2, 2) == 0
-    assert blocks_on_path(g, 4, 0) == [3, 2, 1, 0]
 
 
-@pytest.mark.parametrize(
-    "query", [detour_distance, blocks_on_path, brute_longest_path, branch_relation_of]
-)
+@pytest.mark.parametrize("query", [detour_distance, brute_longest_path, branch_relation_of])
 def test_non_integer_vertex_ids_are_rejected(query) -> None:
     # a float raised a bare TypeError or IndexError, or brute_longest_path
     # answered as if it were the integer it equals
@@ -169,12 +166,13 @@ def _reference_profile(g) -> DetourProfile:
     ecc = d.max(axis=1)
     center = tuple(v for v in range(g.p) if ecc[v] == ecc.min())
     level = d[:, center].min(axis=1)
+    paths = {w: block_paths(g, w) for w in center}
     owner = [-1] * g.p
     owner_block = [-1] * g.p
     for v in range(g.p):
         if v not in center:
             (owner[v],) = (w for w in center if d[w, v] == level[v])
-            owner_block[v] = blocks_on_path(g, owner[v], v)[0]
+            owner_block[v] = paths[owner[v]][v][0]
     omega = len(center)
     xi = min(len(g.blocks[b]) - 1 for b in vertex_blocks(g)[center[0]]) if omega == 1 else 0
     return DetourProfile(
@@ -193,6 +191,7 @@ def test_profile_matches_reference_and_center_is_a_cut_vertex_or_a_block() -> No
     graphs = [
         gen_random_block_graph(seed, 14, *shapes[seed % len(shapes)]) for seed in range(3000)
     ]
+    graphs += [gen_random_block_graph(seed, 200, *shapes[seed % len(shapes)]) for seed in range(60)]
     graphs += [BlockGraph(n, [range(n)]) for n in range(2, 7)]
     graphs += [gen_path(n) for n in range(2, 10)] + [gen_star(n) for n in range(2, 7)]
     graphs += [gen_union(n, k) for n in range(2, 5) for k in range(2, 5)]
@@ -200,13 +199,48 @@ def test_profile_matches_reference_and_center_is_a_cut_vertex_or_a_block() -> No
         gen_symmetric(SymmetricSpec(*spec))[0]
         for spec in ((4, 2, 4), (4, 2, 5), (3, 2, 3), (3, 3, 3), (2, 3, 4))
     ]
+    # K_m with a pendant edge at every vertex: the center is the whole K_m
+    graphs += [BlockGraph(2 * m, [range(m)] + [[v, m + v] for v in range(m)]) for m in range(2, 30)]
+    graphs += [relabeled(g, seed) for seed, g in enumerate(graphs[::7])]
+    # the center block below block node 0, and a central cut vertex outside block 0
+    lifted_block = lifted_cut = 0
     for g in graphs:
         profile = detour_profile(g)
         assert profile == _reference_profile(g), g
         if profile.omega == 1:
             assert profile.center[0] in cut_vertices(g)
+            lifted_cut += profile.center[0] not in g.blocks[0]
         else:
             assert profile.center in (g.blocks[b] for b in vertex_blocks(g)[profile.center[0]])
+            lifted_block += profile.center != g.blocks[0]
+    assert lifted_block >= 200 and lifted_cut >= 200, (lifted_block, lifted_cut)
+
+
+def _traced(g) -> tuple[DetourProfile, int, int]:
+    """The profile of a fresh graph, with the bytes it kept and its peak."""
+    tracemalloc.start()
+    try:
+        profile = detour_profile(g)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return profile, retained, peak
+
+
+def test_profile_memory_is_a_few_rows_of_shared_ints() -> None:
+    detour_profile(gen_path(9))
+    detour_profile(gen_path(10))  # numpy's first-call caches stay out of the counts
+    # Built by Python walks of the tree with per-node lists, the profile
+    # peaked at 579,705 and 8,635,100 bytes on these graphs and kept 132,457
+    # on the first; the bounds sit between those and what it takes now.
+    sym = relabeled(gen_symmetric(SymmetricSpec(5, 5, 6))[0], 1)
+    profile, retained, peak = _traced(sym)
+    assert sym.p == 5461 and peak < 530_000, peak
+    # what it keeps is its three tuples; the vertices of a branch share one
+    # int object for their owner and one for their first block
+    assert retained < 3 * sys.getsizeof(profile.level) + 1_100, retained
+    assert len(set(map(id, profile.owner_block))) <= len(set(profile.owner_block))
+    assert _traced(gen_path(20_000))[2] < 7_500_000
 
 
 def test_xi_values() -> None:
@@ -253,6 +287,12 @@ def test_branch_relations_union() -> None:
     assert branch_relation(g, profile, 1, 4) == "different"
     assert branch_relation(g, profile, 1, 2) == "same"
     assert branch_relation(g, profile, 0, 5) == "involves_central"
+
+
+def test_branch_relation_needs_distinct_vertices() -> None:
+    g = gen_path(4)
+    with pytest.raises(SameVertexError):
+        branch_relation(g, detour_profile(g), 2, 2)
 
 
 def test_branch_relations_odd_symmetric() -> None:

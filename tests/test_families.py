@@ -1,10 +1,11 @@
 from __future__ import annotations
 
 import random
+import re
 
 import numpy as np
 import pytest
-from conftest import cut_vertices, grid_specs, hop_diameter, vertex_blocks
+from conftest import cut_vertices, grid_specs, hop_diameter, relabeled, vertex_blocks
 
 import hamcolor.families
 from hamcolor import (
@@ -20,9 +21,13 @@ from hamcolor import (
     gen_star,
     gen_symmetric,
     gen_union,
+    path_hc,
+    phi,
+    star_hc,
     sym_ordering,
     symmetric_coordinates,
     to_json,
+    union_hc,
 )
 
 
@@ -161,6 +166,37 @@ def test_random_generator_rejects_blocks_below_two_vertices() -> None:
     for size in (1, 0, -3):
         with pytest.raises(InvalidSpecError, match=f"^max_block_size must be >= 2, got {size}$"):
             gen_random_block_graph(1, max_p=10, max_block_size=size)
+
+
+def test_sizes_must_be_integers() -> None:
+    # floats raised a bare TypeError or ValueError or were taken as sizes:
+    # path_hc(5.0) returned 6.0 and star_hc(2.5) 2.25, SymmetricSpec(3, 2, 4.5)
+    # was accepted, and gen_path(True) reported "got True"
+    cases = [
+        (gen_path, (3.0,), "vertex count 3.0"),
+        (gen_path, (True,), "vertex count True"),
+        (gen_star, (2.5,), "leaf count 2.5"),
+        (gen_union, (3.0, 2), "block size 3.0"),
+        (gen_union, (3, 2.0), "copy count 2.0"),
+        (SymmetricSpec, (3.0, 2, 4), "block size 3.0"),
+        (SymmetricSpec, (3, True, 4), "cut degree True"),
+        (SymmetricSpec, (3, 2, 4.5), "diameter 4.5"),
+        (gen_random_block_graph, (1, 10.5), "max_p 10.5"),
+        (gen_random_block_graph, (1, 10, 3.0), "max_block_size 3.0"),
+        (gen_random_block_graph, (1, 10, 3, "3"), "max_blocks_per_cut '3'"),
+        (path_hc, (5.0,), "vertex count 5.0"),
+        (star_hc, (2.5,), "leaf count 2.5"),
+        (union_hc, (3, 2.0), "copy count 2.0"),
+        (phi, (2, 2.0), "x 2.0"),
+    ]
+    for call, args, what in cases:
+        with pytest.raises(InvalidSpecError, match=f"^{re.escape(what)} is not an integer$"):
+            call(*args)
+    # numpy integers are integers, kept as Python ints
+    spec = SymmetricSpec(np.int64(3), np.int32(2), np.uint8(4))
+    assert spec == SymmetricSpec(3, 2, 4) and type(spec.diameter) is int
+    assert to_json(gen_path(np.int64(3))) == to_json(gen_path(3))
+    assert path_hc(np.int16(7)) == path_hc(7) and type(star_hc(np.int8(4))) is int
 
 
 def test_random_generator_is_deterministic() -> None:
@@ -334,20 +370,14 @@ def _reference_recurrence(g, profile, order):
     return tuple(colors)
 
 
-def _relabeled(g, seed: int) -> BlockGraph:
-    perm = list(range(g.p))
-    random.Random(seed).shuffle(perm)
-    return BlockGraph(g.p, [[perm[v] for v in b] for b in g.blocks])
-
-
 def test_array_symmetric_layer_matches_loop_reference(corpus) -> None:
     graphs = list(corpus)
     for spec in grid_specs():
         g, _ = gen_symmetric(spec)
-        graphs += [g] + [_relabeled(g, seed) for seed in range(3)]
+        graphs += [g] + [relabeled(g, seed) for seed in range(3)]
     graphs += [gen_path(n) for n in range(2, 16)] + [gen_star(n) for n in range(2, 12)]
     graphs += [gen_union(n, k) for n in range(2, 6) for k in range(2, 5)]
-    graphs += [_relabeled(gen_union(4, 3), 1), _relabeled(gen_path(9), 2)]
+    graphs += [relabeled(gen_union(4, 3), 1), relabeled(gen_path(9), 2)]
     accepted = 0
     for g in graphs:
         profile = detour_profile(g)

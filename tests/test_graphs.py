@@ -22,9 +22,7 @@ from hamcolor import (
     HamcolorError,
     InvalidSpecError,
     OverlappingBlocksError,
-    SameVertexError,
     SymmetricSpec,
-    blocks_on_path,
     detour_profile,
     from_json,
     gen_path,
@@ -451,34 +449,6 @@ def test_block_cut_tree_shapes() -> None:
 
     k5 = BlockGraph(5, [range(5)]).block_cut_tree()
     assert k5.block_count == 1 and not k5.cut_list
-
-
-def test_blocks_on_path_union() -> None:
-    g = gen_union(4, 2)
-    across = blocks_on_path(g, 1, 4)
-    assert len(across) == 2
-    assert 1 in g.blocks[across[0]] and 4 in g.blocks[across[1]]
-    assert blocks_on_path(g, 1, 2) == [0]
-
-
-def test_blocks_on_path_chain() -> None:
-    g = gen_path(4)
-    path = blocks_on_path(g, 0, 3)
-    assert [g.blocks[b] for b in path] == [(0, 1), (1, 2), (2, 3)]
-
-
-def test_blocks_on_path_same_vertex_rejected() -> None:
-    with pytest.raises(SameVertexError):
-        blocks_on_path(gen_path(4), 2, 2)
-
-
-@given(st.integers(0, 10_000))
-@settings(max_examples=60)
-def test_blocks_on_path_reverses(seed: int) -> None:
-    g = gen_random_block_graph(seed, max_p=8)
-    for u in range(g.p):
-        for v in range(u + 1, g.p):
-            assert blocks_on_path(g, u, v) == blocks_on_path(g, v, u)[::-1]
 
 
 @given(st.integers(0, 10_000))

@@ -7,14 +7,13 @@ import random
 import tracemalloc
 
 import numpy as np
-from conftest import cut_vertices
+from conftest import block_paths, blocks_on_path, cut_vertices
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hamcolor import (
     BlockGraph,
     SymmetricSpec,
-    blocks_on_path,
     branch_relation,
     brute_longest_path,
     color_graph,
@@ -38,8 +37,9 @@ def _all_pairs_violations(g, colors) -> list[tuple[int, int, int]]:
     """Reference checker: every pair, distances from the block path."""
     out = []
     for u in range(g.p):
+        paths = block_paths(g, u)
         for v in range(u + 1, g.p):
-            d = sum(len(g.blocks[bi]) - 1 for bi in blocks_on_path(g, u, v))
+            d = sum(len(g.blocks[bi]) - 1 for bi in paths[v])
             deficit = g.p - 1 - d - abs(colors[u] - colors[v])
             if deficit > 0:
                 out.append((u, v, deficit))
