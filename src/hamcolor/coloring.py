@@ -137,13 +137,16 @@ def coloring_from_ordering(
     clamping, so an unusable ordering cannot masquerade as a coloring.
     """
     order = _as_permutation(g.p, ordering)
-    level = np.asarray(profile.level)[order]
-    gaps = g.p - profile.omega - level[:-1] - level[1:]
+    level = np.fromiter(profile.level, dtype=np.int64, count=g.p)[order]
+    gaps = level[:-1] + level[1:]
+    del level
+    np.subtract(g.p - profile.omega, gaps, out=gaps)
     negative = np.flatnonzero(gaps < 0)
     if len(negative):
         raise NegativeGapError(int(negative[0]), int(gaps[negative[0]]))
     colors = np.zeros(g.p, dtype=np.int64)
-    colors[order[1:]] = np.cumsum(gaps)
+    colors[order[1:]] = np.cumsum(gaps, out=gaps)
+    del gaps
     return HamColoring(tuple(colors.tolist()))
 
 
@@ -347,8 +350,8 @@ def validate_coloring(g: BlockGraph, colors: Sequence[int]) -> Violations:
     return Violations(count, head, partial(_all_rows, g, c))
 
 
-def sym_ordering(g: BlockGraph, coords: SymmetricCoordinates) -> list[int]:
-    """The bound-achieving ordering of a symmetric block graph.
+def sym_ordering(g: BlockGraph, coords: SymmetricCoordinates) -> np.ndarray:
+    """The bound-achieving ordering of a symmetric block graph, as a read-only intp array.
 
     Every branch's descendants are renamed 1..S, deepest depth group
     first and child tuples in radix order with the first index least
@@ -358,8 +361,9 @@ def sym_ordering(g: BlockGraph, coords: SymmetricCoordinates) -> list[int]:
     remaining central vertices (odd).  At diameter 2 there are no
     descendants, so the ordering is the hub followed by the depth-1 list.
 
-    The middle part is one sort of the descendants by the slot
-    (s - 1) * streams + (branch - 1), which must fill the slots one to one.
+    The middle part is one scatter of the descendants to the slots
+    (s - 1) * streams + branch, which must fill the slots one to one; it
+    reads a slice of vertices at a time, so it holds no other p-sized array.
     """
     spec = coords.spec
     if coords.parity == "even":
@@ -368,12 +372,21 @@ def sym_ordering(g: BlockGraph, coords: SymmetricCoordinates) -> list[int]:
     else:
         head, tail = coords.roots[-1], coords.roots[:-1]
         streams = spec.n + 1
-    descendants = np.flatnonzero(coords.rename)
-    slot = (coords.rename[descendants] - 1) * streams + coords.branch[descendants] - 1
-    by_slot = np.argsort(slot)
-    if not np.array_equal(slot[by_slot], np.arange(g.p - 1 - len(tail))):
+    count = g.p - 1 - len(tail)
+    ordering = np.full(g.p, -1, dtype=np.intp)
+    ordering[0], ordering[count + 1 :] = head, tail
+    fits = np.count_nonzero(coords.rename) == count
+    step = 1 << 12
+    for start in range(0, g.p, step):
+        descendants = start + np.flatnonzero(coords.rename[start : start + step])
+        slot = (coords.rename[descendants] - 1) * streams + coords.branch[descendants]
+        fits = fits and ((slot >= 1) & (slot <= count)).all()
+        if fits:
+            ordering[slot] = descendants
+    if not fits or (ordering < 0).any():
         raise AssertionError("renaming does not fill the stream slots one to one")
-    return [head, *descendants[by_slot].tolist(), *tail]
+    ordering.flags.writeable = False
+    return ordering
 
 
 def greedy_ordering(g: BlockGraph, profile: DetourProfile) -> list[int]:
@@ -409,17 +422,18 @@ def greedy_ordering(g: BlockGraph, profile: DetourProfile) -> list[int]:
     return order
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ColorResult:
     """A coloring from :func:`color_graph`, with what it was built from.
 
     ``method`` is "symmetric", "union" or "greedy"; ``ordering`` is the
-    vertex ordering the coloring follows; ``bound`` is the general lower
-    bound computed from ``profile``.
+    vertex ordering the coloring follows, a read-only intp array; ``bound``
+    is the general lower bound computed from ``profile``.  Results compare
+    by identity.
     """
 
     method: str
-    ordering: tuple[int, ...]
+    ordering: np.ndarray
     coloring: HamColoring
     profile: DetourProfile
     bound: int
@@ -464,11 +478,12 @@ def color_graph(g: BlockGraph) -> ColorResult:
         method = "symmetric" if spec.diameter >= 3 else "union"
         forced = method == "union" and spec.cut_degree == 2
     else:
-        ordering = greedy_ordering(g, profile)
+        ordering = np.array(greedy_ordering(g, profile), dtype=np.intp)
+        ordering.flags.writeable = False
         method = "greedy"
         forced = True
     if forced:
         coloring = greedy_min_coloring_for_ordering(g, ordering)
     else:
         coloring = coloring_from_ordering(g, profile, ordering)
-    return ColorResult(method, tuple(ordering), coloring, profile, lower_bound(g, profile))
+    return ColorResult(method, ordering, coloring, profile, lower_bound(g, profile))

@@ -122,6 +122,7 @@ def symmetric_coordinates(g: BlockGraph) -> SymmetricCoordinates:
     degree = np.bincount(members.ravel(), minlength=g.p)
     is_cut = degree >= 2
     degrees = set(degree[is_cut].tolist())
+    del degree
     if len(degrees) != 1:
         raise NotSymmetricError(f"cut vertices have mixed block degrees {sorted(degrees)}")
     kappa = degrees.pop()
@@ -152,12 +153,14 @@ def symmetric_coordinates(g: BlockGraph) -> SymmetricCoordinates:
         raise NotSymmetricError("end vertices sit at unequal depths")
     if r > 0 and (depth[is_cut] == r).any():
         raise NotSymmetricError("a cut vertex sits at the outermost depth")
+    del is_cut
 
     # members[b, col[b]] is block b's parent; the other columns hold its children
     rise = depth[members] - depth[members].min(axis=1, keepdims=True)
     if not ((rise <= 1).all() and (rise.sum(axis=1) == n).all()):
         raise NotSymmetricError("block layers overlap")
     col = rise.argmin(axis=1)
+    del rise
     up = members[np.arange(len(members)), col]
     by_parent = np.argsort(up, kind="stable")
     block_rank = np.empty_like(by_parent)
@@ -166,19 +169,21 @@ def symmetric_coordinates(g: BlockGraph) -> SymmetricCoordinates:
     # a child's rank among its block's non-parent members; their columns skip col
     member_rank = np.arange(n)[None, :]
     kids = np.take_along_axis(members, member_rank + (member_rank >= col[:, None]), axis=1)
+    del members
     parent = np.full(g.p, -1)
     index = np.full(g.p, -1)
     parent[kids] = up[:, None]
     index[kids] = member_rank * width[:, None] + block_rank[:, None]
+    del kids
 
-    # lam[v] counts the blocks between v and its stream's root.  Each v below
-    # that root adds the digit index[v] at place x**(lam[v] - 1) to its
-    # renamed number, so the first index is the least significant.
+    # Stream roots sit at depth lift.  Each v below its stream's root adds the
+    # digit index[v] at place x**(depth[v] - lift - 1) to its renamed number,
+    # so the first index is the least significant.
     x = (kappa - 1) * n
-    lam = depth - 1 if parity == "even" else depth
-    longest = max(r - 1 if parity == "even" else r, 0)
-    stream_root = lam <= 0
-    total = np.where(stream_root, 0, index * x ** np.maximum(lam - 1, 0))
+    lift = 1 if parity == "even" else 0
+    longest = max(r - lift, 0)
+    stream_root = depth <= lift
+    total = np.where(stream_root, 0, index * x ** np.maximum(depth - (lift + 1), 0))
     up_to = np.where(stream_root, np.arange(g.p), parent)
     for _ in range(longest.bit_length()):
         total += total[up_to]
@@ -186,15 +191,18 @@ def symmetric_coordinates(g: BlockGraph) -> SymmetricCoordinates:
     if parity == "even":
         top = np.flatnonzero(parent == roots[0])
         top_list = tuple(top[np.argsort(index[top])].tolist())
-        stream = np.where(depth == 1, index + 1, 0)
+        branch = index[up_to]  # a depth-1 root's index, and -1 at the center
     else:
         top_list = roots
-        stream = np.zeros(g.p, dtype=np.intp)
-        stream[list(roots)] = np.arange(1, m + 1)
-    # deeper groups come first: offset[lam] counts a stream's descendants deeper than lam
+        branch = np.searchsorted(roots, up_to)
+    branch += 1
+    del up_to
+    # deeper groups come first: at depth d the numbers start after the
+    # stream's descendants below d, which ahead[d] - 1 counts
     powers = x ** np.arange(longest + 1)
-    offset = np.append(np.cumsum(powers[::-1])[::-1][1:], 0)
-    rename = np.where(stream_root, 0, 1 + total + offset[np.maximum(lam, 0)])
+    ahead = np.pad(np.cumsum(powers[::-1])[::-1][1:], (lift, 1)) + 1
+    total += ahead[depth]  # the renamed numbers, in place
+    total[stream_root] = 0
 
     d = 2 * r if parity == "even" else 2 * r + 1
     return SymmetricCoordinates(
@@ -203,60 +211,59 @@ def symmetric_coordinates(g: BlockGraph) -> SymmetricCoordinates:
         roots=roots,
         top_list=top_list,
         depth=depth,
-        branch=stream[up_to],
+        branch=branch,
         parent=parent,
         index=index,
-        rename=rename,
+        rename=total,
     )
 
 
 def gen_symmetric(spec: SymmetricSpec) -> tuple[BlockGraph, SymmetricCoordinates]:
-    """Build the symmetric block graph for spec plus its coordinates."""
+    """Build the symmetric block graph for spec plus its coordinates.
+
+    The (blocks x m) member array is written in closed form: a branch with P
+    parents takes the kn * P ids from its base; its parents are its root and
+    then ``base .. base + P - 2``, and parent t's child block j holds ``base +
+    t*k*n + j + k*i`` for i < n.  Rows ascend, so sorting them by their first
+    two members makes the array canonical.
+    """
     m, kappa, d = spec.block_size, spec.cut_degree, spec.diameter
     n, k, r = spec.n, spec.k, spec.r
-    blocks: list[list[int]] = []
-
-    def grow_branch(root: int, start_depth: int, next_id: int) -> int:
-        current = [root]
-        for _ in range(start_depth, r + 1):
-            nxt: list[int] = []
-            for par in current:
-                child_blocks: list[list[int]] = [[par] for _ in range(k)]
-                for i in range(k * n):
-                    child_blocks[i % k].append(next_id)
-                    nxt.append(next_id)
-                    next_id += 1
-                blocks.extend(child_blocks)
-            current = nxt
-        return next_id
-
+    kn = k * n
     if d % 2 == 0:
-        top_blocks: list[list[int]] = [[0] for _ in range(kappa)]
-        next_id = 1
-        depth1: list[int] = []
-        for t in range(kappa * n):
-            top_blocks[t % kappa].append(next_id)
-            depth1.append(next_id)
-            next_id += 1
-        blocks.extend(top_blocks)
-        for root in depth1:
-            next_id = grow_branch(root, 2, next_id)
+        head = np.zeros((kappa, m), dtype=np.intp)  # the hub's blocks, round robin
+        head[:, 1:] = 1 + np.arange(kappa)[:, None] + kappa * np.arange(n)
+        roots, levels = np.arange(1, kappa * n + 1), r - 1
     else:
-        blocks.append(list(range(m)))
-        next_id = m
-        for c in range(m):
-            next_id = grow_branch(c, 1, next_id)
-
-    g = BlockGraph(
-        next_id,
-        blocks,
-        meta={"family": "symmetric", "block_size": m, "cut_degree": kappa, "diameter": d},
-    )
-    blocks.clear()  # the graph holds its own arrays; free the lists before the check
+        head = np.arange(m)[None, :]  # the central block
+        roots, levels = np.arange(m), r
+    parents = sum(kn**level for level in range(levels))  # P, per branch
+    first = int(head.max()) + 1  # the first branch's base
+    base = first + kn * parents * np.arange(len(roots))
+    p = first + kn * parents * len(roots)
+    branch = np.empty((len(roots), parents, k, m), dtype=np.intp)
+    t, j, i = kn * np.arange(parents)[:, None, None], np.arange(k)[:, None], k * np.arange(n)
+    branch[..., 1:] = base[:, None, None, None] + (t + j + i)
+    up = base[:, None] + np.arange(-1, parents - 1)
+    up[:, :1] = roots[:, None]
+    branch[..., 0] = up[:, :, None]
+    rows = np.concatenate((head, branch.reshape(-1, m)))
+    del branch
+    rows = rows[np.argsort(rows[:, 0] * p + rows[:, 1], kind="stable")]
+    meta = {"family": "symmetric", "block_size": m, "cut_degree": kappa, "diameter": d}
+    g = BlockGraph._from_members(p, rows.ravel(), np.arange(0, rows.size + 1, m), meta)
     coords = symmetric_coordinates(g)
     if coords.spec != spec:
         raise AssertionError(f"generator produced {coords.spec}, wanted {spec}")
     return g, coords
+
+
+def _pairs(p: int, firsts: np.ndarray, meta: dict) -> BlockGraph:
+    """The graph whose blocks are the edges {firsts[i], i + 1}, each first below its second."""
+    members = np.empty((p - 1, 2), dtype=np.intp)
+    members[:, 0] = firsts
+    members[:, 1] = np.arange(1, p)
+    return BlockGraph._from_members(p, members.ravel(), np.arange(0, 2 * p - 1, 2), meta)
 
 
 def gen_union(n: int, k: int) -> BlockGraph:
@@ -264,12 +271,12 @@ def gen_union(n: int, k: int) -> BlockGraph:
     n, k = check_integer(n, "block size"), check_integer(k, "copy count")
     if n < 2 or k < 2:
         raise InvalidSpecError(f"union needs block size >= 2 and >= 2 copies, got ({n}, {k})")
-    blocks = []
-    nxt = 1
-    for _ in range(k):
-        blocks.append([0] + list(range(nxt, nxt + n - 1)))
-        nxt += n - 1
-    return BlockGraph(nxt, blocks, meta={"family": "union", "n": n, "k": k})
+    p = 1 + k * (n - 1)
+    members = np.zeros((k, n), dtype=np.intp)
+    members[:, 1:] = np.arange(1, p).reshape(k, n - 1)
+    return BlockGraph._from_members(
+        p, members.ravel(), np.arange(0, k * n + 1, n), {"family": "union", "n": n, "k": k}
+    )
 
 
 def gen_path(p: int) -> BlockGraph:
@@ -277,9 +284,7 @@ def gen_path(p: int) -> BlockGraph:
     p = check_integer(p, "vertex count")
     if p < 2:
         raise InvalidSpecError(f"a path needs >= 2 vertices, got {p}")
-    return BlockGraph(
-        p, [[i, i + 1] for i in range(p - 1)], meta={"family": "path", "p": p}
-    )
+    return _pairs(p, np.arange(p - 1), {"family": "path", "p": p})
 
 
 def gen_star(leaves: int) -> BlockGraph:
@@ -287,11 +292,7 @@ def gen_star(leaves: int) -> BlockGraph:
     leaves = check_integer(leaves, "leaf count")
     if leaves < 2:
         raise InvalidSpecError(f"a star needs >= 2 leaves, got {leaves}")
-    return BlockGraph(
-        leaves + 1,
-        [[0, i] for i in range(1, leaves + 1)],
-        meta={"family": "star", "leaves": leaves},
-    )
+    return _pairs(leaves + 1, 0, {"family": "star", "leaves": leaves})
 
 
 def gen_random_block_graph(

@@ -10,6 +10,7 @@ threads.
 from __future__ import annotations
 
 import json
+from functools import partial
 from itertools import chain, combinations, pairwise
 from typing import Iterable, NoReturn, Sequence
 
@@ -125,9 +126,9 @@ def _reject(p: int, raw: Sequence[Sequence[int]]) -> NoReturn:
 
 
 def _split(members: np.ndarray, starts: np.ndarray) -> list[list[int]]:
-    """The blocks as lists of Python ints."""
-    flat = members.tolist()
-    return [flat[s:e] for s, e in pairwise(starts.tolist())]
+    """The blocks from starts[0] to starts[-1] as lists of Python ints."""
+    flat = members[starts[0] : starts[-1]].tolist()
+    return [flat[s:e] for s, e in pairwise((starts - starts[0]).tolist())]
 
 
 def _overlapping_pair(sizes: np.ndarray, bct: BlockCutTree) -> tuple[int, int] | None:
@@ -301,8 +302,9 @@ class BlockCutTree:
     def __init__(self, members: np.ndarray, starts: np.ndarray, degree: np.ndarray):
         sizes = np.diff(starts)
         b = len(sizes)
+        owner = np.repeat(np.arange(b), sizes)  # the block of each member
         # Block ids grouped by vertex, ascending within each vertex.
-        block_of = np.repeat(np.arange(b), sizes)[np.argsort(members, kind="stable")]
+        block_of = owner[np.argsort(members, kind="stable")]
         cuts = np.flatnonzero(degree >= 2)
         # A non-cut vertex is anchored at its one block, a cut vertex at its
         # own tree node; cut nodes follow the blocks in ascending id order.
@@ -312,9 +314,10 @@ class BlockCutTree:
         # are its group of block_of.
         node = anchor[members]
         is_cut = node >= b
-        cut_members = np.bincount(np.repeat(np.arange(b), sizes)[is_cut], minlength=b)
-        rows = np.append(cut_members, degree[cuts])
+        rows = np.append(np.bincount(owner[is_cut], minlength=b), degree[cuts])
+        del owner
         self.indices = np.append(node[is_cut], block_of[np.repeat(degree >= 2, degree)])
+        del block_of, node, is_cut
         self.indptr = np.append(0, np.cumsum(rows))
 
         self.block_count = b
@@ -379,11 +382,20 @@ def block_index(g: BlockGraph, vertices: Sequence[int]) -> int:
 # -- serialization ----------------------------------------------------------
 
 def to_json(g: BlockGraph) -> str:
-    """Canonical JSON form; parse -> serialize is byte-identical."""
-    doc: dict = {"p": g.p, "blocks": _split(g._members, g._starts)}
-    if g.meta:
-        doc["meta"] = g.meta
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    """Canonical JSON form; parse -> serialize is byte-identical.
+
+    The bytes of one sorted, compact ``json.dumps`` of p, blocks and meta,
+    with the blocks written 4,096 at a time, so one slice's lists at most exist.
+    """
+    compact = partial(json.dumps, sort_keys=True, separators=(",", ":"))
+    members, starts = g._members, g._starts
+    step = 4096
+    body = ",".join(
+        compact(_split(members, starts[i : i + step + 1]))[1:-1]
+        for i in range(0, len(starts) - 1, step)
+    )
+    meta = f',"meta":{compact(g.meta)}' if g.meta else ""
+    return f'{{"blocks":[{body}]{meta},"p":{g.p}}}\n'
 
 
 def from_json(text: str) -> BlockGraph:

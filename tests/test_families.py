@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,8 +15,10 @@ from hamcolor import (
     NegativeGapError,
     NotSymmetricError,
     SymmetricSpec,
+    color_graph,
     coloring_from_ordering,
     detour_profile,
+    from_json,
     gen_path,
     gen_random_block_graph,
     gen_star,
@@ -24,6 +27,7 @@ from hamcolor import (
     path_hc,
     phi,
     star_hc,
+    sym_order_count,
     sym_ordering,
     symmetric_coordinates,
     to_json,
@@ -233,6 +237,104 @@ def test_random_generator_matches_the_rescanning_loop() -> None:
                 assert to_json(gen_random_block_graph(seed, max_p, size, cap)) == want
 
 
+def _list_symmetric(spec: SymmetricSpec) -> BlockGraph:
+    """The symmetric generator's loop as it was, one Python list per block."""
+    m, kappa, d = spec.block_size, spec.cut_degree, spec.diameter
+    n, k, r = spec.n, spec.k, spec.r
+    blocks: list[list[int]] = []
+
+    def grow_branch(root: int, start_depth: int, next_id: int) -> int:
+        current = [root]
+        for _ in range(start_depth, r + 1):
+            nxt: list[int] = []
+            for par in current:
+                child_blocks: list[list[int]] = [[par] for _ in range(k)]
+                for i in range(k * n):
+                    child_blocks[i % k].append(next_id)
+                    nxt.append(next_id)
+                    next_id += 1
+                blocks.extend(child_blocks)
+            current = nxt
+        return next_id
+
+    if d % 2 == 0:
+        top_blocks: list[list[int]] = [[0] for _ in range(kappa)]
+        next_id = 1
+        depth1: list[int] = []
+        for t in range(kappa * n):
+            top_blocks[t % kappa].append(next_id)
+            depth1.append(next_id)
+            next_id += 1
+        blocks.extend(top_blocks)
+        for root in depth1:
+            next_id = grow_branch(root, 2, next_id)
+    else:
+        blocks.append(list(range(m)))
+        next_id = m
+        for c in range(m):
+            next_id = grow_branch(c, 1, next_id)
+
+    g = BlockGraph(
+        next_id,
+        blocks,
+        meta={"family": "symmetric", "block_size": m, "cut_degree": kappa, "diameter": d},
+    )
+    coords = symmetric_coordinates(g)
+    if coords.spec != spec:
+        raise AssertionError(f"generator produced {coords.spec}, wanted {spec}")
+    return g
+
+
+def _outcome(make, spec: SymmetricSpec):
+    """make(spec), or the type and message of the error it raised."""
+    try:
+        return make(spec)
+    except Exception as exc:  # the error is the outcome under test
+        return type(exc), str(exc)
+
+
+def test_array_symmetric_generator_matches_the_list_loop() -> None:
+    compared = 0
+    for m in range(2, 7):
+        for kappa in range(2, 7):
+            for d in range(2, 9):
+                spec = SymmetricSpec(m, kappa, d)
+                order = d + 1 if spec.k * spec.n < 2 else sym_order_count(spec)  # paths
+                if order > 20_000:
+                    continue
+                want = _outcome(_list_symmetric, spec)
+                got = _outcome(lambda s: gen_symmetric(s)[0], spec)
+                if isinstance(want, tuple):
+                    assert got == want, spec
+                    continue
+                assert to_json(got) == to_json(want), spec
+                # the closed form's array is already canonical
+                assert BlockGraph(got.p, got.blocks) == got, spec
+                compared += 1
+    assert compared == 162
+
+
+@pytest.mark.parametrize("stage", ["gen-to-json", "parse-and-color"])
+def test_symmetric_pipeline_memory_is_flat_arrays(stage: str) -> None:
+    # Peak traced bytes per vertex on sym(5,6,7), p = 42,105.  With a Python
+    # list per block, an argsorted ordering and p-sized temporaries kept to
+    # the end of each stage, generating and writing peaked at 214 and parsing
+    # and coloring a relabeling at 193; the flat arrays take about 138 and 135.
+    spec = SymmetricSpec(5, 6, 7)
+    color_graph(from_json(to_json(gen_symmetric(SymmetricSpec(3, 3, 4))[0])))  # numpy's caches
+    text = to_json(relabeled(gen_symmetric(spec)[0], 1))
+    tracemalloc.start()
+    try:
+        if stage == "gen-to-json":
+            to_json(gen_symmetric(spec)[0])
+        else:
+            color_graph(from_json(text))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / 42_105 < 170, peak / 42_105
+
+
 def test_random_corpus_all_valid_and_varied(corpus) -> None:
     # construction went through BlockGraph, so validity is implied;
     # spot-check the distribution covers the intended shapes
@@ -400,7 +502,7 @@ def test_array_symmetric_layer_matches_loop_reference(corpus) -> None:
             if tup:
                 assert tup == ref["path_tuple"][ref["parent"][v]] + (index[v],), g
         ordering = sym_ordering(g, coords)
-        assert ordering == _reference_ordering(g, ref), g
+        assert ordering.tolist() == _reference_ordering(g, ref), g
         expected = _reference_recurrence(g, profile, ordering)
         if expected[0] == "negative":
             with pytest.raises(NegativeGapError) as caught:

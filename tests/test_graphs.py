@@ -485,6 +485,21 @@ def test_json_round_trip_is_byte_identical(seed: int) -> None:
     assert to_json(from_json(text)) == text
 
 
+def test_to_json_writes_the_bytes_of_one_json_dumps() -> None:
+    graphs = [gen_random_block_graph(seed, max_p=9 + seed * 37 % 2000) for seed in range(300)]
+    # more than 4,096 blocks, so the blocks are written in several slices
+    graphs += [gen_path(n) for n in (2, 3, 4097, 10_000)] + [gen_star(n) for n in (2, 9_000)]
+    graphs += [gen_union(n, k) for n, k in ((2, 2), (7, 3), (3, 5_000))]
+    graphs.append(
+        BlockGraph(3, [[0, 1], [1, 2]], meta={"name": "Grün ✓ 图", "nested": {"b": [1, 2.5], "a": None}})
+    )
+    for g in graphs:
+        doc = {"p": g.p, "blocks": [list(b) for b in g.blocks]}
+        if g.meta:
+            doc["meta"] = g.meta
+        assert to_json(g) == json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n", g
+
+
 def test_json_round_trip_preserves_meta() -> None:
     g = gen_union(3, 2)
     again = from_json(to_json(g))
