@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success (and valid colorings), 1 invalid coloring from
-``verify``, 2 input or parameter errors, 3 search budget exceeded.
+``verify``, 2 input or parameter errors or running out of memory, 3 search
+budget exceeded.
 """
 
 from __future__ import annotations
@@ -332,6 +333,9 @@ def run(argv: list[str] | None = None) -> int:
         return 3
     except (HamcolorError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory{f': {exc}' if str(exc) else ''}", file=sys.stderr)
         return 2
 
 

@@ -355,36 +355,41 @@ def sym_ordering(g: BlockGraph, coords: SymmetricCoordinates) -> np.ndarray:
 
     Every branch's descendants are renamed 1..S, deepest depth group
     first and child tuples in radix order with the first index least
-    significant (``coords.rename``).  The ordering then cycles the
-    branches round-robin, taking the s-th renamed element of each in
-    turn, and closes with the depth-1 list (even diameter) or the
-    remaining central vertices (odd).  At diameter 2 there are no
-    descendants, so the ordering is the hub followed by the depth-1 list.
+    significant.  The ordering then cycles the branches round-robin,
+    taking the s-th renamed element of each in turn, and closes with the
+    depth-1 list (even diameter) or the remaining central vertices (odd).
+    At diameter 2 there are no descendants, so the ordering is the hub
+    followed by the depth-1 list.
 
-    The middle part is one scatter of the descendants to the slots
-    (s - 1) * streams + branch, which must fill the slots one to one; it
-    reads a slice of vertices at a time, so it holds no other p-sized array.
+    The middle part is a (renamed position x stream) view of the output.
+    Starting from the stream roots, each depth group is one gather of the
+    previous group's children from ``coords.children``, written straight
+    into the group's rows with the new child index as the most significant
+    digit; the groups fill the rows from the last one back.
     """
     spec = coords.spec
     if coords.parity == "even":
-        head, tail = coords.roots[0], coords.top_list
-        streams = spec.cut_degree * spec.n
+        head, tail, levels = coords.roots[0], coords.top_list, spec.r - 1
     else:
-        head, tail = coords.roots[-1], coords.roots[:-1]
-        streams = spec.n + 1
-    count = g.p - 1 - len(tail)
-    ordering = np.full(g.p, -1, dtype=np.intp)
-    ordering[0], ordering[count + 1 :] = head, tail
-    fits = np.count_nonzero(coords.rename) == count
-    step = 1 << 12
-    for start in range(0, g.p, step):
-        descendants = start + np.flatnonzero(coords.rename[start : start + step])
-        slot = (coords.rename[descendants] - 1) * streams + coords.branch[descendants]
-        fits = fits and ((slot >= 1) & (slot <= count)).all()
-        if fits:
-            ordering[slot] = descendants
-    if not fits or (ordering < 0).any():
-        raise AssertionError("renaming does not fill the stream slots one to one")
+        head, tail, levels = coords.roots[-1], coords.roots[:-1], spec.r
+    ordering = np.empty(g.p, dtype=np.intp)
+    ordering[0] = head
+    stop = g.p - len(tail)
+    ordering[stop:] = tail
+    group = np.array(coords.top_list, dtype=np.intp)[None, :]  # the stream roots
+    for _ in range(levels):
+        rows = coords.child_row[group]
+        start = stop - rows.size * spec.k * spec.n
+        if start < 1 or (rows < 0).any():
+            raise AssertionError("the child table does not cover the streams")
+        out = ordering[start:stop].reshape(spec.n, spec.k, *rows.shape)
+        out[...] = coords.children[rows].transpose(3, 2, 0, 1)
+        group, stop = out.reshape(-1, rows.shape[1]), start
+    seen = np.zeros(g.p, dtype=bool)
+    if stop == 1:
+        seen[ordering] = True
+    if not seen.all():
+        raise AssertionError("the child table does not cover the streams")
     ordering.flags.writeable = False
     return ordering
 

@@ -14,6 +14,7 @@ sorting its colors, so the minimum over orderings is exact.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass
 from typing import ClassVar
@@ -22,7 +23,7 @@ from .coloring import HamColoring, greedy_min_coloring_for_ordering, greedy_orde
 from .detour import detour_matrix, detour_profile
 from .errors import BudgetExceededError, InvalidSpecError
 from .formulas import lower_bound
-from .graphs import BlockGraph, check_vertices
+from .graphs import BlockGraph, check_integer, check_vertices
 
 
 @dataclass
@@ -35,12 +36,16 @@ class SearchBudget:
     HARD_CAP: ClassVar[int] = 12
 
     def __post_init__(self):
+        self.max_p = check_integer(self.max_p, "max_p")
         if not 1 <= self.max_p <= self.HARD_CAP:
             raise InvalidSpecError(
                 f"max_p must be between 1 and {self.HARD_CAP}, got {self.max_p}"
             )
-        if self.time_limit is not None and math.isnan(self.time_limit):
-            raise InvalidSpecError("time_limit must be a number of seconds, got nan")
+        t = self.time_limit
+        if t is not None and (
+            isinstance(t, bool) or not isinstance(t, numbers.Real) or math.isnan(t)
+        ):
+            raise InvalidSpecError(f"time_limit must be a number of seconds, got {t!r}")
 
 
 def brute_longest_path(g: BlockGraph, u: int, v: int, budget: SearchBudget | None = None) -> int:

@@ -68,30 +68,26 @@ class SymmetricCoordinates:
     ``roots`` are the ordering endpoints (the center for even diameter,
     the central block for odd); ``top_list`` is the even-diameter
     depth-1 list in round-robin block order (equals ``roots`` when odd).
+    The vertices of ``top_list`` are the roots of the interleaving streams.
 
-    The per-vertex coordinates are read-only integer arrays.  ``depth[v]``
-    counts the blocks between v and the center.  ``parent[v]`` is the
-    vertex v hangs from and ``index[v]`` its place among that vertex's
-    children, which take the child blocks round-robin; both are -1 at
-    the roots.  ``branch[v]`` is the 1-based index of the interleaving
-    stream v belongs to, 0 for the even-diameter center.  ``rename[v]``
-    is v's 1-based number when its branch's descendants are renamed for
-    :func:`hamcolor.coloring.sym_ordering`, and 0 when v is a root or on
-    the top list.  The arrays are read-only; records compare by identity.
+    ``children`` is a read-only (parents x k x n) array: each row holds one
+    vertex's k child blocks in canonical order, with that vertex removed
+    from each block.  A vertex's children take the child blocks round-robin,
+    so its child i is member ``i // k`` of block ``i % k``.  ``child_row[v]``
+    is v's row in ``children``, and -1 when v has no child blocks (the
+    outermost depth) or is the even-diameter center, whose kappa blocks give
+    ``top_list`` the same way.  Records compare by identity.
     """
 
     spec: SymmetricSpec
     parity: str
     roots: tuple[int, ...]
     top_list: tuple[int, ...]
-    depth: np.ndarray
-    branch: np.ndarray
-    parent: np.ndarray
-    index: np.ndarray
-    rename: np.ndarray
+    children: np.ndarray
+    child_row: np.ndarray
 
     def __post_init__(self):
-        for a in (self.depth, self.branch, self.parent, self.index, self.rename):
+        for a in (self.children, self.child_row):
             a.flags.writeable = False
 
 
@@ -103,13 +99,12 @@ def symmetric_coordinates(g: BlockGraph) -> SymmetricCoordinates:
     cut degrees are checked before g's cached :func:`detour_profile` is
     asked for the center and the levels.
 
-    Everything is computed on arrays, in O(p log r) for radius r.  With
-    one block size m, a vertex's depth is its level divided by m - 1.  In
-    every non-central block the parent is the one member of least depth
-    and the others sit one level deeper.  A child's index is its rank
-    among its block's non-parent members times the parent's number of
-    child blocks, plus its block's rank among them.  Streams and renamed
-    numbers sum along the parent chains by pointer doubling.
+    Everything is computed on arrays, with one sort of the blocks by
+    parent.  With one block size m, a vertex's depth is its level divided
+    by m - 1.  In every non-central block the parent is the one member of
+    least depth and the others sit one level deeper; sorting those blocks
+    by parent stably gives each parent its k child blocks as one row of
+    ``children``.
     """
     sizes = np.diff(g._starts)
     if len(sizes) < 2:
@@ -128,6 +123,7 @@ def symmetric_coordinates(g: BlockGraph) -> SymmetricCoordinates:
     kappa = degrees.pop()
 
     profile = detour_profile(g)
+    top = np.zeros(len(members), dtype=bool)  # the center's blocks, no parent's children
     if profile.omega == 1:
         parity = "even"
         roots = (profile.center[0],)
@@ -141,7 +137,7 @@ def symmetric_coordinates(g: BlockGraph) -> SymmetricCoordinates:
             raise NotSymmetricError("detour center is not a whole block")
         if not is_cut[list(roots)].all():
             raise NotSymmetricError("every central vertex must carry its own branches")
-        members = np.delete(members, central, axis=0)
+        top[central] = True
     else:
         raise NotSymmetricError(
             f"detour center has {profile.omega} vertices; expected 1 or {m}"
@@ -149,60 +145,32 @@ def symmetric_coordinates(g: BlockGraph) -> SymmetricCoordinates:
 
     depth = np.fromiter(profile.level, dtype=np.intp, count=g.p) // n
     r = int(depth.max())
-    if (depth[~is_cut] != r).any():
+    outer = depth == r
+    if not (outer | is_cut).all():
         raise NotSymmetricError("end vertices sit at unequal depths")
-    if r > 0 and (depth[is_cut] == r).any():
+    if r > 0 and (outer & is_cut).any():
         raise NotSymmetricError("a cut vertex sits at the outermost depth")
-    del is_cut
+    del is_cut, outer
 
-    # members[b, col[b]] is block b's parent; the other columns hold its children
-    rise = depth[members] - depth[members].min(axis=1, keepdims=True)
-    if not ((rise <= 1).all() and (rise.sum(axis=1) == n).all()):
+    rise = depth[members]
+    del depth
+    rise -= rise.min(axis=1, keepdims=True)
+    if not ((rise <= 1).all() and (top | (rise.sum(axis=1) == n)).all()):
         raise NotSymmetricError("block layers overlap")
-    col = rise.argmin(axis=1)
+    up = members[np.arange(len(members)), rise.argmin(axis=1)]
+    is_child = rise.astype(bool)
     del rise
-    up = members[np.arange(len(members)), col]
-    by_parent = np.argsort(up, kind="stable")
-    block_rank = np.empty_like(by_parent)
-    block_rank[by_parent] = np.arange(len(up)) - np.searchsorted(up[by_parent], up[by_parent])
-    width = np.bincount(up, minlength=g.p)[up]
-    # a child's rank among its block's non-parent members; their columns skip col
-    member_rank = np.arange(n)[None, :]
-    kids = np.take_along_axis(members, member_rank + (member_rank >= col[:, None]), axis=1)
-    del members
-    parent = np.full(g.p, -1)
-    index = np.full(g.p, -1)
-    parent[kids] = up[:, None]
-    index[kids] = member_rank * width[:, None] + block_rank[:, None]
-    del kids
-
-    # Stream roots sit at depth lift.  Each v below its stream's root adds the
-    # digit index[v] at place x**(depth[v] - lift - 1) to its renamed number,
-    # so the first index is the least significant.
-    x = (kappa - 1) * n
-    lift = 1 if parity == "even" else 0
-    longest = max(r - lift, 0)
-    stream_root = depth <= lift
-    total = np.where(stream_root, 0, index * x ** np.maximum(depth - (lift + 1), 0))
-    up_to = np.where(stream_root, np.arange(g.p), parent)
-    for _ in range(longest.bit_length()):
-        total += total[up_to]
-        up_to = up_to[up_to]
     if parity == "even":
-        top = np.flatnonzero(parent == roots[0])
-        top_list = tuple(top[np.argsort(index[top])].tolist())
-        branch = index[up_to]  # a depth-1 root's index, and -1 at the center
+        top = up == roots[0]
+        hub = members[top][is_child[top]].reshape(kappa, n)
+        top_list = tuple(hub.T.ravel().tolist())
     else:
         top_list = roots
-        branch = np.searchsorted(roots, up_to)
-    branch += 1
-    del up_to
-    # deeper groups come first: at depth d the numbers start after the
-    # stream's descendants below d, which ahead[d] - 1 counts
-    powers = x ** np.arange(longest + 1)
-    ahead = np.pad(np.cumsum(powers[::-1])[::-1][1:], (lift, 1)) + 1
-    total += ahead[depth]  # the renamed numbers, in place
-    total[stream_root] = 0
+    rows = np.flatnonzero(~top)
+    rows = rows[np.argsort(up[rows], kind="stable")]
+    children = members[rows][is_child[rows]].reshape(-1, kappa - 1, n)
+    child_row = np.full(g.p, -1)
+    child_row[up[rows[:: kappa - 1]]] = np.arange(len(children))
 
     d = 2 * r if parity == "even" else 2 * r + 1
     return SymmetricCoordinates(
@@ -210,11 +178,8 @@ def symmetric_coordinates(g: BlockGraph) -> SymmetricCoordinates:
         parity=parity,
         roots=roots,
         top_list=top_list,
-        depth=depth,
-        branch=branch,
-        parent=parent,
-        index=index,
-        rename=total,
+        children=children,
+        child_row=child_row,
     )
 
 

@@ -7,6 +7,7 @@ import pytest
 
 from hamcolor import (
     BlockGraph,
+    NotSymmetricError,
     SymmetricSpec,
     detour_profile,
     gen_random_block_graph,
@@ -135,3 +136,92 @@ def hop_diameter(g) -> int:
 
     a, _ = farthest(0)
     return farthest(a)[1]
+
+
+def reference_coordinates(g, profile) -> dict:
+    """The layer-by-layer derivation the array code replaced, kept as its oracle."""
+    if len(g.blocks) < 2:
+        raise NotSymmetricError("fewer than two blocks")
+    incidence, cuts = vertex_blocks(g), cut_vertices(g)
+    sizes = {len(b) for b in g.blocks}
+    degrees = {len(incidence[v]) for v in cuts}
+    if len(sizes) != 1 or len(degrees) != 1:
+        raise NotSymmetricError("mixed sizes or degrees")
+    m, kappa = sizes.pop(), degrees.pop()
+
+    def round_robin(member_lists):
+        width = len(member_lists)
+        return [member_lists[i % width][i // width] for i in range(width * len(member_lists[0]))]
+
+    used: set[int] = set()
+    depth = [-1] * g.p
+    branch = [0] * g.p
+    tup: list[tuple[int, ...]] = [()] * g.p
+    children: list[tuple[int, ...]] = [()] * g.p
+    parent = [-1] * g.p
+    if profile.omega == 1:
+        parity = "even"
+        w = profile.center[0]
+        if w not in cuts:
+            raise NotSymmetricError("center is not a cut vertex")
+        roots = (w,)
+        depth[w] = 0
+        top_blocks = sorted(incidence[w])
+        top_list = round_robin([[v for v in g.blocks[bi] if v != w] for bi in top_blocks])
+        for pos, v in enumerate(top_list, start=1):
+            depth[v], branch[v], parent[v] = 1, pos, w
+        children[w] = tuple(top_list)
+        used.update(top_blocks)
+        frontier = list(top_list)
+    elif profile.omega == m:
+        parity = "odd"
+        central = [bi for bi, b in enumerate(g.blocks) if set(b) == set(profile.center)]
+        if not central:
+            raise NotSymmetricError("center is not a block")
+        roots = tuple(sorted(profile.center))
+        top_list = list(roots)
+        used.add(central[0])
+        for pos, c in enumerate(roots, start=1):
+            if c not in cuts:
+                raise NotSymmetricError("central vertex without branches")
+            depth[c], branch[c] = 0, pos
+        frontier = list(roots)
+    else:
+        raise NotSymmetricError("center size")
+    while frontier:
+        nxt = []
+        for v in frontier:
+            new_blocks = sorted(bi for bi in incidence[v] if bi not in used)
+            if not new_blocks:
+                continue
+            if len(new_blocks) != kappa - 1:
+                raise NotSymmetricError("irregular growth")
+            used.update(new_blocks)
+            child_list = round_robin([[u for u in g.blocks[bi] if u != v] for bi in new_blocks])
+            for i, u in enumerate(child_list):
+                if depth[u] >= 0:
+                    raise NotSymmetricError("layers overlap")
+                depth[u], branch[u], parent[u] = depth[v] + 1, branch[v], v
+                tup[u] = tup[v] + (i,)
+            children[v] = tuple(child_list)
+            nxt.extend(child_list)
+        frontier = nxt
+    if min(depth) < 0:
+        raise NotSymmetricError("unreachable")
+    r = max(depth)
+    for v in range(g.p):
+        if v not in cuts and depth[v] != r:
+            raise NotSymmetricError("end vertices at unequal depths")
+        if v in cuts and depth[v] == r and r > 0:
+            raise NotSymmetricError("cut vertex at the outermost depth")
+    return {
+        "spec": SymmetricSpec(m, kappa, 2 * r if parity == "even" else 2 * r + 1),
+        "parity": parity,
+        "roots": roots,
+        "top_list": tuple(top_list),
+        "depth": tuple(depth),
+        "branch": tuple(branch),
+        "path_tuple": tuple(tup),
+        "children": tuple(children),
+        "parent": tuple(parent),
+    }

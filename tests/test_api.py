@@ -78,7 +78,7 @@ RECORD_FIELDS = {
         "center", "omega", "xi", "level", "total_level", "owner", "owner_block",
     ],
     hamcolor.SymmetricCoordinates: [
-        "spec", "parity", "roots", "top_list", "depth", "branch", "parent", "index", "rename",
+        "spec", "parity", "roots", "top_list", "children", "child_row",
     ],
 }
 
@@ -90,7 +90,7 @@ def test_record_fields_are_pinned(record) -> None:
     assert not [name for name in vars(record) if not name.startswith("_")]
 
 
-@pytest.mark.parametrize("name", ["depth", "branch", "parent", "index", "rename"])
+@pytest.mark.parametrize("name", ["children", "child_row"])
 def test_coordinate_arrays_are_read_only(name) -> None:
     _, coords = hamcolor.gen_symmetric(hamcolor.SymmetricSpec(3, 2, 4))
     with pytest.raises(ValueError):

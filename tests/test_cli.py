@@ -204,6 +204,27 @@ def test_deeply_nested_json_exits_two(tmp_path, capsys, command) -> None:
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize(
+    "name, argv, detail",
+    [
+        ("gen_path", ["gen", "path", "-n", "10000000000"], ": Unable to allocate 74.5 GiB"),
+        ("gen_symmetric", ["gen", "sym", "--block-size", "3", "--cut-degree", "3",
+                           "--diameter", "40"], ""),
+    ],
+)
+def test_out_of_memory_exits_two(monkeypatch, capsys, name, argv, detail) -> None:
+    # numpy's allocation error ended in a traceback and exit 1, the code
+    # reserved for an invalid coloring from verify
+    def allocate(*args):
+        raise MemoryError(detail[2:])
+
+    monkeypatch.setattr(hamcolor.cli, name, allocate)
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: out of memory{detail}\n"
+
+
 def test_exact_reports_value_and_gap(tmp_path, capsys) -> None:
     graph = tmp_path / "p5.json"
     run(["gen", "path", "-n", "5", "-o", str(graph)])

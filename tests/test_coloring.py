@@ -35,7 +35,7 @@ from hamcolor import (
     to_json,
     validate_coloring,
 )
-from conftest import grid_specs, relabeled
+from conftest import grid_specs, reference_coordinates, relabeled
 
 
 def sym_instance(m: int, kappa: int, d: int):
@@ -151,18 +151,15 @@ def test_sym_ordering_takes_deepest_first_in_radix_order() -> None:
     order = sym_ordering(g, coords)
     spec = coords.spec
     streams = spec.cut_degree * spec.n
-    assert coords.depth[order[1]] == spec.r
-
-    def indices(v):
-        # child indices from the branch root down to v, which sits two below it
-        return (coords.index[coords.parent[v]], coords.index[v])
-
-    assert indices(order[1]) == (0, 0)
-    assert indices(order[1 + streams]) == (1, 0)
-    assert indices(order[1 + 2 * streams]) == (0, 1)
+    assert profile.level[order[1]] // spec.n == spec.r
+    # child indices from the branch root down to a vertex two below it
+    indices = reference_coordinates(g, profile)["path_tuple"]
+    assert indices[order[1]] == (0, 0)
+    assert indices[order[1 + streams]] == (1, 0)
+    assert indices[order[1 + 2 * streams]] == (0, 1)
     # the shallowest descendants come last before the depth-1 tail
     last_descendant = order[g.p - streams - 1]
-    assert coords.depth[last_descendant] == 2
+    assert profile.level[last_descendant] // spec.n == 2
 
 
 def test_validate_union_explicit_coloring() -> None:

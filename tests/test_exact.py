@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from hamcolor import (
@@ -103,6 +104,25 @@ def test_nan_time_limit_is_rejected() -> None:
     # perf_counter() > nan is never true, so a NaN limit would never stop the search
     with pytest.raises(InvalidSpecError):
         SearchBudget(time_limit=float("nan"))
+
+
+def test_budget_rejects_values_of_the_wrong_type() -> None:
+    # max_p=True and max_p=2.5 were accepted, and exact_hc then reported "exceeds
+    # the search budget of 2.5"; time_limit="5" raised a bare TypeError
+    cases = [
+        ({"max_p": True}, "^max_p True is not an integer$"),
+        ({"max_p": 2.5}, "^max_p 2.5 is not an integer$"),
+        ({"max_p": "5"}, "^max_p '5' is not an integer$"),
+        ({"time_limit": "5"}, "^time_limit must be a number of seconds, got '5'$"),
+        ({"time_limit": True}, "^time_limit must be a number of seconds, got True$"),
+        ({"time_limit": float("nan")}, "^time_limit must be a number of seconds, got nan$"),
+    ]
+    for kwargs, message in cases:
+        with pytest.raises(InvalidSpecError, match=message):
+            SearchBudget(**kwargs)
+    budget = SearchBudget(max_p=np.int64(11), time_limit=np.float32(2.5))
+    assert type(budget.max_p) is int and budget.max_p == 11
+    assert exact_hc(gen_path(3), SearchBudget(time_limit=5))[0] == exact_hc(gen_path(3))[0]
 
 
 def test_exact_is_deterministic() -> None:

@@ -6,7 +6,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import cut_vertices, grid_specs, hop_diameter, relabeled, vertex_blocks
+from conftest import (
+    cut_vertices,
+    grid_specs,
+    hop_diameter,
+    reference_coordinates,
+    relabeled,
+    vertex_blocks,
+)
 
 import hamcolor.families
 from hamcolor import (
@@ -41,7 +48,8 @@ def test_sym_even_shape() -> None:
     assert coords.parity == "even"
     assert coords.roots == (0,)
     assert coords.top_list == (1, 2, 3, 4, 5, 6)
-    assert all(coords.depth[v] == 1 for v in coords.top_list)
+    level = detour_profile(g).level
+    assert all(level[v] // coords.spec.n == 1 for v in coords.top_list)
     # consecutive entries of the top list sit in different blocks at the center
     incidence = vertex_blocks(g)
     for a, b in zip(coords.top_list, coords.top_list[1:]):
@@ -82,8 +90,9 @@ def test_sym_structure_invariants(spec: SymmetricSpec) -> None:
             assert len(incidence[v]) == 1
     # detour level of a depth-i vertex is i * n
     profile = detour_profile(g)
+    depth = reference_coordinates(g, profile)["depth"]
     for v in range(g.p):
-        assert profile.level[v] == coords.depth[v] * spec.n
+        assert profile.level[v] == depth[v] * spec.n
 
 
 def test_sym_path_degenerate_family() -> None:
@@ -108,7 +117,7 @@ def test_coordinates_rederive_from_structure() -> None:
         again = symmetric_coordinates(g)
         for name in ("spec", "parity", "roots", "top_list"):
             assert getattr(again, name) == getattr(coords, name)
-        for name in ("depth", "branch", "parent", "index", "rename"):
+        for name in ("children", "child_row"):
             assert np.array_equal(getattr(again, name), getattr(coords, name))
 
 
@@ -335,6 +344,24 @@ def test_symmetric_pipeline_memory_is_flat_arrays(stage: str) -> None:
     assert peak / 42_105 < 170, peak / 42_105
 
 
+def test_symmetric_coordinates_keep_a_child_table() -> None:
+    # Bytes per vertex that symmetric_coordinates keeps and peaks at on a
+    # relabeled sym(5,6,7), p = 42,105, with the detour profile cached.
+    # Five per-vertex coordinate arrays built by pointer doubling kept 40
+    # and peaked at 61.6; the child table and child_row keep 16.
+    g = relabeled(gen_symmetric(SymmetricSpec(5, 6, 7))[0], 1)
+    symmetric_coordinates(gen_symmetric(SymmetricSpec(3, 3, 4))[0])  # numpy's caches
+    detour_profile(g)
+    tracemalloc.start()
+    try:
+        coords = symmetric_coordinates(g)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert coords.spec == SymmetricSpec(5, 6, 7)
+    assert kept / g.p <= 24 and peak / g.p < 52, (kept / g.p, peak / g.p)
+
+
 def test_random_corpus_all_valid_and_varied(corpus) -> None:
     # construction went through BlockGraph, so validity is implied;
     # spot-check the distribution covers the intended shapes
@@ -345,95 +372,6 @@ def test_random_corpus_all_valid_and_varied(corpus) -> None:
 
 
 # -- loop references for the array-based symmetric layer ---------------------
-
-def _reference_coordinates(g, profile) -> dict:
-    """The layer-by-layer derivation the array code replaced, kept as its oracle."""
-    if len(g.blocks) < 2:
-        raise NotSymmetricError("fewer than two blocks")
-    incidence, cuts = vertex_blocks(g), cut_vertices(g)
-    sizes = {len(b) for b in g.blocks}
-    degrees = {len(incidence[v]) for v in cuts}
-    if len(sizes) != 1 or len(degrees) != 1:
-        raise NotSymmetricError("mixed sizes or degrees")
-    m, kappa = sizes.pop(), degrees.pop()
-
-    def round_robin(member_lists):
-        width = len(member_lists)
-        return [member_lists[i % width][i // width] for i in range(width * len(member_lists[0]))]
-
-    used: set[int] = set()
-    depth = [-1] * g.p
-    branch = [0] * g.p
-    tup: list[tuple[int, ...]] = [()] * g.p
-    children: list[tuple[int, ...]] = [()] * g.p
-    parent = [-1] * g.p
-    if profile.omega == 1:
-        parity = "even"
-        w = profile.center[0]
-        if w not in cuts:
-            raise NotSymmetricError("center is not a cut vertex")
-        roots = (w,)
-        depth[w] = 0
-        top_blocks = sorted(incidence[w])
-        top_list = round_robin([[v for v in g.blocks[bi] if v != w] for bi in top_blocks])
-        for pos, v in enumerate(top_list, start=1):
-            depth[v], branch[v], parent[v] = 1, pos, w
-        children[w] = tuple(top_list)
-        used.update(top_blocks)
-        frontier = list(top_list)
-    elif profile.omega == m:
-        parity = "odd"
-        central = [bi for bi, b in enumerate(g.blocks) if set(b) == set(profile.center)]
-        if not central:
-            raise NotSymmetricError("center is not a block")
-        roots = tuple(sorted(profile.center))
-        top_list = list(roots)
-        used.add(central[0])
-        for pos, c in enumerate(roots, start=1):
-            if c not in cuts:
-                raise NotSymmetricError("central vertex without branches")
-            depth[c], branch[c] = 0, pos
-        frontier = list(roots)
-    else:
-        raise NotSymmetricError("center size")
-    while frontier:
-        nxt = []
-        for v in frontier:
-            new_blocks = sorted(bi for bi in incidence[v] if bi not in used)
-            if not new_blocks:
-                continue
-            if len(new_blocks) != kappa - 1:
-                raise NotSymmetricError("irregular growth")
-            used.update(new_blocks)
-            child_list = round_robin([[u for u in g.blocks[bi] if u != v] for bi in new_blocks])
-            for i, u in enumerate(child_list):
-                if depth[u] >= 0:
-                    raise NotSymmetricError("layers overlap")
-                depth[u], branch[u], parent[u] = depth[v] + 1, branch[v], v
-                tup[u] = tup[v] + (i,)
-            children[v] = tuple(child_list)
-            nxt.extend(child_list)
-        frontier = nxt
-    if min(depth) < 0:
-        raise NotSymmetricError("unreachable")
-    r = max(depth)
-    for v in range(g.p):
-        if v not in cuts and depth[v] != r:
-            raise NotSymmetricError("end vertices at unequal depths")
-        if v in cuts and depth[v] == r and r > 0:
-            raise NotSymmetricError("cut vertex at the outermost depth")
-    return {
-        "spec": SymmetricSpec(m, kappa, 2 * r if parity == "even" else 2 * r + 1),
-        "parity": parity,
-        "roots": roots,
-        "top_list": tuple(top_list),
-        "depth": tuple(depth),
-        "branch": tuple(branch),
-        "path_tuple": tuple(tup),
-        "children": tuple(children),
-        "parent": tuple(parent),
-    }
-
 
 def _reference_ordering(g, ref: dict) -> list[int]:
     """Rename every branch's descendants slot by slot, then interleave the branches."""
@@ -484,7 +422,7 @@ def test_array_symmetric_layer_matches_loop_reference(corpus) -> None:
     for g in graphs:
         profile = detour_profile(g)
         try:
-            ref = _reference_coordinates(g, profile)
+            ref = reference_coordinates(g, profile)
         except NotSymmetricError:
             with pytest.raises(NotSymmetricError):
                 symmetric_coordinates(g)
@@ -493,14 +431,18 @@ def test_array_symmetric_layer_matches_loop_reference(corpus) -> None:
         coords = symmetric_coordinates(g)
         for name in ("spec", "parity", "roots", "top_list"):
             assert getattr(coords, name) == ref[name], g
-        for name in ("depth", "branch", "parent"):
-            assert tuple(getattr(coords, name).tolist()) == ref[name], g
-        index = coords.index.tolist()
-        for kids in ref["children"]:
-            assert [index[u] for u in kids] == list(range(len(kids))), g
-        for v, tup in enumerate(ref["path_tuple"]):
-            if tup:
-                assert tup == ref["path_tuple"][ref["parent"][v]] + (index[v],), g
+        # each vertex's children in index order: member i // k of block i % k
+        spec, child_row = coords.spec, coords.child_row.tolist()
+        assert coords.children.shape == (len(coords.children), spec.k, spec.n), g
+        assert sorted(row for row in child_row if row >= 0) == list(range(len(coords.children)))
+        hub = coords.roots[0] if coords.parity == "even" else None
+        for v, kids in enumerate(ref["children"]):
+            if v == hub:
+                assert child_row[v] == -1 and kids == coords.top_list, g
+            elif kids:
+                assert coords.children[child_row[v]].T.ravel().tolist() == list(kids), g
+            else:
+                assert child_row[v] == -1, g
         ordering = sym_ordering(g, coords)
         assert ordering.tolist() == _reference_ordering(g, ref), g
         expected = _reference_recurrence(g, profile, ordering)
