@@ -197,9 +197,10 @@ def greedy_min_coloring_for_ordering(g: BlockGraph, ordering: Sequence[int]) -> 
 _INT64_MAX = np.iinfo(np.int64).max
 
 # Candidate pairs checked per numpy batch, and violations kept in the head
-# of a Violations.  Larger batches cost memory (an all-equal coloring makes
-# every pair a candidate) without saving time.
-_PAIR_CHUNK = 1 << 16
+# of a Violations.  A batch's temporaries take over 100 bytes per pair and
+# stay in cache at this size; at 2**16 an all-equal coloring, where every
+# pair is a candidate, peaked about 8.7 MB higher and ran slower.
+_PAIR_CHUNK = 1 << 13
 
 
 def check_colors(g: BlockGraph, colors: Sequence[int]) -> None:
@@ -220,9 +221,11 @@ def _violation_batches(g: BlockGraph, c: np.ndarray) -> Iterator[tuple[np.ndarra
 
     Since D(u, v) >= 1, only pairs whose colors differ by at most p - 3
     can fall short, so the vertices are sorted by color and each is paired
-    with the later vertices inside that window.  Those candidate pairs are
-    checked in batches of at most ``_PAIR_CHUNK``, with distances from the
-    tree-metric core; batches without a violation yield nothing.  The keys
+    with the later vertices inside that window.  Those candidate pairs,
+    numbered row by row, are checked in batches of at most ``_PAIR_CHUNK``,
+    with distances from the tree-metric core; batches without a violation
+    yield nothing.  A batch finds its first and last rows with two binary
+    searches and repeats each row for its share of the batch.  The keys
     are unique but come in color order, not key order.
     """
     distance = tree_metric(g).distance
@@ -235,14 +238,18 @@ def _violation_batches(g: BlockGraph, c: np.ndarray) -> Iterator[tuple[np.ndarra
     end = np.searchsorted(
         sorted_colors, np.minimum(sorted_colors, _INT64_MAX - reach) + reach, side="right"
     )
-    count = end - np.arange(1, g.p + 1)
-    row_end = np.cumsum(count)
-    row_start = row_end - count
+    row_end = np.cumsum(end - np.arange(1, g.p + 1))
+    # candidate k of row i pairs position i with position k + shift[i]
+    shift = end - row_end
     total = int(row_end[-1])
     for s in range(0, total, _PAIR_CHUNK):
-        k = np.arange(s, min(s + _PAIR_CHUNK, total))
-        i = np.searchsorted(row_end, k, side="right")
-        j = i + 1 + (k - row_start[i])
+        e = min(s + _PAIR_CHUNK, total)
+        # rows first .. last hold candidates s .. e - 1; each row's share of
+        # the batch is its candidate range clipped to the batch
+        first, last = np.searchsorted(row_end, (s, e - 1), side="right").tolist()
+        share = np.diff(np.minimum(row_end[first : last + 1], e), prepend=s)
+        i = np.repeat(np.arange(first, last + 1), share)
+        j = np.arange(s, e) + shift[i]
         u, v = order[i], order[j]
         deficit = need - distance(u, v) - (sorted_colors[j] - sorted_colors[i])
         bad = deficit > 0
@@ -282,9 +289,9 @@ def _all_rows(g: BlockGraph, c: np.ndarray) -> np.ndarray:
 class Violations(abc.Sequence):
     """The (u, v, deficit) triples of an invalid coloring, u < v, sorted by (u, v).
 
-    Holds the exact count and the first ``_PAIR_CHUNK`` triples (the head)
-    as an int64 array, 24 bytes each; the head is the whole list when there
-    are at most ``_PAIR_CHUNK`` violations.  Every read goes through
+    Holds the exact count and the first ``_PAIR_CHUNK`` (8,192) triples
+    (the head) as an int64 array, 24 bytes each; the head is the whole list
+    when there are at most that many violations.  Every read goes through
     ``__getitem__``, and the first one past the head re-runs the check once
     and keeps every row, 24 bytes per violation (40 at the peak of building
     them).  Tuples are built only for the items asked for.  Compares equal,
@@ -325,10 +332,11 @@ def validate_coloring(g: BlockGraph, colors: Sequence[int]) -> Violations:
 
     An empty result means the coloring is a hamiltonian coloring.  One
     pass over the candidate pairs (see :func:`_violation_batches`) counts
-    the violations and keeps the ``_PAIR_CHUNK`` smallest pairs: each
-    batch is merged into them and cut back with a partition, and they are
-    sorted once at the end.  That takes O(p log p + candidates) time and
-    O(p + ``_PAIR_CHUNK``) memory however many pairs violate.  The
+    the violations and keeps the ``_PAIR_CHUNK`` (8,192) smallest pairs:
+    each batch of as many candidates is merged into them and cut back with
+    a partition, and they are sorted once at the end.  That takes
+    O(p log p + candidates) time and O(p + ``_PAIR_CHUNK``) memory however
+    many pairs violate.  The
     :class:`Violations` result answers its length and reads within the
     head at once; reading further re-runs the pass and keeps every row.
     """

@@ -26,9 +26,12 @@ from .formulas import lower_bound
 from .graphs import BlockGraph, check_integer, check_vertices
 
 
-@dataclass
+@dataclass(frozen=True)
 class SearchBudget:
-    """Limits for the exact search: the largest p it accepts and a time limit in seconds."""
+    """Limits for the exact search: the largest p it accepts and a time limit in seconds.
+
+    Frozen, so the checks made at construction hold for the budget's life.
+    """
 
     max_p: int = 10
     time_limit: float | None = None
@@ -36,7 +39,7 @@ class SearchBudget:
     HARD_CAP: ClassVar[int] = 12
 
     def __post_init__(self):
-        self.max_p = check_integer(self.max_p, "max_p")
+        object.__setattr__(self, "max_p", check_integer(self.max_p, "max_p"))
         if not 1 <= self.max_p <= self.HARD_CAP:
             raise InvalidSpecError(
                 f"max_p must be between 1 and {self.HARD_CAP}, got {self.max_p}"

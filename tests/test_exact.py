@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -123,6 +125,17 @@ def test_budget_rejects_values_of_the_wrong_type() -> None:
     budget = SearchBudget(max_p=np.int64(11), time_limit=np.float32(2.5))
     assert type(budget.max_p) is int and budget.max_p == 11
     assert exact_hc(gen_path(3), SearchBudget(time_limit=5))[0] == exact_hc(gen_path(3))[0]
+
+
+def test_budget_fields_cannot_be_reassigned() -> None:
+    # assigning skipped the checks: max_p = 2.5 made exact_hc report "exceeds
+    # the search budget of 2.5", and time_limit = "5" a bare TypeError
+    budget = SearchBudget()
+    for field, value in (("max_p", 2.5), ("time_limit", "5")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(budget, field, value)
+    assert budget == SearchBudget(max_p=10, time_limit=None)
+    assert exact_hc(gen_path(3), budget)[0] == exact_hc(gen_path(3))[0]
 
 
 def test_exact_is_deterministic() -> None:

@@ -7,6 +7,7 @@ import random
 import tracemalloc
 
 import numpy as np
+import pytest
 from conftest import block_paths, blocks_on_path, cut_vertices
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -323,3 +324,89 @@ def test_many_violations_are_counted_in_bounded_memory() -> None:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20, leaves
+
+
+def _colors_with_candidates(p: int, total: int) -> list[int]:
+    """Colors with exactly total candidate pairs: runs of equal colors, each as
+    long as fits, spaced p apart, and one vertex per color after them."""
+    colors: list[int] = []
+    while len(colors) < p:
+        size = 1
+        while size * (size + 1) // 2 <= total and len(colors) + size < p:
+            size += 1
+        total -= size * (size - 1) // 2
+        colors += [len(colors) * p] * size
+    assert total == 0
+    return colors
+
+
+def _candidate_rows(p: int, colors: list[int]) -> list[int]:
+    """Per vertex in color order, how many later vertices are within p - 3 of its color."""
+    ranked = sorted(colors)
+    return [sum(c - a <= p - 3 for c in ranked[i + 1 :]) for i, a in enumerate(ranked)]
+
+
+@pytest.fixture(scope="module")
+def boundary_corpus() -> list:
+    """Random graphs with p 70, 123 and 295, each with its named colorings."""
+    corpus = []
+    for seed in (1, 3, 6):
+        g = gen_random_block_graph(seed, max_p=300)
+        colorings = _colorings(g, seed)
+        del colorings["corrupted"]
+        corpus.append((g, colorings))
+    return corpus
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64, 8192])
+def test_validation_is_the_same_across_batch_boundaries(monkeypatch, boundary_corpus, chunk) -> None:
+    monkeypatch.setattr(coloring, "_PAIR_CHUNK", chunk)
+    rebuilds = []
+    all_rows = coloring._all_rows
+
+    def counted_all_rows(*args):
+        rebuilds.append(args)
+        return all_rows(*args)
+
+    monkeypatch.setattr(coloring, "_all_rows", counted_all_rows)
+    long_rows = empty_rows = multiples = 0
+    for g, colorings in boundary_corpus:
+        cases = dict(colorings)
+        pairs = g.p * (g.p - 1) // 2
+        if pairs >= chunk:
+            cases["multiple"] = _colors_with_candidates(g.p, chunk * min(pairs // chunk, 3))
+        for name, colors in cases.items():
+            rows = _candidate_rows(g.p, colors)
+            long_rows += max(rows) > 2 * chunk
+            empty_rows += 0 in rows[:-1]
+            multiples += sum(rows) % chunk == 0 and sum(rows) > chunk
+            want = _all_pairs_violations(g, colors)
+            rebuilds.clear()
+            violations = validate_coloring(g, colors)
+            assert len(violations) == len(want), (g.p, name)
+            assert violations[: min(20, chunk)] == want[: min(20, chunk)], (g.p, name)
+            assert not rebuilds
+            assert violations[:20] == want[:20], (g.p, name)
+            if len(want) > chunk:
+                assert violations[chunk] == want[chunk], (g.p, name)
+            assert violations == want, (g.p, name)
+            assert len(rebuilds) == (len(want) > chunk), (g.p, name)
+    assert empty_rows and multiples
+    assert long_rows or chunk == 8192
+
+
+def test_validation_peak_stays_within_a_few_batches() -> None:
+    # every pair is a candidate; the peak is the p-sized arrays and one
+    # 8,192-pair batch's temporaries, not a batch of 2**16 pairs
+    complete = BlockGraph(2000, [range(2000)])
+    for g in (complete, gen_star(1500), gen_symmetric(SymmetricSpec(6, 4, 5))[0]):
+        tree_metric(g)
+        tracemalloc.start()
+        try:
+            violations = validate_coloring(g, [0] * g.p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # K_2000's pairs are all at distance p - 1; the others' all fall short
+        assert len(violations) == (0 if g is complete else g.p * (g.p - 1) // 2), g.p
+        assert peak < 2_000_000, g.p
