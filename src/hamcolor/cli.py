@@ -181,7 +181,7 @@ def _cmd_exact(args: argparse.Namespace) -> int:
     profile = detour_profile(g)
     bound = lower_bound(g, profile)
     print(f"exact_hc={value} lower_bound={bound} gap={value - bound}")
-    print(json.dumps({"colors": list(witness.colors)}))
+    _write(None, _int_list_json("colors", witness.colors))
     return 0
 
 

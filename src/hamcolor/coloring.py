@@ -23,8 +23,7 @@ from __future__ import annotations
 import operator
 from collections import abc, deque
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -258,53 +257,60 @@ def _violation_batches(g: BlockGraph, c: np.ndarray) -> Iterator[tuple[np.ndarra
             yield np.minimum(u, v) * g.p + np.maximum(u, v), deficit[bad]
 
 
-def _sorted_rows(keys: list[np.ndarray], deficits: list[np.ndarray], p: int) -> np.ndarray:
-    """Empty the batch lists into (u, v, deficit) rows sorted by pair.
+def _violation_rows(g: BlockGraph, c: np.ndarray, cap: int) -> tuple[int, np.ndarray]:
+    """The violation count and the ``cap`` smallest violations as (u, v, deficit) rows.
 
-    Each concatenation frees its parts, and sorting before the rows are
-    allocated keeps the peak at 40 bytes per violation.
+    Streams :func:`_violation_batches` into one buffer of ``cap +
+    _PAIR_CHUNK`` keys and deficits.  Once it holds cap rows it admits only
+    keys below the largest kept, and a buffer past cap is cut back to the
+    cap smallest with a partition.  The rows are sorted by pair once, at
+    the end, before they are allocated, so the peak is 40 bytes per kept
+    row.  O(p log p + candidates) time and O(p + cap) memory however many
+    pairs violate.
     """
-    key = np.concatenate(keys)
-    keys.clear()
-    deficit = np.concatenate(deficits)
-    deficits.clear()
-    by_pair = np.argsort(key)
+    key = np.empty(cap + _PAIR_CHUNK, dtype=np.int64)
+    deficit = np.empty_like(key)
+    count = held = 0
+    for batch_key, batch_deficit in _violation_batches(g, c):
+        count += len(batch_key)
+        if held == cap:  # a full buffer admits only smaller keys
+            smaller = batch_key < key[:held].max()
+            batch_key, batch_deficit = batch_key[smaller], batch_deficit[smaller]
+        stop = held + len(batch_key)
+        key[held:stop], deficit[held:stop] = batch_key, batch_deficit
+        held = stop
+        if held > cap:
+            keep = np.argpartition(key[:held], cap - 1)[:cap]
+            key[:cap], deficit[:cap] = key[keep], deficit[keep]
+            held = cap
+    by_pair = np.argsort(key[:held])
     key, deficit = key[by_pair], deficit[by_pair]
     del by_pair
-    rows = np.empty((len(key), 3), dtype=np.int64)
-    np.divmod(key, p, out=(rows[:, 0], rows[:, 1]))
+    rows = np.empty((held, 3), dtype=np.int64)
+    np.divmod(key, g.p, out=(rows[:, 0], rows[:, 1]))
     rows[:, 2] = deficit
-    return rows
-
-
-def _all_rows(g: BlockGraph, c: np.ndarray) -> np.ndarray:
-    """Every violation's row, from a second pass over the candidate batches."""
-    keys, deficits = [], []
-    for key, deficit in _violation_batches(g, c):
-        keys.append(key)
-        deficits.append(deficit)
-    return _sorted_rows(keys, deficits, g.p)
+    return count, rows
 
 
 class Violations(abc.Sequence):
     """The (u, v, deficit) triples of an invalid coloring, u < v, sorted by (u, v).
 
-    Holds the exact count and the first ``_PAIR_CHUNK`` (8,192) triples
-    (the head) as an int64 array, 24 bytes each; the head is the whole list
-    when there are at most that many violations.  Every read goes through
-    ``__getitem__``, and the first one past the head re-runs the check once
-    and keeps every row, 24 bytes per violation (40 at the peak of building
-    them).  Tuples are built only for the items asked for.  Compares equal,
-    item by item, to a list, tuple or Violations holding the same triples,
-    so ``validate_coloring(g, c) == []`` tests validity.
+    Holds the graph, the colors, the exact count and the first
+    ``_PAIR_CHUNK`` (8,192) triples (the head) as an int64 array, 24 bytes
+    each; the head is the whole list when there are at most that many
+    violations.  Every read goes through ``__getitem__``, and the first one
+    past the head re-runs :func:`_violation_rows` once with the count as
+    its cap and keeps every row, 24 bytes per violation (40 at the peak of
+    building them).  Tuples are built only for the items asked for.
+    Compares equal, item by item, to a list, tuple or Violations holding
+    the same triples, so ``validate_coloring(g, c) == []`` tests validity.
     """
 
-    __slots__ = ("_count", "_rows", "_rebuild")
+    __slots__ = ("_graph", "_colors", "_count", "_rows")
 
-    def __init__(self, count: int, head: np.ndarray, rebuild: Callable[[], np.ndarray]):
-        self._count = count
-        self._rows = head
-        self._rebuild = rebuild if count > len(head) else None
+    def __init__(self, g: BlockGraph, colors: np.ndarray):
+        self._graph, self._colors = g, colors
+        self._count, self._rows = _violation_rows(g, colors, _PAIR_CHUNK)
 
     def __len__(self) -> int:
         return self._count
@@ -314,8 +320,7 @@ class Violations(abc.Sequence):
             return [self[i] for i in range(self._count)[index]]
         i = range(self._count)[index]
         if i >= len(self._rows):
-            self._rows = self._rebuild()
-            self._rebuild = None
+            self._rows = _violation_rows(self._graph, self._colors, self._count)[1]
         return tuple(self._rows[i].tolist())
 
     def __eq__(self, other) -> bool:
@@ -331,31 +336,16 @@ def validate_coloring(g: BlockGraph, colors: Sequence[int]) -> Violations:
     """Check every vertex pair; return the violations (u, v, deficit), sorted.
 
     An empty result means the coloring is a hamiltonian coloring.  One
-    pass over the candidate pairs (see :func:`_violation_batches`) counts
-    the violations and keeps the ``_PAIR_CHUNK`` (8,192) smallest pairs:
-    each batch of as many candidates is merged into them and cut back with
-    a partition, and they are sorted once at the end.  That takes
-    O(p log p + candidates) time and O(p + ``_PAIR_CHUNK``) memory however
-    many pairs violate.  The
-    :class:`Violations` result answers its length and reads within the
-    head at once; reading further re-runs the pass and keeps every row.
+    bounded pass over the candidate pairs (see :func:`_violation_rows`)
+    counts the violations and keeps the ``_PAIR_CHUNK`` (8,192) smallest
+    pairs, in O(p log p + candidates) time and O(p + ``_PAIR_CHUNK``)
+    memory however many pairs violate.  The :class:`Violations` result
+    answers its length and reads within the head at once; reading further
+    re-runs the same pass with room for every row.
     """
     check_colors(g, colors)
-    c = np.array(colors, dtype=np.int64)  # a copy, so a later rebuild sees these colors
-    count = 0
-    key = deficit = np.empty(0, dtype=np.int64)
-    for batch_key, batch_deficit in _violation_batches(g, c):
-        count += len(batch_key)
-        if len(key) == _PAIR_CHUNK:  # a full head admits only smaller keys
-            smaller = batch_key < key.max()
-            batch_key, batch_deficit = batch_key[smaller], batch_deficit[smaller]
-        key = np.concatenate((key, batch_key))
-        deficit = np.concatenate((deficit, batch_deficit))
-        if len(key) > _PAIR_CHUNK:
-            keep = np.argpartition(key, _PAIR_CHUNK - 1)[:_PAIR_CHUNK]
-            key, deficit = key[keep], deficit[keep]
-    head = _sorted_rows([key], [deficit], g.p)
-    return Violations(count, head, partial(_all_rows, g, c))
+    # a copy, so a later rebuild sees these colors
+    return Violations(g, np.array(colors, dtype=np.int64))
 
 
 def sym_ordering(g: BlockGraph, coords: SymmetricCoordinates) -> np.ndarray:

@@ -141,3 +141,35 @@ def test_every_private_helper_has_a_caller() -> None:
     assert len(helpers) >= 20, len(helpers)  # the scan saw the package
     dead = [d.name for d in helpers if everywhere[d.name] == _referenced_names(d)[d.name]]
     assert not dead, dead
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    """The names that tree's module-level imports bind and nothing in it reads.
+
+    A name listed in the module's ``__all__`` counts as read: it is a
+    re-export.  ``from __future__`` imports bind nothing.
+    """
+    bound, exported = [], set()
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound += [alias.asname or alias.name.partition(".")[0] for alias in node.names]
+        elif isinstance(node, ast.Assign) and "__all__" in _referenced_names(node.targets[0]):
+            items = ast.walk(node.value)
+            exported |= {item.value for item in items if isinstance(item, ast.Constant)}
+    read = _referenced_names(tree)
+    return [name for name in bound if not read[name] and name not in exported]
+
+
+def test_every_module_level_import_is_used() -> None:
+    guard = ast.parse(
+        "from __future__ import annotations\nimport os.path\n"
+        "from typing import Callable, Iterator\nfrom .x import y as z\n"
+        "__all__ = ['z']\ndef f() -> Iterator[int]: ...\n"
+    )
+    assert _unused_imports(guard) == ["os", "Callable"]  # the guard sees what it must
+    paths = sorted(Path(hamcolor.__file__).parent.glob("*.py"))
+    assert len(paths) >= 10, paths
+    unused = {path.name: _unused_imports(ast.parse(path.read_text())) for path in paths}
+    assert not any(unused.values()), unused

@@ -253,6 +253,13 @@ def test_gen_random_rejects_blocks_below_two_vertices(capsys) -> None:
     assert captured.err == "error: max_block_size must be >= 2, got 1\n"
 
 
+def test_gen_random_rejects_max_p_below_two(capsys) -> None:
+    assert run(["gen", "random", "--seed", "1", "--max-p", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: max_p must be >= 2, got 1\n"
+
+
 def test_formula_prints_value(capsys) -> None:
     assert run(
         ["formula", "sym", "--block-size", "4", "--cut-degree", "2", "--diameter", "5"]

@@ -218,6 +218,13 @@ def test_violations_behave_like_a_sorted_list_of_triples() -> None:
     assert not none and len(none) == 0 and list(none) == [] and none[:20] == []
 
 
+def test_violations_compare_only_to_sequences_and_show_their_head() -> None:
+    violations = validate_coloring(gen_star(3), [0] * 4)
+    assert violations.__eq__(5) is NotImplemented
+    assert (violations == 5) is False and violations != 5
+    assert repr(violations) == "Violations(n=6, first=[(0, 1, 2), (0, 2, 2), (0, 3, 2)])"
+
+
 def test_violations_take_24_bytes_each() -> None:
     # every pair of a star with 1,500 leaves is short under one color:
     # 1,125,750 violations, which cost about 160 bytes each held as a list
@@ -330,6 +337,11 @@ def test_greedy_ordering_produces_usable_colorings() -> None:
 def test_ham_coloring_normalizes_to_zero() -> None:
     assert HamColoring((5, 7, 9)).colors == (0, 2, 4)
     assert HamColoring((0, 3)).span == 3
+
+
+def test_ham_coloring_needs_a_vertex() -> None:
+    with pytest.raises(SizeMismatchError, match="^a coloring needs at least one vertex$"):
+        HamColoring(())
 
 
 @given(st.integers(0, 10_000), st.integers(0, 500))

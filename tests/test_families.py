@@ -134,6 +134,15 @@ def test_coordinates_reject_non_symmetric() -> None:
         symmetric_coordinates(lopsided)
 
 
+def test_coordinates_reject_mixed_cut_degrees() -> None:
+    # every block has two vertices, but vertex 1 is in three and vertex 3 in two
+    g = BlockGraph(5, [[0, 1], [1, 2], [1, 3], [3, 4]])
+    with pytest.raises(NotSymmetricError) as caught:
+        symmetric_coordinates(g)
+    assert str(caught.value) == "cut vertices have mixed block degrees [2, 3]"
+    assert color_graph(g).method == "greedy"
+
+
 def test_coordinates_check_block_sizes_before_asking_for_the_profile(monkeypatch) -> None:
     asked = []
     monkeypatch.setattr(
@@ -179,6 +188,11 @@ def test_random_generator_rejects_blocks_below_two_vertices() -> None:
     for size in (1, 0, -3):
         with pytest.raises(InvalidSpecError, match=f"^max_block_size must be >= 2, got {size}$"):
             gen_random_block_graph(1, max_p=10, max_block_size=size)
+
+
+def test_random_generator_rejects_max_p_below_two() -> None:
+    with pytest.raises(InvalidSpecError, match="^max_p must be >= 2, got 1$"):
+        gen_random_block_graph(1, 1)
 
 
 def test_sizes_must_be_integers() -> None:

@@ -133,6 +133,22 @@ def test_family_values() -> None:
     assert union_hc(3, 4) == 34
 
 
+
+@pytest.mark.parametrize(
+    "formula, args, message",
+    [
+        (star_hc, (0,), "star needs >= 1 leaf, got 0"),
+        (path_hc, (1,), "path needs >= 2 vertices, got 1"),
+        (union_hc, (1, 2), "union needs n >= 2 and k >= 1, got (1, 2)"),
+        (union_hc, (3, 0), "union needs n >= 2 and k >= 1, got (3, 0)"),
+    ],
+)
+def test_family_formulas_reject_sizes_outside_the_family(formula, args, message) -> None:
+    with pytest.raises(InvalidSpecError) as caught:
+        formula(*args)
+    assert str(caught.value) == message
+
+
 def test_union_of_edges_matches_star() -> None:
     for k in range(3, 9):
         assert union_hc(2, k) == star_hc(k) == (k - 1) ** 2

@@ -48,6 +48,13 @@ def test_build_two_cliques_sharing_one_vertex() -> None:
     assert len(g.blocks) == 2
 
 
+def test_hash_agrees_with_equality_across_block_orders() -> None:
+    g = BlockGraph(6, [[0, 1, 2], [2, 3], [3, 4, 5]])
+    h = BlockGraph(6, [[5, 4, 3], [3, 2], [2, 1, 0]])
+    assert g == h and hash(g) == hash(h)
+    assert len({g, h}) == 1
+
+
 def test_build_rejects_overlapping_blocks() -> None:
     with pytest.raises(OverlappingBlocksError):
         BlockGraph(5, [{0, 1, 2}, {1, 2, 3, 4}])

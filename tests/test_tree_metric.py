@@ -287,13 +287,14 @@ def test_streamed_violations_match_all_pairs_past_the_head(monkeypatch) -> None:
     assert any(a[0].max() > b[0].min() for a, b in zip(batches, batches[1:]))
 
     rebuilds = []
-    all_rows = coloring._all_rows
+    violation_rows = coloring._violation_rows
 
-    def counted_all_rows(*args):
-        rebuilds.append(args)
-        return all_rows(*args)
+    def counted_violation_rows(g, c, cap):
+        if cap > coloring._PAIR_CHUNK:  # a rebuild past the head
+            rebuilds.append(cap)
+        return violation_rows(g, c, cap)
 
-    monkeypatch.setattr(coloring, "_all_rows", counted_all_rows)
+    monkeypatch.setattr(coloring, "_violation_rows", counted_violation_rows)
     held = np.array(colors)
     violations = validate_coloring(g, held)
     held[:] = 0  # the rebuild reads the colors as they were validated
@@ -362,13 +363,14 @@ def boundary_corpus() -> list:
 def test_validation_is_the_same_across_batch_boundaries(monkeypatch, boundary_corpus, chunk) -> None:
     monkeypatch.setattr(coloring, "_PAIR_CHUNK", chunk)
     rebuilds = []
-    all_rows = coloring._all_rows
+    violation_rows = coloring._violation_rows
 
-    def counted_all_rows(*args):
-        rebuilds.append(args)
-        return all_rows(*args)
+    def counted_violation_rows(g, c, cap):
+        if cap > coloring._PAIR_CHUNK:  # a rebuild past the head
+            rebuilds.append(cap)
+        return violation_rows(g, c, cap)
 
-    monkeypatch.setattr(coloring, "_all_rows", counted_all_rows)
+    monkeypatch.setattr(coloring, "_violation_rows", counted_violation_rows)
     long_rows = empty_rows = multiples = 0
     for g, colorings in boundary_corpus:
         cases = dict(colorings)
