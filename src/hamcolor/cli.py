@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 from itertools import combinations, takewhile
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -37,15 +37,17 @@ from .formulas import (
     sym_total_level,
     union_hc,
 )
-from .graphs import BlockGraph, from_json, to_dot, to_json
+from .graphs import BlockGraph, _json_parts, from_json, to_dot
 
 
-def _write(path: str | None, text: str) -> None:
+def _write(path: str | None, text: str | Iterable[str]) -> None:
+    """Write text, or each piece of an iterable of texts, to path or, for None or "-", stdout."""
+    pieces = [text] if isinstance(text, str) else text
     if path is None or path == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
     else:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
 
 
 def _int_list_json(key: str, values: Sequence[int] | np.ndarray) -> str:
@@ -95,7 +97,7 @@ def _parse_range(text: str, least: int, most: int) -> list[int]:
 
 def _cmd_gen(args: argparse.Namespace) -> int:
     if args.family == "sym":
-        # only the graph: the coordinates are not held through to_json
+        # only the graph: the coordinates are not held while the JSON is written
         g = gen_symmetric(SymmetricSpec(args.block_size, args.cut_degree, args.diameter))[0]
     elif args.family == "union":
         g = gen_union(args.n, args.k)
@@ -107,7 +109,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         g = gen_random_block_graph(
             args.seed, args.max_p, args.max_block_size, args.max_blocks_per_cut
         )
-    _write(args.output, to_json(g))
+    _write(args.output, _json_parts(g))
     return 0
 
 
@@ -119,7 +121,7 @@ def _cmd_bound(args: argparse.Namespace) -> int:
         "omega": profile.omega,
         "xi": profile.xi,
         "center": list(profile.center),
-        "levels": list(profile.level),
+        "levels": profile.level.tolist(),
         "total_level": profile.total_level,
         "lower_bound": lower_bound(g, profile),
     }
@@ -152,7 +154,7 @@ def _cmd_color(args: argparse.Namespace) -> int:
         f"method={result.method} span={result.coloring.span} "
         f"lower_bound={result.bound} status={result.status}"
     )
-    _write(args.output, _int_list_json("colors", result.coloring.colors))
+    _write(args.output, _int_list_json("colors", result.coloring._array))
     if args.emit_ordering:
         _write(args.emit_ordering, _int_list_json("ordering", result.ordering))
     return 0
@@ -231,7 +233,7 @@ def _cmd_export(args: argparse.Namespace) -> int:
     if args.format == "dot":
         _write(args.output, to_dot(g, colors, clusters=args.clusters))
     elif args.format == "json":
-        _write(args.output, to_json(g))
+        _write(args.output, _json_parts(g))
     else:
         lines = ["u,v,block"]
         lines += [f"{u},{v},{bi}" for bi, b in enumerate(g.blocks) for u, v in combinations(b, 2)]

@@ -41,23 +41,73 @@ from .graphs import BlockGraph
 
 VertexOrdering = Sequence[int]
 
+_INT64_MIN, _INT64_MAX = np.iinfo(np.int64).min, np.iinfo(np.int64).max
 
-@dataclass(frozen=True)
+
 class HamColoring:
-    """Per-vertex colors, normalized so the minimum color is 0."""
+    """Per-vertex colors, normalized so the minimum color is 0.
 
-    colors: tuple[int, ...]
+    Held as one read-only int64 array.  ``colors`` is its tuple of Python
+    ints, built on first read and kept.  Colors must be integers, bool
+    excluded, whose span fits in int64; anything else raises
+    InvalidSpecError.  Colorings compare and hash by value.
+    """
 
-    def __post_init__(self):
-        if not self.colors:
+    __slots__ = ("_array", "_colors")
+
+    def __init__(self, colors: Sequence[int]):
+        if isinstance(colors, np.ndarray):
+            if colors.ndim != 1 or colors.dtype.kind not in "iu":
+                raise InvalidSpecError("colors must be integers")
+            colors = colors.tolist()
+        elif not isinstance(colors, (list, tuple)):
+            colors = list(colors)
+        if not colors:
             raise SizeMismatchError("a coloring needs at least one vertex")
-        low = min(self.colors)
-        if low:
-            object.__setattr__(self, "colors", tuple(c - low for c in self.colors))
+        if not _all_integers(colors):
+            raise InvalidSpecError("colors must be integers")
+        low, high = int(min(colors)), int(max(colors))
+        if high - low > _INT64_MAX:
+            raise InvalidSpecError("the span of the colors must fit in int64")
+        if _INT64_MIN <= low and high <= _INT64_MAX:
+            array = np.array(colors, dtype=np.int64)
+            array -= low
+        else:  # shifted while the values are unbounded Python ints
+            array = np.array([int(c) - low for c in colors], dtype=np.int64)
+        self._adopt(array)
+
+    @classmethod
+    def _from_array(cls, array: np.ndarray) -> "HamColoring":
+        """A coloring that takes over ``array``: int64, one-dimensional, minimum 0."""
+        coloring = cls.__new__(cls)
+        coloring._adopt(array)
+        return coloring
+
+    def _adopt(self, array: np.ndarray) -> None:
+        array.flags.writeable = False
+        self._array = array
+        self._colors = None
+
+    @property
+    def colors(self) -> tuple[int, ...]:
+        if self._colors is None:
+            self._colors = tuple(self._array.tolist())
+        return self._colors
 
     @property
     def span(self) -> int:
-        return max(self.colors)
+        return int(self._array.max())
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, HamColoring):
+            return np.array_equal(self._array, other._array)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._array.tobytes())
+
+    def __repr__(self) -> str:
+        return f"HamColoring(colors={self.colors!r})"
 
 
 @dataclass(frozen=True)
@@ -104,13 +154,12 @@ def check_ordering_conditions(
     2*D(u_i, u_{i+1}) <= p for every i (the exact rational comparison).
     """
     order = _as_permutation(g.p, ordering)
-    level = profile.level
-    first, last = int(order[0]), int(order[-1])
+    ends = profile.level[order[[0, -1]]].tolist()
     want_last = profile.xi if profile.omega == 1 else 0
-    cond1 = level[first] == 0 and level[last] == want_last
+    cond1 = ends == [0, want_last]
 
     keys = branch_keys(profile)[order]
-    branched = np.asarray(profile.owner)[order] >= 0  # not central
+    branched = profile.owner[order] >= 0  # not central
     clash = np.flatnonzero((keys[:-1] == keys[1:]) & branched[:-1] & branched[1:])
     first_violation = int(clash[0]) if len(clash) else None
 
@@ -119,7 +168,7 @@ def check_ordering_conditions(
 
     return ConditionReport(
         cond1_endpoints=cond1,
-        endpoint_levels=(level[first], level[last]),
+        endpoint_levels=tuple(ends),
         cond2_branches=first_violation is None,
         cond2_first_violation=first_violation,
         cond3_halfp=not halfp_violations,
@@ -136,8 +185,8 @@ def coloring_from_ordering(
     clamping, so an unusable ordering cannot masquerade as a coloring.
     """
     order = _as_permutation(g.p, ordering)
-    level = np.fromiter(profile.level, dtype=np.int64, count=g.p)[order]
-    gaps = level[:-1] + level[1:]
+    level = profile.level[order]
+    gaps = np.add(level[:-1], level[1:], dtype=np.int64)
     del level
     np.subtract(g.p - profile.omega, gaps, out=gaps)
     negative = np.flatnonzero(gaps < 0)
@@ -146,7 +195,7 @@ def coloring_from_ordering(
     colors = np.zeros(g.p, dtype=np.int64)
     colors[order[1:]] = np.cumsum(gaps, out=gaps)
     del gaps
-    return HamColoring(tuple(colors.tolist()))
+    return HamColoring._from_array(colors)
 
 
 def greedy_min_coloring_for_ordering(g: BlockGraph, ordering: Sequence[int]) -> HamColoring:
@@ -167,7 +216,7 @@ def greedy_min_coloring_for_ordering(g: BlockGraph, ordering: Sequence[int]) -> 
     """
     order = _as_permutation(g.p, ordering).tolist()
     profile = detour_profile(g)
-    level = profile.level
+    level = profile.level.tolist()
     keys = branch_keys(profile).tolist()
     pair = None  # tree_metric(g).pair, built at the first distance query
     need = g.p - 1
@@ -190,10 +239,8 @@ def greedy_min_coloring_for_ordering(g: BlockGraph, ordering: Sequence[int]) -> 
         colors[v] = last = best
         top = max(top, best - level[v])
         same.append(v)
-    return HamColoring(tuple(colors))
+    return HamColoring(colors)
 
-
-_INT64_MAX = np.iinfo(np.int64).max
 
 # Candidate pairs checked per numpy batch, and violations kept in the head
 # of a Violations.  A batch's temporaries take over 100 bytes per pair and
@@ -202,13 +249,20 @@ _INT64_MAX = np.iinfo(np.int64).max
 _PAIR_CHUNK = 1 << 13
 
 
+def _all_integers(colors: Sequence) -> bool:
+    """Whether every item is a Python or numpy integer; bool is not one."""
+    return not any(
+        t is bool or not issubclass(t, (int, np.integer)) for t in set(map(type, colors))
+    )
+
+
 def check_colors(g: BlockGraph, colors: Sequence[int]) -> None:
     """Raise unless colors holds one integer from 0 to 2**63 - 1 per vertex."""
     if len(colors) != g.p:
         raise SizeMismatchError(f"expected {g.p} colors, got {len(colors)}")
     # whole-sequence passes: the type test first, so min and max compare integers only
     if (
-        any(t is bool or not issubclass(t, (int, np.integer)) for t in set(map(type, colors)))
+        not _all_integers(colors)
         or min(colors) < 0
         or max(colors) > _INT64_MAX
     ):
@@ -409,7 +463,7 @@ def greedy_ordering(g: BlockGraph, profile: DetourProfile) -> list[int]:
     block is the least unused vertex of another block.  Whatever is still
     held at the end follows in order.
     """
-    level, block = profile.level, profile.owner_block
+    level, block = profile.level.tolist(), profile.owner_block.tolist()
     start = min(profile.center)
     order = [start]
     held: deque[int] = deque()

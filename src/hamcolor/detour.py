@@ -27,7 +27,7 @@ table.  Both are built on first use and cached on the graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -38,6 +38,12 @@ RELATION_SAME = "same"
 RELATION_DIFFERENT = "different"
 RELATION_OPPOSITE = "opposite"
 RELATION_INVOLVES_CENTRAL = "involves_central"
+
+# The dtype of per-vertex levels, owners and block ids.  Each is below p or
+# the block count, and both are at most the member count (every vertex lies
+# in a block, every block holds two members), so int32 holds them while the
+# graph has fewer than 2**31 members, 16 GiB of int64 member ids.
+_ID_DTYPE = np.int32
 
 
 class TreeMetric:
@@ -58,7 +64,7 @@ class TreeMetric:
         bct = g.block_cut_tree()
         pos, self._dep2, up = _preorder(bct)
         self.pos = pos[bct.anchor]
-        self.root2 = bct.dist2[bct.anchor] + bct.half2
+        self.root2 = (bct.dist2 + bct.weight2)[bct.anchor]
 
         # _table[k, i] = min of dep2[parent] over positions i..i + 2**k - 1;
         # position 0 holds the root, which no query range includes
@@ -134,16 +140,39 @@ class DetourProfile:
 
     ``owner[u]`` is the central vertex nearest to u in detour distance and
     ``owner_block[u]`` the first block on the path from that owner to u;
-    both are -1 for central vertices.
+    both are -1 for central vertices.  ``level``, ``owner`` and
+    ``owner_block`` are read-only int32 arrays: a read-only int32 array is
+    kept as given, anything else is copied into one.  Profiles compare by
+    value.
     """
 
     center: tuple[int, ...]
     omega: int
     xi: int
-    level: tuple[int, ...]
+    level: np.ndarray
     total_level: int
-    owner: tuple[int, ...]
-    owner_block: tuple[int, ...]
+    owner: np.ndarray
+    owner_block: np.ndarray
+
+    def __post_init__(self):
+        for name in ("level", "owner", "owner_block"):
+            given = getattr(self, name)
+            ids = isinstance(given, np.ndarray) and given.dtype == _ID_DTYPE
+            if ids and not given.flags.writeable:
+                continue  # kept, not copied
+            array = np.array(given, dtype=_ID_DTYPE)
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, DetourProfile):
+            return NotImplemented
+        return all(
+            np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.center, self.omega, self.xi, self.total_level))
 
 
 def detour_profile(g: BlockGraph) -> DetourProfile:
@@ -167,26 +196,27 @@ def detour_profile(g: BlockGraph) -> DetourProfile:
 
 def _build_profile(g: BlockGraph) -> DetourProfile:
     bct = g.block_cut_tree()
-    anchor, half2, parent, order = bct.anchor, bct.half2, bct.parent, bct.order
+    anchor, weight2, parent, order = bct.anchor, bct.weight2, bct.parent, bct.order
     pos, dep, up = _preorder(bct)
 
     def from_node(c: int) -> np.ndarray:
-        # per vertex, twice the distance from node c to its anchor, plus half2;
-        # the LCAs' dist2 are running minima of up, each way from c's position
+        # per node x, twice the distance from node c to x plus weight2[x], so a
+        # vertex anchored at x reads its own distance plus half2; the LCAs'
+        # dist2 are running minima of up, each way from c's position
         i = pos[c]
         before, after = np.minimum.accumulate(up[i:0:-1])[::-1], np.minimum.accumulate(up[i + 1 :])
         lca2 = np.concatenate((before, dep[i : i + 1], after))
-        d2 = (dep + dep[i] - 2 * lca2)[pos][anchor]
-        d2 += half2
+        d2 = (dep + dep[i] - 2 * lca2)[pos]
+        d2 += weight2
         return d2
 
     def from_vertex(u: int) -> np.ndarray:
-        d2 = from_node(anchor[u])
-        d2 += half2[u]
+        d2 = from_node(anchor[u])[anchor]
+        d2 += weight2[anchor[u]]
         d2[u] = 0
         return d2
 
-    ecc2 = from_vertex(int(np.argmax(bct.dist2[anchor] + half2)))
+    ecc2 = from_vertex(int(np.argmax((bct.dist2 + weight2)[anchor])))
     np.maximum(ecc2, from_vertex(int(np.argmax(ecc2))), out=ecc2)
     center = tuple(np.flatnonzero(ecc2 == ecc2.min()).tolist())
     del ecc2
@@ -195,13 +225,13 @@ def _build_profile(g: BlockGraph) -> DetourProfile:
         # a cut vertex: a non-cut vertex ties in eccentricity with a cut
         # vertex of its block; its neighbours are its blocks
         root = int(anchor[center[0]])
-        xi = int(bct.weight2[bct.neighbours(root)].min())
+        xi = int(weight2[bct.neighbours(root)].min())
     else:
         root = block_index(g, center)
         if root < 0:
             raise AssertionError("detour center is not one whole block")
         xi = 0
-    level = tuple(((from_node(root) - (omega - 1)) // 2).tolist())
+    level = ((from_node(root) - (omega - 1)) // 2).astype(_ID_DTYPE)[anchor]
 
     # A branch is headed by its first block h, below the central cut vertex
     # parent[h].  The heads are the root's children when omega = 1 and its
@@ -227,18 +257,23 @@ def _build_profile(g: BlockGraph) -> DetourProfile:
     if omega > 1:
         code[pos[kids]] = -1
     first = order[heads]
-    firsts = first.tolist() + [int(parent[top]), -1]
-    owners = list(map(bct.cut_list.__getitem__, (parent[first] - bct.block_count).tolist()))
-    owners += [bct.cut_list[top - bct.block_count] if top else -1, -1]
-    codes = code[pos][anchor].tolist()
+    cut_list = np.array(bct.cut_list)
+    top_owner = cut_list[top - bct.block_count] if top else -1
+    owners = np.append(cut_list[parent[first] - bct.block_count], (top_owner, -1))
+    firsts = np.append(first, (parent[top], -1))
+    code = code[pos]  # by node
+    owner = owners.astype(_ID_DTYPE)[code][anchor]
+    owner_block = firsts.astype(_ID_DTYPE)[code][anchor]
+    for a in (level, owner, owner_block):
+        a.flags.writeable = False
     return DetourProfile(
         center=center,
         omega=omega,
         xi=xi,
         level=level,
-        total_level=sum(level),
-        owner=tuple(map(owners.__getitem__, codes)),
-        owner_block=tuple(map(firsts.__getitem__, codes)),
+        total_level=int(level.sum(dtype=np.int64)),
+        owner=owner,
+        owner_block=owner_block,
     )
 
 

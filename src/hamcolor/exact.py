@@ -153,7 +153,7 @@ def exact_hc(g: BlockGraph, budget: SearchBudget | None = None) -> tuple[int, Ha
     twin_prev = _twin_groups(rows, p)
     need = p - 1
     step = p - profile.omega
-    level = profile.level
+    level = profile.level.tolist()
     bits = need.bit_length()
     pending = [0] * p
     used = [False] * p

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detour import detour_profile
+from .detour import _ID_DTYPE, detour_profile
 from .errors import InvalidSpecError, NotSymmetricError
 from .graphs import BlockGraph, block_index, check_integer
 
@@ -76,7 +76,8 @@ class SymmetricCoordinates:
     so its child i is member ``i // k`` of block ``i % k``.  ``child_row[v]``
     is v's row in ``children``, and -1 when v has no child blocks (the
     outermost depth) or is the even-diameter center, whose kappa blocks give
-    ``top_list`` the same way.  Records compare by identity.
+    ``top_list`` the same way.  Both arrays are int32.  Records compare by
+    identity.
     """
 
     spec: SymmetricSpec
@@ -143,7 +144,7 @@ def symmetric_coordinates(g: BlockGraph) -> SymmetricCoordinates:
             f"detour center has {profile.omega} vertices; expected 1 or {m}"
         )
 
-    depth = np.fromiter(profile.level, dtype=np.intp, count=g.p) // n
+    depth = profile.level // n
     r = int(depth.max())
     outer = depth == r
     if not (outer | is_cut).all():
@@ -168,8 +169,8 @@ def symmetric_coordinates(g: BlockGraph) -> SymmetricCoordinates:
         top_list = roots
     rows = np.flatnonzero(~top)
     rows = rows[np.argsort(up[rows], kind="stable")]
-    children = members[rows][is_child[rows]].reshape(-1, kappa - 1, n)
-    child_row = np.full(g.p, -1)
+    children = members[rows][is_child[rows]].reshape(-1, kappa - 1, n).astype(_ID_DTYPE)
+    child_row = np.full(g.p, -1, dtype=_ID_DTYPE)
     child_row[up[rows[:: kappa - 1]]] = np.arange(len(children))
 
     d = 2 * r if parity == "even" else 2 * r + 1

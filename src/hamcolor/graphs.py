@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from functools import partial
 from itertools import chain, combinations, pairwise
-from typing import Iterable, NoReturn, Sequence
+from typing import Iterable, Iterator, NoReturn, Sequence
 
 import numpy as np
 
@@ -58,25 +58,37 @@ def _vertex_count(p) -> int:
     return int(p)
 
 
-def _canonical_members(p: int, raw: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
-    """Members ascending within blocks, blocks by smallest member, then lexicographically.
+def _member_arrays(p: int, raw: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """The block sizes and the members of all blocks, block after block, as intp arrays.
 
-    Returns the members of all blocks, block after block, and the blocks'
-    start offsets followed by the member count.  On arrays, one sort of
-    ``block * p + member`` orders and merges each block's members, and one
-    sort of ``first * p + second`` on each block's two smallest members
-    orders the blocks.  Two distinct blocks tie there only when they share
-    two vertices, so the list is no block graph; its blocks are then
-    ordered by their member lists, for the diagnosis.  A list the arrays
-    show malformed goes to :func:`_reject`, which raises its error.
+    A member too large for intp leaves the arrays unbuilt and goes to
+    :func:`_reject`, which raises its error.
     """
     sizes = np.fromiter(map(len, raw), dtype=np.intp, count=len(raw))
     try:
         flat = np.fromiter(chain.from_iterable(raw), dtype=np.intp, count=int(sizes.sum()))
     except OverflowError:
-        _reject(p, raw)
+        _reject(p, sizes, np.fromiter(chain.from_iterable(raw), dtype=object))
+    return sizes, flat
+
+
+def _canonical_members(
+    p: int, sizes: np.ndarray, flat: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Members ascending within blocks, blocks by smallest member, then lexicographically.
+
+    Takes :func:`_member_arrays`' block sizes and members.  Returns the
+    members of all blocks, block after block, and the blocks' start offsets
+    followed by the member count.  On arrays, one sort of ``block * p +
+    member`` orders and merges each block's members, and one sort of
+    ``first * p + second`` on each block's two smallest members orders the
+    blocks.  Two distinct blocks tie there only when they share two
+    vertices, so the list is no block graph; its blocks are then ordered by
+    their member lists, for the diagnosis.  A list the arrays show
+    malformed goes to :func:`_reject`, which raises its error.
+    """
     if not len(sizes) or len(flat) < p or flat.min() < 0 or flat.max() >= p:
-        _reject(p, raw)
+        _reject(p, sizes, flat)
     # Both keys stay below len(flat) ** 2, as p <= len(flat).  Every sort is
     # numpy's stable argsort, which the block-cut tree uses too: the default
     # sort would touch a second routine, about 0.2 MB more RSS per process.
@@ -89,10 +101,10 @@ def _canonical_members(p: int, raw: Sequence[Sequence[int]]) -> tuple[np.ndarray
         keep = np.append(True, ~repeat)
         key, block_of = key[keep], block_of[keep]
         sizes = np.bincount(block_of, minlength=len(sizes))
-    if len(key) < p or sizes.min() < 2:
-        _reject(p, raw)
     members = key
     members -= block_of * p
+    if len(members) < p or sizes.min() < 2:
+        _reject(p, sizes, members)
     starts = np.cumsum(sizes) - sizes
     pair = members[starts] * p + members[starts + 1]
     order = np.argsort(pair, kind="stable")
@@ -105,14 +117,16 @@ def _canonical_members(p: int, raw: Sequence[Sequence[int]]) -> tuple[np.ndarray
     return members, np.append(0, ends)
 
 
-def _reject(p: int, raw: Sequence[Sequence[int]]) -> NoReturn:
-    """Raise the error of a block list that the arrays found malformed.
+def _reject(p: int, sizes: np.ndarray, flat: np.ndarray) -> NoReturn:
+    """Raise the error of a malformed block list, given as its block sizes and members.
 
     Blocks are checked in canonical order for size and ids, then the
     smallest id that no block holds is named, in time and memory
     proportional to the input, so a huge p is rejected at once.
     """
-    canon = sorted(tuple(sorted(set(map(int, b)))) for b in raw)
+    flat = flat.tolist()
+    ends = np.cumsum(sizes).tolist()
+    canon = sorted(tuple(sorted(set(flat[e - s : e]))) for s, e in zip(sizes.tolist(), ends))
     if not canon:
         raise InvalidSpecError("a block graph needs at least one block")
     for b in canon:
@@ -215,7 +229,7 @@ class BlockGraph:
 
     def __init__(self, p: int, blocks: Iterable[Iterable[int]], meta: dict | None = None):
         p = _vertex_count(p)
-        self._build(p, *_canonical_members(p, _member_lists(blocks)), meta)
+        self._build(p, *_canonical_members(p, *_member_arrays(p, _member_lists(blocks))), meta)
 
     @classmethod
     def _from_members(
@@ -287,7 +301,7 @@ class BlockCutTree:
     are doubled to stay integral: ``weight2[x]`` is |B| - 1 on a block
     node and 0 on a cut node, and an edge weighs ``weight2[x] +
     weight2[y]``.  Per vertex v, ``anchor[v]`` is its cut node or its one
-    block node, and ``half2[v]`` is ``weight2[anchor[v]]``.
+    block node, and ``half2[v]`` is ``weight2[anchor[v]]``, derived on read.
     The constructor walks the tree once, depth first from node 0, and
     keeps the preorder as ``order`` and, per node, ``parent`` and the
     doubled distance ``dist2`` from node 0; no other code walks the tree.
@@ -296,7 +310,7 @@ class BlockCutTree:
 
     __slots__ = (
         "block_count", "cut_list", "node_count", "indptr", "indices", "weight2", "anchor",
-        "half2", "order", "parent", "dist2",
+        "order", "parent", "dist2",
     )
 
     def __init__(self, members: np.ndarray, starts: np.ndarray, degree: np.ndarray):
@@ -325,7 +339,6 @@ class BlockCutTree:
         self.node_count = b + len(cuts)
         self.weight2 = np.append(sizes - 1, np.zeros(len(cuts), dtype=sizes.dtype))
         self.anchor = anchor
-        self.half2 = self.weight2[anchor]
 
         # The tree's one walk: a depth-first preorder from node 0 with parents
         # and doubled distances.  Nodes are marked when pushed, so the walk
@@ -349,9 +362,16 @@ class BlockCutTree:
         self.order = np.array(order, dtype=np.intp)
         self.parent = np.array(parent, dtype=np.intp)
         self.dist2 = np.array(dist2)
-        for a in (self.indptr, self.indices, self.weight2, self.anchor, self.half2, self.order,
-                  self.parent, self.dist2):
+        for a in (self.indptr, self.indices, self.weight2, self.anchor, self.order, self.parent,
+                  self.dist2):
             a.flags.writeable = False
+
+    @property
+    def half2(self) -> np.ndarray:
+        """Per vertex, ``weight2`` of its anchor: |B| - 1 for a vertex in one block, else 0."""
+        half2 = self.weight2[self.anchor]
+        half2.flags.writeable = False
+        return half2
 
     def neighbours(self, x: int) -> np.ndarray:
         """The neighbours of node x, ascending."""
@@ -384,18 +404,29 @@ def block_index(g: BlockGraph, vertices: Sequence[int]) -> int:
 def to_json(g: BlockGraph) -> str:
     """Canonical JSON form; parse -> serialize is byte-identical.
 
-    The bytes of one sorted, compact ``json.dumps`` of p, blocks and meta,
-    with the blocks written 4,096 at a time, so one slice's lists at most exist.
+    The bytes of one sorted, compact ``json.dumps`` of p, blocks and meta:
+    the pieces of :func:`_json_parts`, joined.
+    """
+    return "".join(_json_parts(g))
+
+
+def _json_parts(g: BlockGraph) -> Iterator[str]:
+    """:func:`to_json`'s text in order, piece by piece, with the blocks 1,024 at a time.
+
+    json.dumps makes a string per value before it joins them, so only one
+    slice's lists and strings exist at a time; a writer given the pieces
+    never holds the whole text.
     """
     compact = partial(json.dumps, sort_keys=True, separators=(",", ":"))
     members, starts = g._members, g._starts
-    step = 4096
-    body = ",".join(
-        compact(_split(members, starts[i : i + step + 1]))[1:-1]
-        for i in range(0, len(starts) - 1, step)
-    )
+    step = 1024
+    yield '{"blocks":['
+    for i in range(0, len(starts) - 1, step):
+        if i:
+            yield ","
+        yield compact(_split(members, starts[i : i + step + 1]))[1:-1]
     meta = f',"meta":{compact(g.meta)}' if g.meta else ""
-    return f'{{"blocks":[{body}]{meta},"p":{g.p}}}\n'
+    yield f']{meta},"p":{g.p}}}\n'
 
 
 def from_json(text: str) -> BlockGraph:
@@ -428,10 +459,13 @@ def from_json(text: str) -> BlockGraph:
     if meta is not None and not isinstance(meta, dict):
         raise InvalidSpecError('"meta" must be an object when present')
     # the check above is the one pass over the member types; the document
-    # is let go before the block-cut tree is built
+    # and its text are let go before the canonical sort, and the raw block
+    # arrays before the block-cut tree is built
     p = _vertex_count(p)
-    members, starts = _canonical_members(p, blocks)
-    del doc, blocks
+    sizes, flat = _member_arrays(p, blocks)
+    del text, doc, blocks
+    members, starts = _canonical_members(p, sizes, flat)
+    del sizes, flat
     return BlockGraph._from_members(p, members, starts, meta)
 
 

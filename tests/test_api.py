@@ -5,6 +5,7 @@ import dataclasses
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import hamcolor
@@ -90,11 +91,14 @@ def test_record_fields_are_pinned(record) -> None:
     assert not [name for name in vars(record) if not name.startswith("_")]
 
 
-@pytest.mark.parametrize("name", ["children", "child_row"])
+@pytest.mark.parametrize("name", ["children", "child_row", "level", "owner", "owner_block"])
 def test_coordinate_arrays_are_read_only(name) -> None:
-    _, coords = hamcolor.gen_symmetric(hamcolor.SymmetricSpec(3, 2, 4))
+    g, coords = hamcolor.gen_symmetric(hamcolor.SymmetricSpec(3, 2, 4))
+    record = coords if hasattr(coords, name) else hamcolor.detour_profile(g)
+    array = getattr(record, name)
+    assert array.dtype == np.int32
     with pytest.raises(ValueError):
-        getattr(coords, name)[0] = 1
+        array[0] = 1
 
 
 def test_block_graph_surface_is_pinned() -> None:

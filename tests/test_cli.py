@@ -10,7 +10,17 @@ from pathlib import Path
 import pytest
 
 import hamcolor.cli
-from hamcolor import sym_order_count
+import hamcolor.graphs
+from hamcolor import (
+    BlockGraph,
+    SymmetricSpec,
+    gen_path,
+    gen_random_block_graph,
+    gen_star,
+    gen_symmetric,
+    sym_order_count,
+    to_json,
+)
 from hamcolor.cli import run
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -311,6 +321,39 @@ def test_bound_json_schema(tmp_path, capsys) -> None:
         "total_level": 18,
         "lower_bound": 3,
     }
+
+
+@pytest.mark.parametrize(
+    ("flags", "make"),
+    [
+        (["path", "-n", "2"], lambda: gen_path(2)),
+        (["path", "-n", "1024"], lambda: gen_path(1024)),
+        (["path", "-n", "1025"], lambda: gen_path(1025)),
+        (["path", "-n", "1026"], lambda: gen_path(1026)),
+        (["star", "-n", "5001"], lambda: gen_star(5001)),
+        (["sym", "--block-size", "4", "--cut-degree", "3", "--diameter", "6"],
+         lambda: gen_symmetric(SymmetricSpec(4, 3, 6))[0]),
+        (["random", "--seed", "3", "--max-p", "4000"], lambda: gen_random_block_graph(3, 4000)),
+    ],
+    ids=["1-block", "1023-blocks", "1024-blocks", "1025-blocks", "5001-blocks", "sym", "random"],
+)
+def test_gen_streams_the_bytes_of_to_json(tmp_path, capsys, flags, make) -> None:
+    # gen writes its JSON a slice of blocks at a time, to a file or to stdout
+    want = to_json(make())
+    assert '"meta":{' in want
+    out = tmp_path / "g.json"
+    assert run(["gen", *flags, "-o", str(out)]) == 0
+    assert out.read_text(encoding="utf-8") == want
+    capsys.readouterr()
+    assert run(["gen", *flags]) == 0
+    assert capsys.readouterr().out == want
+
+
+def test_streamed_json_without_meta_is_to_json(tmp_path) -> None:
+    g = BlockGraph(1026, [[v, v + 1] for v in range(1025)])
+    out = tmp_path / "g.json"
+    hamcolor.cli._write(str(out), hamcolor.graphs._json_parts(g))
+    assert out.read_text(encoding="utf-8") == to_json(g) and '"meta"' not in to_json(g)
 
 
 def test_gen_round_trip_is_byte_identical(tmp_path) -> None:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 import tracemalloc
 
@@ -31,6 +32,7 @@ from hamcolor import (
     greedy_min_coloring_for_ordering,
     greedy_ordering,
     lower_bound,
+    sym_hc,
     sym_ordering,
     to_json,
     validate_coloring,
@@ -342,6 +344,54 @@ def test_ham_coloring_normalizes_to_zero() -> None:
 def test_ham_coloring_needs_a_vertex() -> None:
     with pytest.raises(SizeMismatchError, match="^a coloring needs at least one vertex$"):
         HamColoring(())
+
+
+@pytest.mark.parametrize(
+    "colors",
+    [(0.5, 1.5), (0.0, 1.0), (True, 3), (0, False), ("0", 1), np.array([0.5, 1.5]),
+     np.array([True, False]), np.zeros((2, 2), dtype=np.int64), (0, 2**63), (-(2**62), 2**62)],
+)
+def test_ham_coloring_takes_integers_whose_span_fits_in_int64(colors) -> None:
+    # an int64 array would truncate a float and count a bool as 0 or 1
+    with pytest.raises(InvalidSpecError):
+        HamColoring(colors)
+
+
+def test_ham_coloring_is_an_array_with_a_tuple_view() -> None:
+    huge = HamColoring([2**70 + 5, 2**70, 2**70 + 2**63 - 1])
+    assert huge.colors == (5, 0, 2**63 - 1) and huge.span == 2**63 - 1
+    from_numpy = HamColoring(np.array([7, 9, 12], dtype=np.int16))
+    assert from_numpy == HamColoring((0, 2, 5)) == HamColoring(iter([3, 5, 8]))
+    assert hash(from_numpy) == hash(HamColoring([0, 2, 5]))
+    assert from_numpy != HamColoring((0, 2, 6)) and from_numpy != (0, 2, 5)
+    assert all(type(c) is int for c in from_numpy.colors)
+    assert repr(from_numpy) == "HamColoring(colors=(0, 2, 5))"
+    with pytest.raises(AttributeError):
+        from_numpy.colors = (0, 1, 2)
+
+
+@pytest.mark.parametrize(
+    ("make", "method", "span", "bound", "digest"),
+    [
+        (lambda: gen_random_block_graph(5, 100_000), "greedy", 6_661_762_510, 6_660_561_753,
+         "210ab3389bce435f"),
+        (lambda: gen_symmetric(SymmetricSpec(6, 6, 7))[0], "symmetric", 9_533_121_750,
+         9_533_121_750, None),
+    ],
+    ids=["greedy", "symmetric"],
+)
+def test_spans_past_two_to_the_31_stay_exact(make, method, span, bound, digest) -> None:
+    # the profile's int32 rows must not carry into color arithmetic: both
+    # spans are above 2**31, where an int32 would overflow or wrap
+    g = make()
+    result = color_graph(g)
+    assert (result.method, result.coloring.span, result.bound) == (method, span, bound)
+    assert span > 2**31
+    if digest is not None:
+        assert g.p == 81_646
+        assert hashlib.sha256(str(result.coloring.colors).encode()).hexdigest().startswith(digest)
+    else:
+        assert span == sym_hc(SymmetricSpec(6, 6, 7))
 
 
 @given(st.integers(0, 10_000), st.integers(0, 500))

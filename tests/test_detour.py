@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import re
-import sys
 import tracemalloc
 from collections import deque
 from itertools import combinations
@@ -236,10 +235,11 @@ def test_profile_memory_is_a_few_rows_of_shared_ints() -> None:
     sym = relabeled(gen_symmetric(SymmetricSpec(5, 5, 6))[0], 1)
     profile, retained, peak = _traced(sym)
     assert sym.p == 5461 and peak < 530_000, peak
-    # what it keeps is its three tuples; the vertices of a branch share one
-    # int object for their owner and one for their first block
-    assert retained < 3 * sys.getsizeof(profile.level) + 1_100, retained
-    assert len(set(map(id, profile.owner_block))) <= len(set(profile.owner_block))
+    # what it keeps is its three int32 rows, 4 bytes per vertex each; as
+    # tuples of shared ints they kept 24 bytes per vertex and 1,100 more
+    rows = (profile.level, profile.owner, profile.owner_block)
+    assert all(row.nbytes == 4 * sym.p for row in rows)
+    assert retained < 12 * sym.p + 1_500, retained
     assert _traced(gen_path(20_000))[2] < 7_500_000
 
 

@@ -358,6 +358,45 @@ def test_symmetric_pipeline_memory_is_flat_arrays(stage: str) -> None:
     assert peak / 42_105 < 170, peak / 42_105
 
 
+def _sym_567_text() -> str:
+    """A relabeled sym(5,6,7), p = 42,105, as JSON, with numpy's caches warmed first."""
+    color_graph(from_json(to_json(gen_symmetric(SymmetricSpec(3, 3, 4))[0])))
+    return to_json(relabeled(gen_symmetric(SymmetricSpec(5, 6, 7))[0], 3))
+
+
+def test_parse_lets_go_of_the_document_before_sorting() -> None:
+    # Peak traced bytes per vertex of from_json on a relabeled sym(5,6,7).
+    # Holding the decoded document through the canonical sort peaked at 128;
+    # turning the blocks into two arrays and dropping it first takes 109.
+    texts = [_sym_567_text()]
+    tracemalloc.start()
+    try:
+        g = from_json(texts.pop())  # the call holds the only reference to the text
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.p == 42_105 and peak / g.p < 118, peak / g.p
+
+
+def test_coloring_result_keeps_arrays_and_builds_the_tuple_on_read() -> None:
+    # Bytes per vertex that color_graph's result and the graph's caches keep on
+    # a relabeled sym(5,6,7).  A tuple of colors and three profile tuples kept
+    # 72; the int32 profile rows, the ordering and the int64 colors keep 28,
+    # and reading .colors then builds the tuple, 40 more.
+    g = from_json(_sym_567_text())
+    tracemalloc.start()
+    try:
+        result = color_graph(g)
+        kept = tracemalloc.get_traced_memory()[0]
+        colors = result.coloring.colors
+        with_tuple = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(colors) == g.p and result.coloring.span == max(colors)
+    assert kept / g.p < 36, kept / g.p
+    assert (with_tuple - kept) / g.p > 30, (with_tuple - kept) / g.p
+
+
 def test_symmetric_coordinates_keep_a_child_table() -> None:
     # Bytes per vertex that symmetric_coordinates keeps and peaks at on a
     # relabeled sym(5,6,7), p = 42,105, with the detour profile cached.

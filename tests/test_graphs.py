@@ -368,9 +368,9 @@ def test_array_canonicalization_matches_the_tuple_sort(monkeypatch) -> None:
     calls = {"reject": 0, "split": 0}
     reject, split = hamcolor.graphs._reject, hamcolor.graphs._split
 
-    def counted_reject(p, raw):
+    def counted_reject(p, sizes, flat):
         calls["reject"] += 1
-        reject(p, raw)
+        reject(p, sizes, flat)
 
     def counted_split(members, starts):
         calls["split"] += 1
