@@ -14,8 +14,8 @@ coloring meeting the general lower bound.
 
 The forced coloring along an ordering instead gives each next vertex
 the smallest color that keeps it valid against every placed vertex, so
-it is valid for any ordering.  :func:`color_graph` is the one place
-that chooses between the two and the ordering they follow.
+it is valid for any ordering.  :func:`color_graph` colors every graph
+by it, computed by the recurrence wherever the two provably agree.
 """
 
 from __future__ import annotations
@@ -132,13 +132,11 @@ class ConditionReport:
 
 def _as_permutation(p: int, ordering: VertexOrdering) -> np.ndarray:
     order = np.asarray(ordering)
-    if (
-        order.shape != (p,)
-        or order.dtype.kind not in "iu"
-        or not np.array_equal(np.sort(order), np.arange(p))
-    ):
-        raise NotAPermutationError(f"ordering is not a permutation of 0..{p - 1}")
-    return order
+    if order.shape == (p,) and order.dtype.kind in "iu" and 0 <= order.min() <= order.max() < p:
+        # p counts summing to p are all 1 exactly when none is 0
+        if np.bincount(order.astype(np.intp, copy=False), minlength=p).all():
+            return order
+    raise NotAPermutationError(f"ordering is not a permutation of 0..{p - 1}")
 
 
 def check_ordering_conditions(
@@ -203,19 +201,35 @@ def greedy_min_coloring_for_ordering(g: BlockGraph, ordering: Sequence[int]) -> 
 
     Each next color is the maximum of c(last) and, over placed vertices
     u, of c(u) + p - 1 - D(u, next).  By the lemma of
-    :func:`~hamcolor.detour.branch_keys`, a placed u keyed apart from next
-    gives exactly (c(u) - L(u)) + p - omega - L(next), and one sharing
-    next's key gives at least that.  So the next color is the largest of
-    c(last), M + p - omega - L(next), with M the running maximum of
-    c(u) - L(u), and the exact term over next's own key.  Colors never
-    decrease along the ordering and D >= 1, so that key's placed vertices
-    are scanned newest first, one scalar tree-metric query each, and the
-    scan stops at the first u with c(u) + p - 2 at most the color so far.
-    A step costs O(1) plus the vertices of its own key that can still
-    raise its color.
+    :func:`~hamcolor.detour.branch_keys`, D(u, v) <= L(u) + L(v) + omega - 1,
+    with equality when the keys of u and v differ.
+
+    On a shallow graph, 4 maxL <= p - 2 omega + 2, with different keys at
+    every consecutive pair, this is :func:`coloring_from_ordering`'s gap
+    recurrence, which is returned.  Proof: each forced step is at least
+    p - 1 - D(u_i, u_{i+1}) >= p - omega - 2 maxL >= (p - 2) / 2 >= 0, so two
+    steps sum to at least p - 2 >= p - 1 - D for any pair: only consecutive
+    pairs bind, and with their keys apart each step is the recurrence's gap.
+
+    Otherwise a placed u keyed apart from next gives exactly (c(u) - L(u))
+    + p - omega - L(next), and one sharing next's key gives at least that.
+    So the next color is the largest of c(last), M + p - omega - L(next),
+    with M the running maximum of c(u) - L(u), and the exact term over
+    next's own key.  Colors never decrease along the ordering and D >= 1,
+    so that key's placed vertices are scanned newest first, one scalar
+    tree-metric query each, and the scan stops at the first u with
+    c(u) + p - 2 at most the color so far.  A step costs O(1) plus the
+    vertices of its own key that can still raise its color.
     """
-    order = _as_permutation(g.p, ordering).tolist()
+    order = _as_permutation(g.p, ordering)
     profile = detour_profile(g)
+    if 4 * int(profile.level.max()) <= g.p - 2 * profile.omega + 2:  # shallow
+        keys = branch_keys(profile)[order]
+        apart = bool((keys[:-1] != keys[1:]).all())
+        del keys
+        if apart:
+            return coloring_from_ordering(g, profile, order)
+    order = order.tolist()
     level = profile.level.tolist()
     keys = branch_keys(profile).tolist()
     pair = None  # tree_metric(g).pair, built at the first distance query
@@ -506,22 +520,13 @@ class ColorResult:
 
 
 def color_graph(g: BlockGraph) -> ColorResult:
-    """Color g by the best construction that applies to it.
+    """Color g by the forced coloring along the best ordering that applies to it.
 
-    A symmetric block graph with kn >= 2 is colored along its
-    bound-achieving ordering: by the gap recurrence ("symmetric" at
-    diameter >= 3, the paper's construction, and "union" for a one-point
-    union of kappa >= 3 cliques K_m), and by the forced coloring, which is
-    optimal there, for a union of two.  Every other graph, paths included,
-    gets the forced coloring along the greedy ordering ("greedy"); forced
-    colorings are valid by construction.  The recurrence is not tried
-    there: D(u, v) <= level(u) + level(v) + omega - 1 makes each forced
-    step at least the recurrence's, so a recurrence coloring that is
-    valid, and hence nondecreasing, equals the forced one.  A union's
-    ordering is the hub, then the cliques round robin: its recurrence steps
-    by (kappa - 1)(m - 1), then (kappa - 2)(m - 1), so two vertices of one
-    clique, kappa steps apart, differ by at least p - 1 - D when
-    kappa (kappa - 2) >= kappa - 1, and the union keeps the forced output.
+    A symmetric block graph with kn >= 2 follows its bound-achieving
+    ordering: "symmetric" at diameter >= 3, the paper's construction, and
+    "union" for a one-point union of cliques.  Every other graph, paths
+    included, follows the greedy ordering ("greedy").  The coloring is
+    valid by construction (see :func:`greedy_min_coloring_for_ordering`).
     """
     profile = detour_profile(g)
     try:
@@ -529,18 +534,12 @@ def color_graph(g: BlockGraph) -> ColorResult:
     except NotSymmetricError:
         coords = None
     if coords is not None and coords.spec.k * coords.spec.n >= 2:
-        spec = coords.spec
         ordering = sym_ordering(g, coords)
+        method = "symmetric" if coords.spec.diameter >= 3 else "union"
         del coords  # its p-sized arrays are not needed past the ordering
-        method = "symmetric" if spec.diameter >= 3 else "union"
-        forced = method == "union" and spec.cut_degree == 2
     else:
         ordering = np.array(greedy_ordering(g, profile), dtype=np.intp)
         ordering.flags.writeable = False
         method = "greedy"
-        forced = True
-    if forced:
-        coloring = greedy_min_coloring_for_ordering(g, ordering)
-    else:
-        coloring = coloring_from_ordering(g, profile, ordering)
+    coloring = greedy_min_coloring_for_ordering(g, ordering)
     return ColorResult(method, ordering, coloring, profile, lower_bound(g, profile))

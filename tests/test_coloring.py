@@ -33,6 +33,7 @@ from hamcolor import (
     greedy_ordering,
     lower_bound,
     sym_hc,
+    sym_order_count,
     sym_ordering,
     to_json,
     validate_coloring,
@@ -72,11 +73,20 @@ def test_condition_check_rejects_non_permutation() -> None:
     g, _, profile = sym_instance(3, 2, 3)
     with pytest.raises(NotAPermutationError):
         check_ordering_conditions(g, profile, list(range(g.p - 1)))
-    # the recurrence checks the same way: a repeated vertex, or float ids
-    with pytest.raises(NotAPermutationError):
-        coloring_from_ordering(g, profile, [0] * g.p)
-    with pytest.raises(NotAPermutationError):
-        coloring_from_ordering(g, profile, [float(v) for v in range(g.p)])
+    # the recurrence and the forced coloring check the same way: a repeated
+    # vertex, float ids, an id out of range at either end, or a 2-D array
+    bad = [
+        [0] * g.p,
+        [float(v) for v in range(g.p)],
+        list(range(1, g.p + 1)),
+        list(range(-1, g.p - 1)),
+        np.arange(g.p).reshape(1, g.p),
+    ]
+    for ordering in bad:
+        with pytest.raises(NotAPermutationError):
+            coloring_from_ordering(g, profile, ordering)
+        with pytest.raises(NotAPermutationError):
+            greedy_min_coloring_for_ordering(g, ordering)
 
 
 def test_half_order_boundary_cases() -> None:
@@ -445,14 +455,9 @@ def test_color_graph_on_unions_is_the_union_coloring() -> None:
             assert result.method == ("greedy" if (n, k) == (2, 2) else "union")
 
 
-def test_unions_of_three_or_more_cliques_take_the_recurrence(monkeypatch) -> None:
-    forced = []
-    real = hamcolor.coloring.greedy_min_coloring_for_ordering
-    monkeypatch.setattr(
-        hamcolor.coloring,
-        "greedy_min_coloring_for_ordering",
-        lambda g, ordering: forced.append(g.p) or real(g, ordering),
-    )
+def _recurrence_cases():
+    """Unions of three or more cliques, relabeled, and the symmetric grid
+    with p <= 6,000, as generated and relabeled: (method, label, graph)."""
     for n in range(2, 9):
         for k in range(3, 12):
             union = gen_union(n, k)
@@ -460,10 +465,49 @@ def test_unions_of_three_or_more_cliques_take_the_recurrence(monkeypatch) -> Non
                 perm = list(range(union.p))
                 random.Random(seed).shuffle(perm)
                 g = BlockGraph(union.p, [[perm[v] for v in b] for b in union.blocks])
-                result = color_graph(g)
-                assert result.method == "union", (n, k, seed)
-                assert result.coloring == real(g, result.ordering), (n, k, seed)
-    assert forced == []
+                yield "union", (n, k, seed), g
+    for m in range(2, 7):
+        for kappa in range(2, 7):
+            for d in range(3, 9):
+                spec = SymmetricSpec(m, kappa, d)
+                if spec.k * spec.n >= 2 and sym_order_count(spec) <= 6000:
+                    g = gen_symmetric(spec)[0]
+                    yield "symmetric", spec, g
+                    yield "symmetric", (spec, "relabeled"), relabeled(g, d)
+
+
+def test_unions_of_three_or_more_cliques_take_the_recurrence() -> None:
+    count = 0
+    for method, label, g in _recurrence_cases():
+        result = color_graph(g)
+        assert result.method == method, label
+        assert result.coloring == greedy_min_coloring_for_ordering(g, result.ordering), label
+        assert result.coloring == coloring_from_ordering(g, result.profile, result.ordering), label
+        count += 1
+    assert count == 189 + 2 * 120
+
+
+def test_a_corrupted_symmetric_ordering_never_claims_an_invalid_optimum(monkeypatch) -> None:
+    # swapping positions 1 and 2 breaks the paper's conditions; the gap
+    # recurrence would give sym(4,2,4) an invalid coloring at the bound, 327
+    real = hamcolor.coloring.sym_ordering
+
+    def swapped(g, coords):
+        ordering = real(g, coords).copy()
+        ordering[[1, 2]] = ordering[[2, 1]]
+        return ordering
+
+    monkeypatch.setattr(hamcolor.coloring, "sym_ordering", swapped)
+    for spec in ((4, 2, 4), (3, 2, 3), (3, 3, 4), (4, 3, 5), (5, 2, 5), (2, 4, 6)):
+        g = gen_symmetric(SymmetricSpec(*spec))[0]
+        result = color_graph(g)
+        assert result.method == "symmetric", spec
+        assert validate_coloring(g, result.coloring.colors) == [], spec
+        if "optimal" in result.status:
+            assert result.coloring.span == result.bound, spec
+        if spec == (4, 2, 4):
+            assert result.coloring.span == 330
+            assert result.status == "upper bound (uncertified)"
 
 
 def test_forced_coloring_without_distance_queries_builds_no_tree_metric() -> None:

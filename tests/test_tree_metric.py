@@ -244,13 +244,27 @@ def test_greedy_ordering_matches_the_reference_scan() -> None:
     assert omegas == {1, 2}
 
 
-def test_forced_coloring_matches_quadratic_reference_on_the_corpus() -> None:
+def test_forced_coloring_matches_quadratic_reference_on_the_corpus(monkeypatch) -> None:
+    recurrence = []
+    real = coloring.coloring_from_ordering
+    monkeypatch.setattr(
+        coloring,
+        "coloring_from_ordering",
+        lambda g, profile, order: recurrence.append(g.p) or real(g, profile, order),
+    )
+    depth = {"shallow": 0, "deep": 0, "boundary": 0}
     rng = random.Random(3)
     for g in _greedy_corpus():
+        profile = detour_profile(g)
+        slack = g.p - 2 * profile.omega + 2 - 4 * int(profile.level.max())
+        depth["boundary" if slack == 0 else "shallow" if slack > 0 else "deep"] += 1
         shuffled = list(range(g.p))
         rng.shuffle(shuffled)
-        for order in (greedy_ordering(g, detour_profile(g)), shuffled):
+        for order in (greedy_ordering(g, profile), shuffled):
             assert greedy_min_coloring_for_ordering(g, order).colors == _quadratic_greedy(g, order)
+    # both sides of the shallow lemma's split, and its boundary, stay covered
+    assert depth["shallow"] >= 150 and depth["deep"] >= 150 and depth["boundary"] >= 5, depth
+    assert len(recurrence) >= 50
 
 
 def test_greedy_method_is_valid_at_ten_thousand_vertices() -> None:
