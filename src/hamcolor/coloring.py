@@ -37,7 +37,7 @@ from .errors import (
 )
 from .families import SymmetricCoordinates, symmetric_coordinates
 from .formulas import lower_bound
-from .graphs import BlockGraph
+from .graphs import _ID_DTYPE, BlockGraph
 
 VertexOrdering = Sequence[int]
 
@@ -298,7 +298,7 @@ def _violation_batches(g: BlockGraph, c: np.ndarray) -> Iterator[tuple[np.ndarra
     distance = tree_metric(g).distance
     need = g.p - 1
     reach = max(g.p - 3, 0)
-    order = np.argsort(c, kind="stable")
+    order = np.argsort(c, kind="stable")  # intp, so the keys u * p + v below stay exact
     sorted_colors = c[order]
     # sorted positions i + 1 .. end[i] - 1 hold the candidates for position i;
     # clipping keeps color + reach inside int64 without changing the window
@@ -417,7 +417,7 @@ def validate_coloring(g: BlockGraph, colors: Sequence[int]) -> Violations:
 
 
 def sym_ordering(g: BlockGraph, coords: SymmetricCoordinates) -> np.ndarray:
-    """The bound-achieving ordering of a symmetric block graph, as a read-only intp array.
+    """The bound-achieving ordering of a symmetric block graph, as a read-only int32 array.
 
     Every branch's descendants are renamed 1..S, deepest depth group
     first and child tuples in radix order with the first index least
@@ -438,11 +438,11 @@ def sym_ordering(g: BlockGraph, coords: SymmetricCoordinates) -> np.ndarray:
         head, tail, levels = coords.roots[0], coords.top_list, spec.r - 1
     else:
         head, tail, levels = coords.roots[-1], coords.roots[:-1], spec.r
-    ordering = np.empty(g.p, dtype=np.intp)
+    ordering = np.empty(g.p, dtype=_ID_DTYPE)
     ordering[0] = head
     stop = g.p - len(tail)
     ordering[stop:] = tail
-    group = np.array(coords.top_list, dtype=np.intp)[None, :]  # the stream roots
+    group = np.array(coords.top_list, dtype=_ID_DTYPE)[None, :]  # the stream roots
     for _ in range(levels):
         rows = coords.child_row[group]
         start = stop - rows.size * spec.k * spec.n
@@ -498,7 +498,7 @@ class ColorResult:
     """A coloring from :func:`color_graph`, with what it was built from.
 
     ``method`` is "symmetric", "union" or "greedy"; ``ordering`` is the
-    vertex ordering the coloring follows, a read-only intp array; ``bound``
+    vertex ordering the coloring follows, a read-only int32 array; ``bound``
     is the general lower bound computed from ``profile``.  Results compare
     by identity.
     """
@@ -538,7 +538,7 @@ def color_graph(g: BlockGraph) -> ColorResult:
         method = "symmetric" if coords.spec.diameter >= 3 else "union"
         del coords  # its p-sized arrays are not needed past the ordering
     else:
-        ordering = np.array(greedy_ordering(g, profile), dtype=np.intp)
+        ordering = np.array(greedy_ordering(g, profile), dtype=_ID_DTYPE)
         ordering.flags.writeable = False
         method = "greedy"
     coloring = greedy_min_coloring_for_ordering(g, ordering)

@@ -32,18 +32,12 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import SameVertexError
-from .graphs import BlockCutTree, BlockGraph, block_index, check_vertices
+from .graphs import _ID_DTYPE, BlockCutTree, BlockGraph, block_index, check_vertices
 
 RELATION_SAME = "same"
 RELATION_DIFFERENT = "different"
 RELATION_OPPOSITE = "opposite"
 RELATION_INVOLVES_CENTRAL = "involves_central"
-
-# The dtype of per-vertex levels, owners and block ids.  Each is below p or
-# the block count, and both are at most the member count (every vertex lies
-# in a block, every block holds two members), so int32 holds them while the
-# graph has fewer than 2**31 members, 16 GiB of int64 member ids.
-_ID_DTYPE = np.int32
 
 
 class TreeMetric:
@@ -55,7 +49,9 @@ class TreeMetric:
 
         2 D(u, v) = root2[u] + root2[v] - 2 dep2[lca(anchor(u), anchor(v))],
 
-    where the LCA of two equal anchors is that anchor.
+    where the LCA of two equal anchors is that anchor.  Every array is
+    read-only int32, and :meth:`distance` returns int32; the sparse table
+    takes 4 bytes per entry, ``n.bit_length()`` entries per tree node.
     """
 
     __slots__ = ("pos", "root2", "_dep2", "_table")
@@ -69,13 +65,15 @@ class TreeMetric:
         # _table[k, i] = min of dep2[parent] over positions i..i + 2**k - 1;
         # position 0 holds the root, which no query range includes
         n = len(pos)
-        table = np.zeros((n.bit_length(), n), dtype=np.int64)
+        table = np.zeros((n.bit_length(), n), dtype=_ID_DTYPE)
         table[0, 1:] = up[1:]
         for k in range(1, len(table)):
             half = 1 << (k - 1)
             width = n - 2 * half + 1
             np.minimum(table[k - 1, :width], table[k - 1, half : half + width], out=table[k, :width])
         self._table = table
+        for a in (self.pos, self.root2, self._dep2, table):
+            a.flags.writeable = False
 
     def distance(self, u, v) -> np.ndarray:
         """D(u, v) elementwise over broadcastable vertex-id arrays; 0 where u == v."""
@@ -116,7 +114,7 @@ class TreeMetric:
 def _preorder(bct: BlockCutTree) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per node, its preorder position; per position, dist2 and the parent's (unread at 0)."""
     order = bct.order
-    pos = np.empty(len(order), dtype=np.intp)
+    pos = np.empty(len(order), dtype=_ID_DTYPE)
     pos[order] = np.arange(len(order))
     return pos, bct.dist2[order], bct.dist2[bct.parent[order]]
 
@@ -231,7 +229,7 @@ def _build_profile(g: BlockGraph) -> DetourProfile:
         if root < 0:
             raise AssertionError("detour center is not one whole block")
         xi = 0
-    level = ((from_node(root) - (omega - 1)) // 2).astype(_ID_DTYPE)[anchor]
+    level = ((from_node(root) - (omega - 1)) // 2)[anchor]
 
     # A branch is headed by its first block h, below the central cut vertex
     # parent[h].  The heads are the root's children when omega = 1 and its
@@ -251,13 +249,13 @@ def _build_profile(g: BlockGraph) -> DetourProfile:
     heads = np.sort(pos[heads])
     i = pos[top]  # top's subtree ends at the first later node whose parent is above top
     end = i + 1 + int(np.append(up[i + 1 :] < dep[i], True).argmax())
-    code = np.full(len(pos), len(heads))
+    code = np.full(len(pos), len(heads), dtype=_ID_DTYPE)
     code[i + 1 : end] = np.searchsorted(heads, np.arange(i + 1, end), side="right") - 1
     code[pos[[root, top]]] = -1
     if omega > 1:
         code[pos[kids]] = -1
     first = order[heads]
-    cut_list = np.array(bct.cut_list)
+    cut_list = bct.cut_list
     top_owner = cut_list[top - bct.block_count] if top else -1
     owners = np.append(cut_list[parent[first] - bct.block_count], (top_owner, -1))
     firsts = np.append(first, (parent[top], -1))
@@ -338,4 +336,4 @@ def detour_matrix(g: BlockGraph) -> np.ndarray:
     search) and for tests; larger callers query :func:`tree_metric`.
     """
     ids = np.arange(g.p)
-    return tree_metric(g).distance(ids[:, None], ids[None, :])
+    return tree_metric(g).distance(ids[:, None], ids[None, :]).astype(np.int64)

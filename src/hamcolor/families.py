@@ -19,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detour import _ID_DTYPE, detour_profile
+from .detour import detour_profile
 from .errors import InvalidSpecError, NotSymmetricError
-from .graphs import BlockGraph, block_index, check_integer
+from .graphs import _ID_DTYPE, BlockGraph, _check_member_count, block_index, check_integer
 
 
 @dataclass(frozen=True)
@@ -169,7 +169,7 @@ def symmetric_coordinates(g: BlockGraph) -> SymmetricCoordinates:
         top_list = roots
     rows = np.flatnonzero(~top)
     rows = rows[np.argsort(up[rows], kind="stable")]
-    children = members[rows][is_child[rows]].reshape(-1, kappa - 1, n).astype(_ID_DTYPE)
+    children = members[rows][is_child[rows]].reshape(-1, kappa - 1, n)
     child_row = np.full(g.p, -1, dtype=_ID_DTYPE)
     child_row[up[rows[:: kappa - 1]]] = np.arange(len(children))
 
@@ -191,31 +191,35 @@ def gen_symmetric(spec: SymmetricSpec) -> tuple[BlockGraph, SymmetricCoordinates
     parents takes the kn * P ids from its base; its parents are its root and
     then ``base .. base + P - 2``, and parent t's child block j holds ``base +
     t*k*n + j + k*i`` for i < n.  Rows ascend, so sorting them by their first
-    two members makes the array canonical.
+    two members makes the array canonical.  Ids are written as int32, and
+    the sort key is formed in int64: a first member times p passes 2**31
+    from p = 46,341.
     """
     m, kappa, d = spec.block_size, spec.cut_degree, spec.diameter
     n, k, r = spec.n, spec.k, spec.r
     kn = k * n
     if d % 2 == 0:
-        head = np.zeros((kappa, m), dtype=np.intp)  # the hub's blocks, round robin
+        head = np.zeros((kappa, m), dtype=_ID_DTYPE)  # the hub's blocks, round robin
         head[:, 1:] = 1 + np.arange(kappa)[:, None] + kappa * np.arange(n)
         roots, levels = np.arange(1, kappa * n + 1), r - 1
     else:
-        head = np.arange(m)[None, :]  # the central block
+        head = np.arange(m, dtype=_ID_DTYPE)[None, :]  # the central block
         roots, levels = np.arange(m), r
     parents = sum(kn**level for level in range(levels))  # P, per branch
+    _check_member_count((len(head) + len(roots) * parents * k) * m)  # before any int32 arithmetic
     first = int(head.max()) + 1  # the first branch's base
-    base = first + kn * parents * np.arange(len(roots))
+    base = first + kn * parents * np.arange(len(roots), dtype=_ID_DTYPE)
     p = first + kn * parents * len(roots)
-    branch = np.empty((len(roots), parents, k, m), dtype=np.intp)
-    t, j, i = kn * np.arange(parents)[:, None, None], np.arange(k)[:, None], k * np.arange(n)
+    branch = np.empty((len(roots), parents, k, m), dtype=_ID_DTYPE)
+    t = kn * np.arange(parents, dtype=_ID_DTYPE)[:, None, None]
+    j, i = np.arange(k, dtype=_ID_DTYPE)[:, None], k * np.arange(n, dtype=_ID_DTYPE)
     branch[..., 1:] = base[:, None, None, None] + (t + j + i)
     up = base[:, None] + np.arange(-1, parents - 1)
     up[:, :1] = roots[:, None]
     branch[..., 0] = up[:, :, None]
     rows = np.concatenate((head, branch.reshape(-1, m)))
     del branch
-    rows = rows[np.argsort(rows[:, 0] * p + rows[:, 1], kind="stable")]
+    rows = rows[np.argsort(rows[:, 0].astype(np.int64) * p + rows[:, 1], kind="stable")]
     meta = {"family": "symmetric", "block_size": m, "cut_degree": kappa, "diameter": d}
     g = BlockGraph._from_members(p, rows.ravel(), np.arange(0, rows.size + 1, m), meta)
     coords = symmetric_coordinates(g)
@@ -224,11 +228,12 @@ def gen_symmetric(spec: SymmetricSpec) -> tuple[BlockGraph, SymmetricCoordinates
     return g, coords
 
 
-def _pairs(p: int, firsts: np.ndarray, meta: dict) -> BlockGraph:
-    """The graph whose blocks are the edges {firsts[i], i + 1}, each first below its second."""
-    members = np.empty((p - 1, 2), dtype=np.intp)
-    members[:, 0] = firsts
-    members[:, 1] = np.arange(1, p)
+def _pairs(p: int, hub: bool, meta: dict) -> BlockGraph:
+    """The graph whose blocks are the edges {0, i} (hub) or {i - 1, i}, for i in 1..p-1."""
+    _check_member_count(2 * (p - 1))
+    members = np.empty((p - 1, 2), dtype=_ID_DTYPE)
+    members[:, 1] = np.arange(1, p, dtype=_ID_DTYPE)
+    members[:, 0] = 0 if hub else members[:, 1] - 1
     return BlockGraph._from_members(p, members.ravel(), np.arange(0, 2 * p - 1, 2), meta)
 
 
@@ -238,8 +243,9 @@ def gen_union(n: int, k: int) -> BlockGraph:
     if n < 2 or k < 2:
         raise InvalidSpecError(f"union needs block size >= 2 and >= 2 copies, got ({n}, {k})")
     p = 1 + k * (n - 1)
-    members = np.zeros((k, n), dtype=np.intp)
-    members[:, 1:] = np.arange(1, p).reshape(k, n - 1)
+    _check_member_count(k * n)
+    members = np.zeros((k, n), dtype=_ID_DTYPE)
+    members[:, 1:] = np.arange(1, p, dtype=_ID_DTYPE).reshape(k, n - 1)
     return BlockGraph._from_members(
         p, members.ravel(), np.arange(0, k * n + 1, n), {"family": "union", "n": n, "k": k}
     )
@@ -250,7 +256,7 @@ def gen_path(p: int) -> BlockGraph:
     p = check_integer(p, "vertex count")
     if p < 2:
         raise InvalidSpecError(f"a path needs >= 2 vertices, got {p}")
-    return _pairs(p, np.arange(p - 1), {"family": "path", "p": p})
+    return _pairs(p, False, {"family": "path", "p": p})
 
 
 def gen_star(leaves: int) -> BlockGraph:
@@ -258,7 +264,7 @@ def gen_star(leaves: int) -> BlockGraph:
     leaves = check_integer(leaves, "leaf count")
     if leaves < 2:
         raise InvalidSpecError(f"a star needs >= 2 leaves, got {leaves}")
-    return _pairs(leaves + 1, 0, {"family": "star", "leaves": leaves})
+    return _pairs(leaves + 1, True, {"family": "star", "leaves": leaves})
 
 
 def gen_random_block_graph(

@@ -24,6 +24,16 @@ from .errors import (
     OverlappingBlocksError,
 )
 
+# The dtype of every vertex id, block id, tree-node id and doubled tree
+# distance the library keeps.  Ids are below the member count, tree nodes
+# and adjacency offsets below twice it, and a doubled distance is at most
+# 2(p - 1), so a sum of two stays below 4p; int32 holds them all while the
+# graph has at most _MAX_MEMBERS members, 4 GiB of int64 member ids.  Colors,
+# gaps and every key that multiplies an id by p are int64, formed from
+# widened operands.
+_ID_DTYPE = np.int32
+_MAX_MEMBERS = 2**29
+
 
 def _member_lists(blocks: Iterable[Iterable[int]]) -> list:
     """The blocks as sequences, each iterated once, so blocks may be generators.
@@ -50,6 +60,14 @@ def check_integer(value, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise InvalidSpecError(f"{what} {value!r} is not an integer")
     return int(value)
+
+
+def _check_member_count(count: int) -> None:
+    """Raise InvalidSpecError when a graph of ``count`` block members could pass int32."""
+    if count > _MAX_MEMBERS:
+        raise InvalidSpecError(
+            f"a block graph may have at most {_MAX_MEMBERS} block members, got {count}"
+        )
 
 
 def _vertex_count(p) -> int:
@@ -85,7 +103,9 @@ def _canonical_members(
     blocks.  Two distinct blocks tie there only when they share two
     vertices, so the list is no block graph; its blocks are then ordered by
     their member lists, for the diagnosis.  A list the arrays show
-    malformed goes to :func:`_reject`, which raises its error.
+    malformed goes to :func:`_reject`, which raises its error.  The checks
+    and sort keys run on intp; once every id is proved to lie in 0..p-1 the
+    members narrow to ``_ID_DTYPE``, in the final gather.
     """
     if not len(sizes) or len(flat) < p or flat.min() < 0 or flat.max() >= p:
         _reject(p, sizes, flat)
@@ -113,8 +133,9 @@ def _canonical_members(
         order = np.array(sorted(range(len(lists)), key=lists.__getitem__))
     sizes = sizes[order]
     ends = np.cumsum(sizes)
-    members = members[np.repeat(starts[order] - (ends - sizes), sizes) + np.arange(len(members))]
-    return members, np.append(0, ends)
+    at = np.repeat(starts[order] - (ends - sizes), sizes)
+    at += np.arange(len(members))
+    return members.astype(_ID_DTYPE)[at], np.append(0, ends)
 
 
 def _reject(p: int, sizes: np.ndarray, flat: np.ndarray) -> NoReturn:
@@ -214,8 +235,10 @@ class BlockGraph:
     Blocks are stored in canonical order (sorted by smallest member,
     members ascending), which fixes serialization and all downstream
     tie-breaking.  They are held as two read-only integer arrays, every
-    block's members one after another and each block's start offset;
-    :attr:`blocks` is their tuple view, built on first read.
+    block's members one after another (int32) and each block's start
+    offset; :attr:`blocks` is their tuple view, built on first read.  A
+    graph of more than 2**29 members raises InvalidSpecError, as its ids and
+    doubled distances could pass int32.
 
     A valid input is proved so in linear time: every id is covered,
     sum(|B|) == p + #blocks - 1, and the depth-first sweep of the
@@ -241,6 +264,7 @@ class BlockGraph:
         return g
 
     def _build(self, p: int, members: np.ndarray, starts: np.ndarray, meta: dict | None) -> None:
+        _check_member_count(len(members))
         degree = np.bincount(members, minlength=p)
         if not degree.all():
             raise DanglingVertexError(f"vertex {np.argmin(degree)} appears in no block")
@@ -305,7 +329,7 @@ class BlockCutTree:
     The constructor walks the tree once, depth first from node 0, and
     keeps the preorder as ``order`` and, per node, ``parent`` and the
     doubled distance ``dist2`` from node 0; no other code walks the tree.
-    Every array is read-only.
+    Every array, ``cut_list`` included, is read-only int32.
     """
 
     __slots__ = (
@@ -316,7 +340,7 @@ class BlockCutTree:
     def __init__(self, members: np.ndarray, starts: np.ndarray, degree: np.ndarray):
         sizes = np.diff(starts)
         b = len(sizes)
-        owner = np.repeat(np.arange(b), sizes)  # the block of each member
+        owner = np.repeat(np.arange(b, dtype=_ID_DTYPE), sizes)  # the block of each member
         # Block ids grouped by vertex, ascending within each vertex.
         block_of = owner[np.argsort(members, kind="stable")]
         cuts = np.flatnonzero(degree >= 2)
@@ -332,13 +356,15 @@ class BlockCutTree:
         del owner
         self.indices = np.append(node[is_cut], block_of[np.repeat(degree >= 2, degree)])
         del block_of, node, is_cut
-        self.indptr = np.append(0, np.cumsum(rows))
+        self.indptr = np.append(0, np.cumsum(rows)).astype(_ID_DTYPE)  # summed in intp
 
         self.block_count = b
-        self.cut_list = tuple(cuts.tolist())
+        self.cut_list = cuts.astype(_ID_DTYPE)
         self.node_count = b + len(cuts)
-        self.weight2 = np.append(sizes - 1, np.zeros(len(cuts), dtype=sizes.dtype))
+        self.weight2 = np.zeros(self.node_count, dtype=_ID_DTYPE)
+        self.weight2[:b] = sizes - 1
         self.anchor = anchor
+        del sizes, rows, cuts  # intp arrays the walk does not read, freed before its lists
 
         # The tree's one walk: a depth-first preorder from node 0 with parents
         # and doubled distances.  Nodes are marked when pushed, so the walk
@@ -359,11 +385,11 @@ class BlockCutTree:
                     parent[y] = x
                     dist2[y] = dx + weight2[y]
                     stack.append(y)
-        self.order = np.array(order, dtype=np.intp)
-        self.parent = np.array(parent, dtype=np.intp)
-        self.dist2 = np.array(dist2)
-        for a in (self.indptr, self.indices, self.weight2, self.anchor, self.order, self.parent,
-                  self.dist2):
+        self.order = np.array(order, dtype=_ID_DTYPE)
+        self.parent = np.array(parent, dtype=_ID_DTYPE)
+        self.dist2 = np.array(dist2, dtype=_ID_DTYPE)
+        for a in (self.cut_list, self.indptr, self.indices, self.weight2, self.anchor, self.order,
+                  self.parent, self.dist2):
             a.flags.writeable = False
 
     @property

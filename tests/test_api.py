@@ -101,6 +101,37 @@ def test_coordinate_arrays_are_read_only(name) -> None:
         array[0] = 1
 
 
+ID_GRAPHS = {
+    "sym": lambda: hamcolor.gen_symmetric(hamcolor.SymmetricSpec(4, 3, 5))[0],
+    "sym-parsed": lambda: hamcolor.from_json(
+        hamcolor.to_json(hamcolor.gen_symmetric(hamcolor.SymmetricSpec(3, 2, 4))[0])
+    ),
+    "union": lambda: hamcolor.gen_union(4, 3),
+    "path": lambda: hamcolor.gen_path(9),
+    "star": lambda: hamcolor.gen_star(5),
+    "random": lambda: hamcolor.gen_random_block_graph(7, max_p=60),
+    "constructor": lambda: hamcolor.BlockGraph(6, [[5, 0], (0, 1, 2), iter([2, 3, 4])]),
+}
+
+
+@pytest.mark.parametrize("make", ID_GRAPHS.values(), ids=ID_GRAPHS.keys())
+def test_ids_and_tree_distances_are_read_only_int32(make) -> None:
+    # every vertex, block and tree-node id and doubled distance is held as
+    # int32 from parse to output; colors stay int64
+    from hamcolor.detour import tree_metric
+
+    g = make()
+    bct, metric, result = g.block_cut_tree(), tree_metric(g), hamcolor.color_graph(g)
+    arrays = {"members": g._members, "ordering": result.ordering}
+    for name in ("cut_list", "indptr", "indices", "weight2", "anchor", "order", "parent", "dist2"):
+        arrays[name] = getattr(bct, name)
+    for name in ("pos", "root2", "_dep2", "_table"):
+        arrays[name] = getattr(metric, name)
+    for name, array in arrays.items():
+        assert array.dtype == np.int32 and not array.flags.writeable, name
+    assert result.coloring._array.dtype == np.int64
+
+
 def test_block_graph_surface_is_pinned() -> None:
     # the block-cut tree is the one vertex-to-block incidence; no copies beside it
     g = hamcolor.gen_path(3)

@@ -150,6 +150,47 @@ def test_python_dash_m_runs_the_cli(tmp_path) -> None:
     assert done.stdout.startswith("usage: hamcolor ")
 
 
+def test_main_exits_with_each_code_and_whole_output(tmp_path, capsys) -> None:
+    # main ends the process without teardown; every byte written before must
+    # still arrive, on outputs larger than a pipe's buffer too
+    graph, zeros = tmp_path / "g.json", tmp_path / "z.json"
+    run(["gen", "path", "-n", "20000", "-o", str(graph)])
+    zeros.write_text(json.dumps({"colors": [0] * 9}))
+    union = tmp_path / "u.json"
+    run(["gen", "union", "-n", "3", "-k", "4", "-o", str(union)])
+    cases = [
+        (0, ["gen", "path", "-n", "20000"]),
+        (0, ["color", str(graph), "--emit-ordering", "-"]),
+        (1, ["verify", str(union), str(zeros)]),
+        (2, ["color", str(tmp_path / "missing.json")]),
+    ]
+    for code, argv in cases:
+        capsys.readouterr()
+        assert run(argv) == code
+        want = capsys.readouterr()
+        done = _python("-m", "hamcolor", *argv)
+        assert (done.returncode, done.stdout, done.stderr) == (code, want.out, want.err), argv
+    assert len(want.err) > len("error: ")
+
+
+def test_main_exits_120_without_traceback_when_stdout_is_a_closed_pipe() -> None:
+    # buffered stdout: the write fails at the final flush, where the
+    # interpreter's own exit also gives 120
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "hamcolor", "formula", "path", "-n", "5"],
+            stdout=write, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+        )
+    finally:
+        os.close(write)
+    assert done.returncode == 120
+    assert done.stderr == "path order=5\n"
+
+
 def test_cli_import_loads_no_scipy() -> None:
     done = _python(
         "-c",

@@ -38,13 +38,13 @@ from hamcolor import (
 def test_build_star_k13() -> None:
     g = BlockGraph(4, [{0, 1}, {0, 2}, {0, 3}])
     assert len(g.blocks) == 3
-    assert g.block_cut_tree().cut_list == (0,)
+    assert g.block_cut_tree().cut_list.tolist() == [0]
     assert neighbours(g)[0] == (1, 2, 3)
 
 
 def test_build_two_cliques_sharing_one_vertex() -> None:
     g = BlockGraph(7, [{0, 1, 2, 3}, {3, 4, 5, 6}])
-    assert g.block_cut_tree().cut_list == (3,)
+    assert g.block_cut_tree().cut_list.tolist() == [3]
     assert len(g.blocks) == 2
 
 
@@ -455,7 +455,7 @@ def test_block_cut_tree_shapes() -> None:
     assert star.block_count == 3 and len(star.cut_list) == 1
 
     k5 = BlockGraph(5, [range(5)]).block_cut_tree()
-    assert k5.block_count == 1 and not k5.cut_list
+    assert k5.block_count == 1 and len(k5.cut_list) == 0
 
 
 @given(st.integers(0, 10_000))
@@ -552,6 +552,29 @@ def test_numpy_integers_are_stored_as_python_ints() -> None:
         assert type(g.p) is int
         assert {type(v) for b in g.blocks for v in b} == {int}
         assert from_json(to_json(g)) == g
+
+
+def test_graphs_past_the_int32_member_limit_are_refused(monkeypatch, capsys) -> None:
+    # ids, tree offsets and sums of two doubled distances stay inside int32
+    # only up to the limit; past it every way to build a graph refuses
+    import hamcolor.graphs
+    from hamcolor.cli import run
+
+    limit = hamcolor.graphs._MAX_MEMBERS
+    assert run(["gen", "sym", "--block-size", "10", "--cut-degree", "10", "--diameter", "20"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: a block graph may have at most {limit} ")
+    monkeypatch.setattr(hamcolor.graphs, "_MAX_MEMBERS", 8)
+    assert gen_path(5).p == 5  # 8 members
+    for make in (
+        lambda: gen_path(6),
+        lambda: gen_star(5),
+        lambda: gen_union(3, 5),
+        lambda: gen_symmetric(SymmetricSpec(3, 2, 4)),
+        lambda: BlockGraph(6, [[v, v + 1] for v in range(5)]),
+        lambda: from_json('{"p": 8, "blocks": [[0, 1, 2, 3], [3, 4, 5, 6, 7]]}'),
+    ):
+        with pytest.raises(InvalidSpecError, match="at most 8 block members"):
+            make()
 
 
 def test_from_json_rejects_garbage() -> None:

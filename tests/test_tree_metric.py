@@ -163,7 +163,8 @@ def test_branch_keys_split_full_detours(corpus) -> None:
 
 def test_core_memory_is_one_table_column_per_tree_node() -> None:
     # a path of 50,000 vertices has about 100,000 tree nodes: 17 table rows
-    # of one int64 per node take 14 MB, and twice the columns would not fit
+    # of one int32 per node take 7 MB, and twice the columns would still fit
+    # (test_core_memory_is_four_bytes_per_table_entry bounds the entry size)
     g = gen_path(50_000)
     tracemalloc.start()
     try:
@@ -172,6 +173,21 @@ def test_core_memory_is_one_table_column_per_tree_node() -> None:
     finally:
         tracemalloc.stop()
     assert peak < 30_000_000
+
+
+@pytest.mark.parametrize("g", [gen_path(20_000), gen_star(20_000)], ids=["path", "star"])
+def test_core_memory_is_four_bytes_per_table_entry(g) -> None:
+    # n.bit_length() table entries of 4 bytes per tree node, plus 32 bytes per
+    # node for the position, depth and per-vertex arrays; a table of 8-byte
+    # entries alone would pass the bound
+    nodes = g.block_cut_tree().node_count
+    tracemalloc.start()
+    try:
+        tree_metric(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (4 * nodes.bit_length() + 32) * nodes
 
 
 def test_core_is_cached_per_graph() -> None:
