@@ -421,9 +421,11 @@ def sym_ordering(g: BlockGraph, coords: SymmetricCoordinates) -> np.ndarray:
 
     Every branch's descendants are renamed 1..S, deepest depth group
     first and child tuples in radix order with the first index least
-    significant.  The ordering then cycles the branches round-robin,
-    taking the s-th renamed element of each in turn, and closes with the
-    depth-1 list (even diameter) or the remaining central vertices (odd).
+    significant.  The ordering starts at the detour center (even
+    diameter) or its largest vertex (odd), read from g's cached profile,
+    then cycles the branches round-robin, taking the s-th renamed element
+    of each in turn, and closes with the depth-1 list (even diameter) or
+    the remaining central vertices (odd).
     At diameter 2 there are no descendants, so the ordering is the hub
     followed by the depth-1 list.
 
@@ -434,10 +436,11 @@ def sym_ordering(g: BlockGraph, coords: SymmetricCoordinates) -> np.ndarray:
     digit; the groups fill the rows from the last one back.
     """
     spec = coords.spec
-    if coords.parity == "even":
-        head, tail, levels = coords.roots[0], coords.top_list, spec.r - 1
+    center = detour_profile(g).center
+    if spec.diameter % 2 == 0:
+        head, tail, levels = center[0], coords.top_list, spec.r - 1
     else:
-        head, tail, levels = coords.roots[-1], coords.roots[:-1], spec.r
+        head, tail, levels = center[-1], center[:-1], spec.r
     ordering = np.empty(g.p, dtype=_ID_DTYPE)
     ordering[0] = head
     stop = g.p - len(tail)

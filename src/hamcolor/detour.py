@@ -45,7 +45,7 @@ class TreeMetric:
 
     ``dep2`` is ``dist2`` by preorder position.  Per vertex, ``pos[v]`` is
     the position of v's anchor and ``root2[v]`` is ``dep2[anchor(v)] +
-    half2(v)``, so for distinct u and v
+    weight2[anchor(v)]``, so for distinct u and v
 
         2 D(u, v) = root2[u] + root2[v] - 2 dep2[lca(anchor(u), anchor(v))],
 
@@ -199,8 +199,8 @@ def _build_profile(g: BlockGraph) -> DetourProfile:
 
     def from_node(c: int) -> np.ndarray:
         # per node x, twice the distance from node c to x plus weight2[x], so a
-        # vertex anchored at x reads its own distance plus half2; the LCAs'
-        # dist2 are running minima of up, each way from c's position
+        # vertex anchored at x reads its own doubled distance from node c; the
+        # LCAs' dist2 are running minima of up, each way from c's position
         i = pos[c]
         before, after = np.minimum.accumulate(up[i:0:-1])[::-1], np.minimum.accumulate(up[i + 1 :])
         lca2 = np.concatenate((before, dep[i : i + 1], after))

@@ -21,7 +21,7 @@ import numpy as np
 
 from .detour import detour_profile
 from .errors import InvalidSpecError, NotSymmetricError
-from .graphs import _ID_DTYPE, BlockGraph, _check_member_count, block_index, check_integer
+from .graphs import _ID_DTYPE, BlockGraph, _check_member_count, check_integer
 
 
 @dataclass(frozen=True)
@@ -65,10 +65,10 @@ class SymmetricSpec:
 class SymmetricCoordinates:
     """Canonical coordinates of a symmetric block graph's vertices.
 
-    ``roots`` are the ordering endpoints (the center for even diameter,
-    the central block for odd); ``top_list`` is the even-diameter
-    depth-1 list in round-robin block order (equals ``roots`` when odd).
-    The vertices of ``top_list`` are the roots of the interleaving streams.
+    ``top_list`` holds the roots of the interleaving streams: the
+    even-diameter depth-1 list in round-robin block order, or the central
+    block when the diameter is odd.  The center itself is the graph's
+    ``detour_profile(g).center``.
 
     ``children`` is a read-only (parents x k x n) array: each row holds one
     vertex's k child blocks in canonical order, with that vertex removed
@@ -81,8 +81,6 @@ class SymmetricCoordinates:
     """
 
     spec: SymmetricSpec
-    parity: str
-    roots: tuple[int, ...]
     top_list: tuple[int, ...]
     children: np.ndarray
     child_row: np.ndarray
@@ -96,16 +94,25 @@ def symmetric_coordinates(g: BlockGraph) -> SymmetricCoordinates:
     """Derive canonical coordinates from the structure of g.
 
     Works for any vertex labeling; raises NotSymmetricError when g is not
-    a symmetric block graph with at least two blocks.  Block sizes and
-    cut degrees are checked before g's cached :func:`detour_profile` is
-    asked for the center and the levels.
+    a symmetric block graph with at least two blocks.  Block sizes, and the
+    cut degrees that the block-cut tree holds, are checked before g's
+    cached :func:`detour_profile` is asked for the center and the levels.
 
-    Everything is computed on arrays, with one sort of the blocks by
-    parent.  With one block size m, a vertex's depth is its level divided
-    by m - 1.  In every non-central block the parent is the one member of
-    least depth and the others sit one level deeper; sorting those blocks
-    by parent stably gives each parent its k child blocks as one row of
-    ``children``.
+    With one block size m, detour distances are multiples of n = m - 1 and
+    a vertex's depth is its level divided by n.  Each non-central block's
+    parent is its one shallowest member; sorting those blocks by parent
+    stably gives each parent its k child blocks as one row of ``children``.
+
+    On the profile only two checks can fail: a central vertex that is no
+    cut vertex, and an end vertex above the outermost depth.  The rest hold
+    once sizes and degrees agree.  An omega = 1 center is a cut vertex: a
+    non-cut vertex w of block B is at least as eccentric as a cut vertex c
+    of B, as D(w, x) >= D(c, x) for x != w and D(c, w) = D(w, c), so were w
+    central, c would be too.  An omega >= 2 center is one whole block, as
+    the profile asserts, so omega = m, and it is the one block with no
+    deeper member.  A longest path from the center enters any other block
+    at its parent and sweeps it, so the other members sit exactly one depth
+    deeper.  And a cut vertex has a child block, so it is never outermost.
     """
     sizes = np.diff(g._starts)
     if len(sizes) < 2:
@@ -114,74 +121,45 @@ def symmetric_coordinates(g: BlockGraph) -> SymmetricCoordinates:
     if (sizes != m).any():
         raise NotSymmetricError(f"blocks have mixed sizes {sorted(set(sizes.tolist()))}")
     n = m - 1
-    members = g._members.reshape(-1, m)
-    degree = np.bincount(members.ravel(), minlength=g.p)
-    is_cut = degree >= 2
-    degrees = set(degree[is_cut].tolist())
-    del degree
-    if len(degrees) != 1:
-        raise NotSymmetricError(f"cut vertices have mixed block degrees {sorted(degrees)}")
-    kappa = degrees.pop()
+    bct = g.block_cut_tree()
+    degree = np.diff(bct.indptr[bct.block_count :])  # of each cut vertex
+    kappa = int(degree[0])
+    if (degree != kappa).any():
+        mixed = sorted(set(degree.tolist()))
+        raise NotSymmetricError(f"cut vertices have mixed block degrees {mixed}")
 
     profile = detour_profile(g)
-    top = np.zeros(len(members), dtype=bool)  # the center's blocks, no parent's children
-    if profile.omega == 1:
-        parity = "even"
-        roots = (profile.center[0],)
-        if not is_cut[roots[0]]:
-            raise NotSymmetricError("even-diameter center must be a cut vertex")
-    elif profile.omega == m:
-        parity = "odd"
-        roots = tuple(sorted(profile.center))
-        central = block_index(g, roots)
-        if central < 0:
-            raise NotSymmetricError("detour center is not a whole block")
-        if not is_cut[list(roots)].all():
-            raise NotSymmetricError("every central vertex must carry its own branches")
-        top[central] = True
-    else:
-        raise NotSymmetricError(
-            f"detour center has {profile.omega} vertices; expected 1 or {m}"
-        )
-
+    is_cut = bct.anchor >= bct.block_count
+    if not is_cut[list(profile.center)].all():
+        raise NotSymmetricError("every central vertex must carry its own branches")
     depth = profile.level // n
     r = int(depth.max())
-    outer = depth == r
-    if not (outer | is_cut).all():
+    if not (is_cut | (depth == r)).all():
         raise NotSymmetricError("end vertices sit at unequal depths")
-    if r > 0 and (outer & is_cut).any():
-        raise NotSymmetricError("a cut vertex sits at the outermost depth")
-    del is_cut, outer
+    del is_cut
 
+    members = g._members.reshape(-1, m)
     rise = depth[members]
     del depth
     rise -= rise.min(axis=1, keepdims=True)
-    if not ((rise <= 1).all() and (top | (rise.sum(axis=1) == n)).all()):
-        raise NotSymmetricError("block layers overlap")
     up = members[np.arange(len(members)), rise.argmin(axis=1)]
     is_child = rise.astype(bool)
     del rise
-    if parity == "even":
-        top = up == roots[0]
+    if profile.omega == 1:
+        top = up == profile.center[0]
         hub = members[top][is_child[top]].reshape(kappa, n)
         top_list = tuple(hub.T.ravel().tolist())
     else:
-        top_list = roots
+        top = ~is_child.any(axis=1)
+        top_list = profile.center
     rows = np.flatnonzero(~top)
     rows = rows[np.argsort(up[rows], kind="stable")]
     children = members[rows][is_child[rows]].reshape(-1, kappa - 1, n)
     child_row = np.full(g.p, -1, dtype=_ID_DTYPE)
     child_row[up[rows[:: kappa - 1]]] = np.arange(len(children))
 
-    d = 2 * r if parity == "even" else 2 * r + 1
-    return SymmetricCoordinates(
-        spec=SymmetricSpec(m, kappa, d),
-        parity=parity,
-        roots=roots,
-        top_list=top_list,
-        children=children,
-        child_row=child_row,
-    )
+    spec = SymmetricSpec(m, kappa, 2 * r + (profile.omega > 1))
+    return SymmetricCoordinates(spec, top_list, children, child_row)
 
 
 def gen_symmetric(spec: SymmetricSpec) -> tuple[BlockGraph, SymmetricCoordinates]:

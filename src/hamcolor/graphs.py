@@ -325,7 +325,8 @@ class BlockCutTree:
     are doubled to stay integral: ``weight2[x]`` is |B| - 1 on a block
     node and 0 on a cut node, and an edge weighs ``weight2[x] +
     weight2[y]``.  Per vertex v, ``anchor[v]`` is its cut node or its one
-    block node, and ``half2[v]`` is ``weight2[anchor[v]]``, derived on read.
+    block node, so ``anchor >= b`` marks the cut vertices, and a cut node's
+    degree is its vertex's number of blocks.
     The constructor walks the tree once, depth first from node 0, and
     keeps the preorder as ``order`` and, per node, ``parent`` and the
     doubled distance ``dist2`` from node 0; no other code walks the tree.
@@ -391,13 +392,6 @@ class BlockCutTree:
         for a in (self.cut_list, self.indptr, self.indices, self.weight2, self.anchor, self.order,
                   self.parent, self.dist2):
             a.flags.writeable = False
-
-    @property
-    def half2(self) -> np.ndarray:
-        """Per vertex, ``weight2`` of its anchor: |B| - 1 for a vertex in one block, else 0."""
-        half2 = self.weight2[self.anchor]
-        half2.flags.writeable = False
-        return half2
 
     def neighbours(self, x: int) -> np.ndarray:
         """The neighbours of node x, ascending."""

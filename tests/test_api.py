@@ -79,7 +79,7 @@ RECORD_FIELDS = {
         "center", "omega", "xi", "level", "total_level", "owner", "owner_block",
     ],
     hamcolor.SymmetricCoordinates: [
-        "spec", "parity", "roots", "top_list", "children", "child_row",
+        "spec", "top_list", "children", "child_row",
     ],
 }
 
@@ -146,7 +146,7 @@ def test_block_cut_tree_surface_is_pinned() -> None:
     bct = hamcolor.gen_path(3).block_cut_tree()
     assert {name for name in dir(bct) if not name.startswith("_")} == {
         "block_count", "cut_list", "node_count", "indptr", "indices", "weight2", "anchor",
-        "half2", "order", "parent", "dist2", "neighbours",
+        "order", "parent", "dist2", "neighbours",
     }
 
 

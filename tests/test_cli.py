@@ -478,6 +478,50 @@ def test_table_work_stops_with_its_rows(monkeypatch, capsys) -> None:
     assert len(wide.splitlines()) == 19
 
 
+TABLE_HEADER = "m,kappa,d,p,omega,xi,total_level,lower_bound,closed_form,algorithm_span,valid"
+
+
+@pytest.mark.parametrize(
+    "flags, rows",
+    [
+        # every spec is a path: kn = 1
+        (["--block-size", "2", "--cut-degree", "2"], []),
+        # the smallest m's smallest spec is too large, so no m is tried further
+        (["--block-size", "30-40", "--max-p", "100"], []),
+        # each kappa stops at its first too-large d; m = 3 runs out of kappas, m = 4 stops at 6
+        (
+            ["--block-size", "3-4", "--cut-degree", "2-9", "--diameter", "3-9", "--max-p", "60"],
+            [
+                "3,2,3,9,3,0,12,24,24,24,true",
+                "3,2,4,13,1,2,40,66,66,66,true",
+                "3,2,5,21,3,0,60,240,240,240,true",
+                "3,2,6,29,1,2,136,514,514,514,true",
+                "3,2,7,45,3,0,204,1440,1440,1440,true",
+                "3,3,3,15,3,0,24,120,120,120,true",
+                "3,3,4,31,1,2,108,686,686,686,true",
+                "3,4,3,21,3,0,36,288,288,288,true",
+                "3,4,4,57,1,2,208,2722,2722,2722,true",
+                "3,5,3,27,3,0,48,528,528,528,true",
+                "3,6,3,33,3,0,60,840,840,840,true",
+                "3,7,3,39,3,0,72,1224,1224,1224,true",
+                "3,8,3,45,3,0,84,1680,1680,1680,true",
+                "3,9,3,51,3,0,96,2208,2208,2208,true",
+                "4,2,3,16,4,0,36,108,108,108,true",
+                "4,2,4,25,1,3,126,327,327,327,true",
+                "4,2,5,52,4,0,252,1944,1944,1944,true",
+                "4,3,3,28,4,0,72,504,504,504,true",
+                "4,4,3,40,4,0,108,1188,1188,1188,true",
+                "4,5,3,52,4,0,144,2160,2160,2160,true",
+            ],
+        ),
+    ],
+    ids=["paths-only", "every-m-too-large", "kappa-and-m-stops"],
+)
+def test_table_grid_stops_early(flags, rows, capsys) -> None:
+    assert run(["table", *flags]) == 0
+    assert capsys.readouterr().out == "\n".join([TABLE_HEADER, *rows]) + "\n"
+
+
 def test_table_takes_no_family_flag(capsys) -> None:
     # the table covers the symmetric family only; --family was never read
     with pytest.raises(SystemExit) as caught:

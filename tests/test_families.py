@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 import re
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -45,8 +46,8 @@ from hamcolor import (
 def test_sym_even_shape() -> None:
     g, coords = gen_symmetric(SymmetricSpec(4, 2, 4))
     assert g.p == 25
-    assert coords.parity == "even"
-    assert coords.roots == (0,)
+    assert coords.spec.diameter % 2 == 0
+    assert detour_profile(g).center == (0,)
     assert coords.top_list == (1, 2, 3, 4, 5, 6)
     level = detour_profile(g).level
     assert all(level[v] // coords.spec.n == 1 for v in coords.top_list)
@@ -59,8 +60,8 @@ def test_sym_even_shape() -> None:
 def test_sym_odd_shape() -> None:
     g, coords = gen_symmetric(SymmetricSpec(4, 2, 5))
     assert g.p == 52
-    assert coords.parity == "odd"
-    assert coords.roots == (0, 1, 2, 3)
+    assert coords.spec.diameter % 2 == 1
+    assert detour_profile(g).center == (0, 1, 2, 3)
     assert set(g.blocks[0]) == {0, 1, 2, 3}
 
 
@@ -98,7 +99,7 @@ def test_sym_structure_invariants(spec: SymmetricSpec) -> None:
 def test_sym_path_degenerate_family() -> None:
     g, coords = gen_symmetric(SymmetricSpec(2, 2, 4))
     assert g.p == 5
-    assert coords.parity == "even"
+    assert coords.spec.diameter % 2 == 0
     assert all(len(b) == 2 for b in g.blocks)
 
 
@@ -115,7 +116,7 @@ def test_coordinates_rederive_from_structure() -> None:
     for spec in (SymmetricSpec(3, 3, 4), SymmetricSpec(4, 2, 5)):
         g, coords = gen_symmetric(spec)
         again = symmetric_coordinates(g)
-        for name in ("spec", "parity", "roots", "top_list"):
+        for name in ("spec", "top_list"):
             assert getattr(again, name) == getattr(coords, name)
         for name in ("children", "child_row"):
             assert np.array_equal(getattr(again, name), getattr(coords, name))
@@ -401,7 +402,9 @@ def test_symmetric_coordinates_keep_a_child_table() -> None:
     # Bytes per vertex that symmetric_coordinates keeps and peaks at on a
     # relabeled sym(5,6,7), p = 42,105, with the detour profile cached.
     # Five per-vertex coordinate arrays built by pointer doubling kept 40
-    # and peaked at 61.6; the child table and child_row keep 16.
+    # and peaked at 61.6; the child table and child_row keep 16.  Counting
+    # every vertex's blocks again, as an int64 bincount, peaked at 20.0;
+    # reading the cut degrees off the block-cut tree peaks at about 17.
     g = relabeled(gen_symmetric(SymmetricSpec(5, 6, 7))[0], 1)
     symmetric_coordinates(gen_symmetric(SymmetricSpec(3, 3, 4))[0])  # numpy's caches
     detour_profile(g)
@@ -412,7 +415,7 @@ def test_symmetric_coordinates_keep_a_child_table() -> None:
     finally:
         tracemalloc.stop()
     assert coords.spec == SymmetricSpec(5, 6, 7)
-    assert kept / g.p <= 24 and peak / g.p < 52, (kept / g.p, peak / g.p)
+    assert kept / g.p <= 24 and peak / g.p < 18, (kept / g.p, peak / g.p)
 
 
 def test_random_corpus_all_valid_and_varied(corpus) -> None:
@@ -463,6 +466,25 @@ def _reference_recurrence(g, profile, order):
     return tuple(colors)
 
 
+def _assert_coordinates_match(g, profile, coords, ref: dict) -> None:
+    """coords, with g's detour center as the endpoints, equal the reference's."""
+    assert (coords.spec, profile.center, coords.top_list) == (
+        ref["spec"], ref["roots"], ref["top_list"]
+    ), g
+    # each vertex's children in index order: member i // k of block i % k
+    spec, child_row = coords.spec, coords.child_row.tolist()
+    assert coords.children.shape == (len(coords.children), spec.k, spec.n), g
+    assert sorted(row for row in child_row if row >= 0) == list(range(len(coords.children)))
+    hub = profile.center[0] if spec.diameter % 2 == 0 else None
+    for v, kids in enumerate(ref["children"]):
+        if v == hub:
+            assert child_row[v] == -1 and kids == coords.top_list, g
+        elif kids:
+            assert coords.children[child_row[v]].T.ravel().tolist() == list(kids), g
+        else:
+            assert child_row[v] == -1, g
+
+
 def test_array_symmetric_layer_matches_loop_reference(corpus) -> None:
     graphs = list(corpus)
     for spec in grid_specs():
@@ -482,20 +504,7 @@ def test_array_symmetric_layer_matches_loop_reference(corpus) -> None:
             continue
         accepted += 1
         coords = symmetric_coordinates(g)
-        for name in ("spec", "parity", "roots", "top_list"):
-            assert getattr(coords, name) == ref[name], g
-        # each vertex's children in index order: member i // k of block i % k
-        spec, child_row = coords.spec, coords.child_row.tolist()
-        assert coords.children.shape == (len(coords.children), spec.k, spec.n), g
-        assert sorted(row for row in child_row if row >= 0) == list(range(len(coords.children)))
-        hub = coords.roots[0] if coords.parity == "even" else None
-        for v, kids in enumerate(ref["children"]):
-            if v == hub:
-                assert child_row[v] == -1 and kids == coords.top_list, g
-            elif kids:
-                assert coords.children[child_row[v]].T.ravel().tolist() == list(kids), g
-            else:
-                assert child_row[v] == -1, g
+        _assert_coordinates_match(g, profile, coords, ref)
         ordering = sym_ordering(g, coords)
         assert ordering.tolist() == _reference_ordering(g, ref), g
         expected = _reference_recurrence(g, profile, ordering)
@@ -506,3 +515,58 @@ def test_array_symmetric_layer_matches_loop_reference(corpus) -> None:
         else:
             assert coloring_from_ordering(g, profile, ordering).colors == expected
     assert accepted > len(grid_specs()) * 4
+
+
+def _uniform_block_graph(rng: random.Random, m: int, kappa: int, grows: int) -> BlockGraph:
+    """A random block graph, relabeled, whose blocks all have m vertices and
+    whose cut vertices each lie in kappa blocks: from one block, grows times
+    a vertex still in one block takes kappa - 1 new blocks."""
+    blocks, ends, p = [list(range(m))], list(range(m)), m
+    for _ in range(grows):
+        v = ends.pop(rng.randrange(len(ends)))
+        for _ in range(kappa - 1):
+            blocks.append([v, *range(p, p + m - 1)])
+            ends += range(p, p + m - 1)
+            p += m - 1
+    perm = list(range(p))
+    rng.shuffle(perm)
+    return BlockGraph(p, [[perm[v] for v in b] for b in blocks])
+
+
+REACHABLE = (
+    "a symmetric block graph has at least two blocks",
+    "blocks have mixed sizes ",
+    "cut vertices have mixed block degrees ",
+    "every central vertex must carry its own branches",
+    "end vertices sit at unequal depths",
+)
+
+
+def test_detection_on_uniform_block_graphs_matches_the_reference(corpus) -> None:
+    # Graphs of one block size and one cut degree pass the first three checks
+    # and reach the two on the detour center and the depths; the reference
+    # derives the coordinates layer by layer with every check it ever had.
+    rng = random.Random(31)
+    graphs = list(corpus) + [
+        _uniform_block_graph(rng, rng.randint(2, 5), rng.randint(2, 4), rng.randint(1, 6))
+        for _ in range(2400)
+    ]
+    raised, accepted = Counter(), 0
+    for g in graphs:
+        profile = detour_profile(g)
+        try:
+            ref = reference_coordinates(g, profile)
+        except NotSymmetricError:
+            ref = None
+        try:
+            coords = symmetric_coordinates(g)
+        except NotSymmetricError as exc:
+            assert ref is None, g
+            raised[str(exc)] += 1
+            continue
+        assert ref is not None, g
+        _assert_coordinates_match(g, profile, coords, ref)
+        accepted += 1
+    assert all(message.startswith(REACHABLE) for message in raised), raised
+    assert raised[REACHABLE[3]] >= 100 and raised[REACHABLE[4]] >= 100, raised
+    assert accepted >= 500, accepted

@@ -447,6 +447,18 @@ def test_build_rejects_tiny_blocks_and_bad_ids() -> None:
         BlockGraph(2, [{0, 5}])
 
 
+def test_vertex_count_must_be_positive(tmp_path, capsys) -> None:
+    from hamcolor.cli import run
+
+    for p in (0, -3):
+        with pytest.raises(InvalidSpecError, match=f"^vertex count must be positive, got {p}$"):
+            BlockGraph(p, [[0, 1]])
+    graph = tmp_path / "g.json"
+    graph.write_text('{"p": 0, "blocks": [[0, 1]]}')
+    assert run(["color", str(graph)]) == 2
+    assert capsys.readouterr().err == "error: vertex count must be positive, got 0\n"
+
+
 def test_block_cut_tree_shapes() -> None:
     two = gen_union(4, 2).block_cut_tree()
     assert two.block_count == 2 and len(two.cut_list) == 1

@@ -41,8 +41,8 @@ def test_tracer_sees_the_profile_and_restores_it(tmp_path) -> None:
     with tracing.Tracer() as tracer, redirect_stdout(io.StringIO()):
         assert run(["color", str(graph)]) == 0
     assert tracer.calls["graphs.from_json"] == 1
-    # color_graph asks for the profile, then symmetric_coordinates and the
-    # forced coloring ask the cache
-    assert tracer.calls["detour.detour_profile"] == 3
+    # color_graph asks for the profile, then symmetric_coordinates,
+    # sym_ordering and the forced coloring ask the cache
+    assert tracer.calls["detour.detour_profile"] == 4
     assert tracer.calls["graphs.block_cut_tree"] >= 1
     assert hamcolor.detour.detour_profile is original
