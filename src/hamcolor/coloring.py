@@ -15,7 +15,7 @@ coloring meeting the general lower bound.
 The forced coloring along an ordering instead gives each next vertex
 the smallest color that keeps it valid against every placed vertex, so
 it is valid for any ordering.  :func:`color_graph` colors every graph
-by it, computed by the recurrence wherever the two provably agree.
+by it, computed from the recurrence wherever the graph is shallow.
 """
 
 from __future__ import annotations
@@ -204,14 +204,15 @@ def greedy_min_coloring_for_ordering(g: BlockGraph, ordering: Sequence[int]) -> 
     :func:`~hamcolor.detour.branch_keys`, D(u, v) <= L(u) + L(v) + omega - 1,
     with equality when the keys of u and v differ.
 
-    On a shallow graph, 4 maxL <= p - 2 omega + 2, with different keys at
-    every consecutive pair, this is :func:`coloring_from_ordering`'s gap
-    recurrence, which is returned.  Proof: each forced step is at least
-    p - 1 - D(u_i, u_{i+1}) >= p - omega - 2 maxL >= (p - 2) / 2 >= 0, so two
-    steps sum to at least p - 2 >= p - 1 - D for any pair: only consecutive
-    pairs bind, and with their keys apart each step is the recurrence's gap.
+    On a shallow graph, 4 maxL <= p - 2 omega + 2, this is
+    :func:`coloring_from_ordering`'s recurrence, each consecutive pair that
+    shares a key adding its slack L(u) + L(v) + omega - 1 - D(u, v), its one
+    tree-metric query, to every later color.  Proof: each forced step is at
+    least p - 1 - D(u_i, u_{i+1}) >= p - omega - 2 maxL >= (p - 2) / 2 >= 0, so
+    two steps sum to at least p - 2 >= p - 1 - D for any pair: only
+    consecutive pairs bind, and each step is the gap plus that pair's slack.
 
-    Otherwise a placed u keyed apart from next gives exactly (c(u) - L(u))
+    On a deep graph a placed u keyed apart from next gives exactly (c(u) - L(u))
     + p - omega - L(next), and one sharing next's key gives at least that.
     So the next color is the largest of c(last), M + p - omega - L(next),
     with M the running maximum of c(u) - L(u), and the exact term over
@@ -225,10 +226,17 @@ def greedy_min_coloring_for_ordering(g: BlockGraph, ordering: Sequence[int]) -> 
     profile = detour_profile(g)
     if 4 * int(profile.level.max()) <= g.p - 2 * profile.omega + 2:  # shallow
         keys = branch_keys(profile)[order]
-        apart = bool((keys[:-1] != keys[1:]).all())
+        tied = np.flatnonzero(keys[:-1] == keys[1:])  # consecutive pairs sharing a key
         del keys
-        if apart:
-            return coloring_from_ordering(g, profile, order)
+        coloring = coloring_from_ordering(g, profile, order)
+        if not len(tied):
+            return coloring
+        u, v = order[tied], order[tied + 1]
+        slack = np.zeros(g.p, dtype=np.int64)
+        slack[tied + 1] = profile.level[u] + profile.level[v] + profile.omega - 1
+        slack[tied + 1] -= tree_metric(g).distance(u, v)
+        slack[order] = np.cumsum(slack)
+        return HamColoring._from_array(coloring._array + slack)
     order = order.tolist()
     level = profile.level.tolist()
     keys = branch_keys(profile).tolist()

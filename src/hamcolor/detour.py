@@ -32,7 +32,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import SameVertexError
-from .graphs import _ID_DTYPE, BlockCutTree, BlockGraph, block_index, check_vertices
+from .graphs import _ID_DTYPE, BlockCutTree, BlockGraph, check_vertices
 
 RELATION_SAME = "same"
 RELATION_DIFFERENT = "different"
@@ -195,6 +195,7 @@ def detour_profile(g: BlockGraph) -> DetourProfile:
 def _build_profile(g: BlockGraph) -> DetourProfile:
     bct = g.block_cut_tree()
     anchor, weight2, parent, order = bct.anchor, bct.weight2, bct.parent, bct.order
+    b = bct.block_count
     pos, dep, up = _preorder(bct)
 
     def from_node(c: int) -> np.ndarray:
@@ -221,12 +222,16 @@ def _build_profile(g: BlockGraph) -> DetourProfile:
     omega = len(center)
     if omega == 1:
         # a cut vertex: a non-cut vertex ties in eccentricity with a cut
-        # vertex of its block; its neighbours are its blocks
+        # vertex of its block; its tree row holds its blocks
         root = int(anchor[center[0]])
-        xi = int(weight2[bct.neighbours(root)].min())
+        xi = int(weight2[bct.indices[bct.indptr[root] : bct.indptr[root + 1]]].min())
     else:
-        root = block_index(g, center)
-        if root < 0:
+        # a non-cut central vertex's block, else the deepest central cut node's
+        # parent (only the block's own parent is above it); it must hold them all
+        hub = anchor[list(center)]
+        root = int(hub.min() if hub.min() < b else parent[hub[np.argmax(bct.dist2[hub])]])
+        beside = (hub == root) | (parent[hub] == root) | (hub == parent[root])
+        if weight2[root] != omega - 1 or not beside.all():
             raise AssertionError("detour center is not one whole block")
         xi = 0
     level = ((from_node(root) - (omega - 1)) // 2)[anchor]
@@ -255,9 +260,9 @@ def _build_profile(g: BlockGraph) -> DetourProfile:
     if omega > 1:
         code[pos[kids]] = -1
     first = order[heads]
-    cut_list = bct.cut_list
-    top_owner = cut_list[top - bct.block_count] if top else -1
-    owners = np.append(cut_list[parent[first] - bct.block_count], (top_owner, -1))
+    cut_ids = np.flatnonzero(anchor >= b)  # by cut node, less b
+    top_owner = cut_ids[top - b] if top else -1
+    owners = np.append(cut_ids[parent[first] - b], (top_owner, -1))
     firsts = np.append(first, (parent[top], -1))
     code = code[pos]  # by node
     owner = owners.astype(_ID_DTYPE)[code][anchor]

@@ -68,9 +68,14 @@ def brute_longest_path(g: BlockGraph, u: int, v: int, budget: SearchBudget | Non
     visited = bytearray(g.p)
     visited[u] = 1
     best = -1
+    deadline = None if budget.time_limit is None else time.perf_counter() + budget.time_limit
+    nodes = 0
 
     def walk(x: int, length: int) -> None:
-        nonlocal best
+        nonlocal best, nodes
+        nodes += 1
+        if deadline is not None and nodes % 4096 == 1 and time.perf_counter() > deadline:
+            raise BudgetExceededError("time limit exhausted during longest-path search")
         if x == v:
             if length > best:
                 best = length

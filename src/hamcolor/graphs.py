@@ -318,24 +318,24 @@ class BlockCutTree:
     """The bipartite tree of blocks and cut vertices.
 
     Nodes ``0..b-1`` are the blocks in canonical order; nodes ``b..b+c-1``
-    are the cut vertices in ascending id order (``cut_list``).  It is the
-    graph's one record of which vertex lies in which block.  The
-    neighbours of node x are ``indices[indptr[x]:indptr[x + 1]]``,
-    ascending: a block's cut nodes, and a cut vertex's blocks.  Weights
-    are doubled to stay integral: ``weight2[x]`` is |B| - 1 on a block
-    node and 0 on a cut node, and an edge weighs ``weight2[x] +
-    weight2[y]``.  Per vertex v, ``anchor[v]`` is its cut node or its one
-    block node, so ``anchor >= b`` marks the cut vertices, and a cut node's
-    degree is its vertex's number of blocks.
+    are the cut vertices in ascending id order.  It is the graph's one
+    record of which vertex lies in which block.  The neighbours of node x
+    are ``indices[indptr[x]:indptr[x + 1]]``, ascending: a block's cut
+    nodes, and a cut vertex's blocks.  Weights are doubled to stay
+    integral: ``weight2[x]`` is |B| - 1 on a block node and 0 on a cut
+    node, and an edge weighs ``weight2[x] + weight2[y]``.  Per vertex v,
+    ``anchor[v]`` is its cut node or its one block node, the tree's one map
+    between vertices and nodes: ``anchor >= b`` marks the cut vertices, in
+    node order, and a cut node's degree is its vertex's number of blocks.
     The constructor walks the tree once, depth first from node 0, and
     keeps the preorder as ``order`` and, per node, ``parent`` and the
     doubled distance ``dist2`` from node 0; no other code walks the tree.
-    Every array, ``cut_list`` included, is read-only int32.
+    Every array is read-only int32.
     """
 
     __slots__ = (
-        "block_count", "cut_list", "node_count", "indptr", "indices", "weight2", "anchor",
-        "order", "parent", "dist2",
+        "block_count", "node_count", "indptr", "indices", "weight2", "anchor", "order",
+        "parent", "dist2",
     )
 
     def __init__(self, members: np.ndarray, starts: np.ndarray, degree: np.ndarray):
@@ -360,7 +360,6 @@ class BlockCutTree:
         self.indptr = np.append(0, np.cumsum(rows)).astype(_ID_DTYPE)  # summed in intp
 
         self.block_count = b
-        self.cut_list = cuts.astype(_ID_DTYPE)
         self.node_count = b + len(cuts)
         self.weight2 = np.zeros(self.node_count, dtype=_ID_DTYPE)
         self.weight2[:b] = sizes - 1
@@ -389,13 +388,9 @@ class BlockCutTree:
         self.order = np.array(order, dtype=_ID_DTYPE)
         self.parent = np.array(parent, dtype=_ID_DTYPE)
         self.dist2 = np.array(dist2, dtype=_ID_DTYPE)
-        for a in (self.cut_list, self.indptr, self.indices, self.weight2, self.anchor, self.order,
-                  self.parent, self.dist2):
+        for a in (self.indptr, self.indices, self.weight2, self.anchor, self.order, self.parent,
+                  self.dist2):
             a.flags.writeable = False
-
-    def neighbours(self, x: int) -> np.ndarray:
-        """The neighbours of node x, ascending."""
-        return self.indices[self.indptr[x] : self.indptr[x + 1]]
 
 
 def check_vertices(g: BlockGraph, *ids: int) -> None:
@@ -403,20 +398,6 @@ def check_vertices(g: BlockGraph, *ids: int) -> None:
     for v in ids:
         if not 0 <= check_integer(v, "vertex id") < g.p:
             raise InvalidSpecError(f"vertex id {v} is outside 0..{g.p - 1}")
-
-
-def block_index(g: BlockGraph, vertices: Sequence[int]) -> int:
-    """Id of the block whose members are the ascending ``vertices``, or -1.
-
-    Distinct blocks of a block graph share at most one vertex, so at most
-    one starts with the first two of them.
-    """
-    members, starts = g._members, g._starts
-    first = starts[:-1]
-    hit = np.flatnonzero((members[first] == vertices[0]) & (members[first + 1] == vertices[1]))
-    if hit.size and members[starts[hit[0]] : starts[hit[0] + 1]].tolist() == list(vertices):
-        return int(hit[0])
-    return -1
 
 
 # -- serialization ----------------------------------------------------------

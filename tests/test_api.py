@@ -123,7 +123,7 @@ def test_ids_and_tree_distances_are_read_only_int32(make) -> None:
     g = make()
     bct, metric, result = g.block_cut_tree(), tree_metric(g), hamcolor.color_graph(g)
     arrays = {"members": g._members, "ordering": result.ordering}
-    for name in ("cut_list", "indptr", "indices", "weight2", "anchor", "order", "parent", "dist2"):
+    for name in ("indptr", "indices", "weight2", "anchor", "order", "parent", "dist2"):
         arrays[name] = getattr(bct, name)
     for name in ("pos", "root2", "_dep2", "_table"):
         arrays[name] = getattr(metric, name)
@@ -145,8 +145,8 @@ def test_block_cut_tree_surface_is_pinned() -> None:
     # sweep and no path walk beside it
     bct = hamcolor.gen_path(3).block_cut_tree()
     assert {name for name in dir(bct) if not name.startswith("_")} == {
-        "block_count", "cut_list", "node_count", "indptr", "indices", "weight2", "anchor",
-        "order", "parent", "dist2", "neighbours",
+        "block_count", "node_count", "indptr", "indices", "weight2", "anchor", "order",
+        "parent", "dist2",
     }
 
 

@@ -38,6 +38,7 @@ from hamcolor import (
     to_json,
     validate_coloring,
 )
+from hamcolor.detour import branch_keys, tree_metric
 from conftest import grid_specs, reference_coordinates, relabeled
 
 
@@ -537,3 +538,58 @@ def test_accepted_recurrence_equals_forced_coloring() -> None:
             accepted += 1
             assert recurrence == greedy_min_coloring_for_ordering(g, order), g.blocks
     assert accepted >= 100
+
+
+def _loop_coloring(g: BlockGraph, ordering: list[int]) -> HamColoring:
+    """The forced coloring by the per-vertex loop, kept as a reference.
+
+    Each next color is the largest of c(last), M + p - omega - L(next) with
+    M the running maximum of c(u) - L(u), and c(u) + p - 1 - D(u, next) over
+    the placed u sharing next's key, scanned newest first.
+    """
+    profile = detour_profile(g)
+    level = profile.level.tolist()
+    keys = branch_keys(profile).tolist()
+    pair = tree_metric(g).pair
+    need = g.p - 1
+    lift = g.p - profile.omega
+    colors = [0] * g.p
+    first = ordering[0]
+    placed_by_key: dict[int, list[int]] = {keys[first]: [first]}
+    top = -level[first]
+    last = 0
+    for v in ordering[1:]:
+        best = max(last, top + lift - level[v])
+        same = placed_by_key.setdefault(keys[v], [])
+        for u in reversed(same):
+            cu = colors[u]
+            if cu + need - 1 <= best:
+                break
+            best = max(best, cu + need - pair(u, v))
+        colors[v] = last = best
+        top = max(top, best - level[v])
+        same.append(v)
+    return HamColoring(colors)
+
+
+def test_forced_coloring_matches_the_per_vertex_loop() -> None:
+    # shallow orderings take the recurrence plus each same-key pair's slack
+    # instead of the loop; deep ones, paths among them, still take the loop
+    rng = random.Random(32)
+    graphs = [gen_path(p) for p in range(2, 41)]
+    for seed in range(1500):
+        size, per_cut = rng.randint(2, 6), rng.randint(1, 8)
+        graphs.append(gen_random_block_graph(seed, (12, 20, 40, 80)[seed % 4], size, per_cut))
+    tied = deep = 0
+    for g in graphs:
+        profile = detour_profile(g)
+        shallow = 4 * int(profile.level.max()) <= g.p - 2 * profile.omega + 2
+        keys = branch_keys(profile)
+        for _ in range(4):
+            order = rng.sample(range(g.p), g.p)
+            if not shallow:
+                deep += 1
+            elif (keys[order[:-1]] == keys[order[1:]]).any():
+                tied += 1
+            assert greedy_min_coloring_for_ordering(g, order) == _loop_coloring(g, order), g.blocks
+    assert tied >= 1000 and deep >= 1000

@@ -102,6 +102,17 @@ def test_exact_zero_time_limit_is_a_limit() -> None:
         exact_hc(gen_path(9), SearchBudget(time_limit=0))
 
 
+def test_longest_path_honors_time_limit() -> None:
+    # the brute-force oracle took the budget's max_p and ignored its time limit
+    g = gen_path(9)
+    with pytest.raises(BudgetExceededError, match="^time limit exhausted"):
+        brute_longest_path(g, 0, 8, SearchBudget(time_limit=0))
+    assert brute_longest_path(g, 0, 8, SearchBudget(time_limit=60)) == 8
+    # the deadline is checked again every 4,096 nodes: K_12 has about 10^7
+    with pytest.raises(BudgetExceededError):
+        brute_longest_path(BlockGraph(12, [range(12)]), 0, 11, SearchBudget(12, 0.01))
+
+
 def test_nan_time_limit_is_rejected() -> None:
     # perf_counter() > nan is never true, so a NaN limit would never stop the search
     with pytest.raises(InvalidSpecError):
