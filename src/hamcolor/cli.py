@@ -38,7 +38,7 @@ from .formulas import (
     sym_total_level,
     union_hc,
 )
-from .graphs import BlockGraph, _json_parts, from_json, to_dot
+from .graphs import BlockGraph, _json_parts, _load_json, from_json, to_dot
 
 
 def _write(path: str | None, text: str | Iterable[str]) -> None:
@@ -74,11 +74,7 @@ def _load_graph(path: str) -> BlockGraph:
 
 def _load_colors(path: str) -> list[int]:
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        doc = json.loads(text)
-    except RecursionError:
-        raise InvalidSpecError("coloring JSON is nested too deeply") from None
+        doc = _load_json(fh.read(), "coloring")
     if not isinstance(doc, dict) or not isinstance(doc.get("colors"), list):
         raise InvalidSpecError('coloring JSON must be an object with a "colors" list')
     return doc["colors"]

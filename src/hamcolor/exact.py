@@ -36,7 +36,7 @@ class SearchBudget:
     max_p: int = 10
     time_limit: float | None = None
 
-    HARD_CAP: ClassVar[int] = 12
+    HARD_CAP: ClassVar[int] = 14
 
     def __post_init__(self):
         object.__setattr__(self, "max_p", check_integer(self.max_p, "max_p"))

@@ -35,25 +35,6 @@ _ID_DTYPE = np.int32
 _MAX_MEMBERS = 2**29
 
 
-def _member_lists(blocks: Iterable[Iterable[int]]) -> list:
-    """The blocks as sequences, each iterated once, so blocks may be generators.
-
-    Members must be integers, numpy's included; any other member raises
-    InvalidSpecError.
-    """
-    malformed = "blocks must be collections of integer vertex ids"
-    try:
-        raw = [b if isinstance(b, (list, tuple)) else tuple(b) for b in blocks]
-    except TypeError:  # blocks, or a block, that is not iterable
-        raise InvalidSpecError(malformed) from None
-    # one pass over the member types at C speed, before repeats are merged,
-    # so a float equal to an int is caught; bool is a type of its own
-    types = set(map(type, chain.from_iterable(raw)))
-    if not all(t is int or issubclass(t, np.integer) for t in types):
-        raise InvalidSpecError(malformed)
-    return raw
-
-
 def check_integer(value, what: str) -> int:
     """value as a Python int; InvalidSpecError naming ``what`` unless it is a
     Python or numpy integer.  bool and floats fail, a float equal to an int too."""
@@ -76,17 +57,35 @@ def _vertex_count(p) -> int:
     return int(p)
 
 
-def _member_arrays(p: int, raw: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
+def _member_arrays(p: int, blocks: Iterable[Iterable[int]]) -> tuple[np.ndarray, np.ndarray]:
     """The block sizes and the members of all blocks, block after block, as intp arrays.
 
-    A member too large for intp leaves the arrays unbuilt and goes to
-    :func:`_reject`, which raises its error.
+    Each block is iterated once, so blocks may be generators; a list of
+    lists or tuples is read without a copy.  Blocks or a block that is a
+    string or not iterable, or a member that is not an integer, numpy's
+    included, raise InvalidSpecError; a member too large for intp goes to
+    :func:`_reject`.
     """
-    sizes = np.fromiter(map(len, raw), dtype=np.intp, count=len(raw))
+    malformed = "blocks must be collections of integer vertex ids"
+    # a string holds no ids; made a tuple it would cost a pointer per character
+    if isinstance(blocks, str):
+        raise InvalidSpecError(malformed)
     try:
-        flat = np.fromiter(chain.from_iterable(raw), dtype=np.intp, count=int(sizes.sum()))
+        if not (isinstance(blocks, list) and set(map(type, blocks)) <= {list, tuple}):
+            blocks = [b if isinstance(b, (list, tuple, str)) else tuple(b) for b in blocks]
+    except TypeError:  # blocks, or a block, that is not iterable
+        raise InvalidSpecError(malformed) from None
+    # one pass over the member types at C speed, before repeats are merged,
+    # so a float equal to an int is caught; bool is a type of its own
+    types = set(map(type, chain.from_iterable(blocks)))
+    if not all(t is int or issubclass(t, np.integer) for t in types):
+        raise InvalidSpecError(malformed)
+    del types  # let go before the arrays are built, the parse's peak
+    sizes = np.fromiter(map(len, blocks), dtype=np.intp, count=len(blocks))
+    try:
+        flat = np.fromiter(chain.from_iterable(blocks), dtype=np.intp, count=int(sizes.sum()))
     except OverflowError:
-        _reject(p, sizes, np.fromiter(chain.from_iterable(raw), dtype=object))
+        _reject(p, sizes, np.fromiter(chain.from_iterable(blocks), dtype=object))
     return sizes, flat
 
 
@@ -252,7 +251,7 @@ class BlockGraph:
 
     def __init__(self, p: int, blocks: Iterable[Iterable[int]], meta: dict | None = None):
         p = _vertex_count(p)
-        self._build(p, *_canonical_members(p, *_member_arrays(p, _member_lists(blocks))), meta)
+        self._build(p, *_canonical_members(p, *_member_arrays(p, blocks)), meta)
 
     @classmethod
     def _from_members(
@@ -430,41 +429,34 @@ def _json_parts(g: BlockGraph) -> Iterator[str]:
     yield f']{meta},"p":{g.p}}}\n'
 
 
+def _load_json(text: str, what: str):
+    """json.loads(text); InvalidSpecError naming ``what`` when the text nests
+    past the interpreter's recursion limit, as json recurses once per level."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise InvalidSpecError(f"{what} JSON is nested too deeply") from None
+
+
 def from_json(text: str) -> BlockGraph:
     """Parse the JSON form.
 
-    Text that is not JSON raises ``json.JSONDecodeError``; JSON of the
-    wrong shape, nesting too deep included, raises InvalidSpecError; and a
-    block list that is not a block graph raises a GraphStructureError.
+    Text that is not JSON raises ``json.JSONDecodeError``.  A document that
+    nests too deeply, is no object with "p" and "blocks", or has a "meta"
+    that is no object raises InvalidSpecError; "p" and "blocks" are checked
+    as ``BlockGraph(p, blocks)`` checks them, with its errors.
     """
-    try:
-        doc = json.loads(text)
-    except RecursionError:
-        # json recurses once per nesting level, past the interpreter's limit
-        raise InvalidSpecError("graph JSON is nested too deeply") from None
+    doc = _load_json(text, "graph")
     if not isinstance(doc, dict) or "p" not in doc or "blocks" not in doc:
         raise InvalidSpecError('graph JSON must be an object with "p" and "blocks"')
-    p = doc["p"]
-    blocks = doc["blocks"]
-    if not isinstance(p, int) or isinstance(p, bool):
-        raise InvalidSpecError(f'"p" must be an integer, got {p!r}')
-    # JSON gives exact types, and bool is a type of its own, so set lookups
-    # over the element types check every member at C speed.
-    if not (
-        isinstance(blocks, list)
-        and set(map(type, blocks)) <= {list}
-        and set(map(type, chain.from_iterable(blocks))) <= {int}
-    ):
-        raise InvalidSpecError('"blocks" must be a list of integer lists')
     meta = doc.get("meta")
     if meta is not None and not isinstance(meta, dict):
         raise InvalidSpecError('"meta" must be an object when present')
-    # the check above is the one pass over the member types; the document
-    # and its text are let go before the canonical sort, and the raw block
-    # arrays before the block-cut tree is built
-    p = _vertex_count(p)
-    sizes, flat = _member_arrays(p, blocks)
-    del text, doc, blocks
+    # the document and its text are let go before the canonical sort, and
+    # the raw block arrays before the block-cut tree is built
+    p = _vertex_count(doc["p"])
+    sizes, flat = _member_arrays(p, doc["blocks"])
+    del text, doc
     members, starts = _canonical_members(p, sizes, flat)
     del sizes, flat
     return BlockGraph._from_members(p, members, starts, meta)

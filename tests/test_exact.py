@@ -23,6 +23,9 @@ from hamcolor import (
     greedy_min_coloring_for_ordering,
     greedy_ordering,
     lower_bound,
+    path_hc,
+    star_hc,
+    union_hc,
     validate_coloring,
 )
 from hamcolor.exact import _twin_groups
@@ -45,8 +48,30 @@ def test_brute_respects_budget() -> None:
 
 def test_budget_refuses_above_hard_cap() -> None:
     with pytest.raises(InvalidSpecError):
-        SearchBudget(max_p=13)
-    assert SearchBudget(max_p=12).max_p == 12
+        SearchBudget(max_p=15)
+    assert SearchBudget(max_p=14).max_p == 14
+
+
+@pytest.mark.parametrize(
+    ("g", "value"),
+    [
+        (gen_path(12), path_hc(12)),
+        (gen_path(13), path_hc(13)),
+        (gen_path(14), path_hc(14)),
+        (gen_star(12), star_hc(12)),
+        (gen_star(13), star_hc(13)),
+        (gen_union(7, 2), union_hc(7, 2)),
+        (gen_union(5, 3), union_hc(5, 3)),
+    ],
+    ids=["path-12", "path-13", "path-14", "star-12", "star-13", "union-7-2", "union-5-3"],
+)
+def test_exact_matches_closed_forms_up_to_the_hard_cap(g, value) -> None:
+    # p = 12 to 14, the sizes the cap of 14 admits; the path of 14 takes
+    # about 1.4 s on a 2-vCPU machine, the others under 0.3 s
+    found, witness = exact_hc(g, SearchBudget(max_p=14))
+    assert found == value
+    assert witness is not None and witness.span == value
+    assert validate_coloring(g, list(witness.colors)) == []
 
 
 def test_greedy_min_on_complete_graph_is_zero() -> None:

@@ -13,6 +13,8 @@ import pytest
 from conftest import neighbours
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_cli_fuzz import _run as run_cli
+from test_cli_fuzz import block_lists, json_values
 
 from hamcolor import (
     BlockGraph,
@@ -591,7 +593,7 @@ def test_graphs_past_the_int32_member_limit_are_refused(monkeypatch, capsys) -> 
             make()
 
 
-def test_from_json_rejects_garbage() -> None:
+def test_from_json_rejects_garbage(tmp_path) -> None:
     with pytest.raises(InvalidSpecError):
         from_json("[1, 2, 3]")
     with pytest.raises(InvalidSpecError):
@@ -604,6 +606,69 @@ def test_from_json_rejects_garbage() -> None:
     deep = "[" * 200_000 + "]" * 200_000
     with pytest.raises(InvalidSpecError, match="nested too deeply"):
         from_json('{"p": 2, "blocks": ' + deep + "}")
+    # from_json's own JSON type test gave these messages of its own; they
+    # now get the constructor's error, and color exits 2 with one "error:" line
+    path = tmp_path / "g.json"
+    for doc in (
+        {"p": 2, "blocks": "ab"},
+        {"p": 2, "blocks": {}},
+        {"p": 2, "blocks": [[0, 1.0]]},
+        {"p": 2, "blocks": [[0, True]]},
+        {"p": True, "blocks": [[0, 1]]},
+    ):
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InvalidSpecError) as parsed:
+            from_json(path.read_text())
+        with pytest.raises(InvalidSpecError) as built:
+            BlockGraph(doc["p"], doc["blocks"])
+        assert str(parsed.value) == str(built.value)
+        assert run_cli("color", str(path)) == 2, doc
+
+
+_EUROS = "\u20ac" * 200_000
+
+
+@pytest.mark.parametrize(
+    "blocks",
+    [_EUROS, [[0, 1], _EUROS], {_EUROS: 0}],
+    ids=["string", "string-block", "object-key"],
+)
+def test_string_blocks_are_refused_in_memory_of_the_text(blocks) -> None:
+    # a string made a tuple held a pointer per character, and each non-Latin-1
+    # character as its own string object: 86 to 134 bytes per character
+    text = json.dumps({"p": 2, "blocks": blocks}, ensure_ascii=False)
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidSpecError, match="collections of integer vertex ids"):
+            from_json(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / len(_EUROS) < 10, peak / len(_EUROS)
+
+
+# small lists of small blocks, which reach the structure checks, and the
+# CLI fuzz suite's block lists and JSON values
+_graph_args = st.tuples(
+    st.integers(2, 5), st.lists(st.lists(st.integers(0, 4), min_size=2, max_size=3), max_size=4)
+) | st.tuples(st.integers(-1, 12) | json_values, block_lists | json_values)
+
+
+@given(args=_graph_args)
+@settings(max_examples=300, deadline=None)
+def test_from_json_and_the_constructor_agree(args) -> None:
+    # one check of "p" and the block list: the same graph, or the same error
+    # class and message
+    p, blocks = args
+
+    def outcome(make):
+        try:
+            return make()
+        except HamcolorError as exc:
+            return type(exc), str(exc)
+
+    text = json.dumps({"p": p, "blocks": blocks})
+    assert outcome(lambda: from_json(text)) == outcome(lambda: BlockGraph(p, blocks))
 
 
 def test_dot_export_mentions_every_vertex_and_clusters() -> None:
