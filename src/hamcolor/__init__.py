@@ -45,7 +45,6 @@ from .errors import (
 )
 from .exact import SearchBudget, brute_longest_path, exact_hc
 from .families import (
-    SymmetricCoordinates,
     SymmetricSpec,
     gen_path,
     gen_random_block_graph,
@@ -81,7 +80,6 @@ __all__ = [
     "DetourProfile",
     "HamColoring",
     "SearchBudget",
-    "SymmetricCoordinates",
     "SymmetricSpec",
     "branch_relation",
     "brute_longest_path",

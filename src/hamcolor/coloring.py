@@ -27,7 +27,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .detour import DetourProfile, branch_keys, detour_profile, tree_metric
+from .detour import DetourProfile, _check_profile, branch_keys, detour_profile, tree_metric
 from .errors import (
     InvalidSpecError,
     NegativeGapError,
@@ -35,7 +35,7 @@ from .errors import (
     NotSymmetricError,
     SizeMismatchError,
 )
-from .families import SymmetricCoordinates, symmetric_coordinates
+from .families import SymmetricSpec, symmetric_coordinates
 from .formulas import lower_bound
 from .graphs import _ID_DTYPE, BlockGraph
 
@@ -151,6 +151,7 @@ def check_ordering_conditions(
     differ; pairs touching a central vertex are exempt.  Condition 3:
     2*D(u_i, u_{i+1}) <= p for every i (the exact rational comparison).
     """
+    _check_profile(g, profile)
     order = _as_permutation(g.p, ordering)
     ends = profile.level[order[[0, -1]]].tolist()
     want_last = profile.xi if profile.omega == 1 else 0
@@ -182,6 +183,7 @@ def coloring_from_ordering(
     Raises NegativeGapError at the first negative step instead of
     clamping, so an unusable ordering cannot masquerade as a coloring.
     """
+    _check_profile(g, profile)
     order = _as_permutation(g.p, ordering)
     level = profile.level[order]
     gaps = np.add(level[:-1], level[1:], dtype=np.int64)
@@ -424,8 +426,11 @@ def validate_coloring(g: BlockGraph, colors: Sequence[int]) -> Violations:
     return Violations(g, np.array(colors, dtype=np.int64))
 
 
-def sym_ordering(g: BlockGraph, coords: SymmetricCoordinates) -> np.ndarray:
+def sym_ordering(g: BlockGraph, spec: SymmetricSpec) -> np.ndarray:
     """The bound-achieving ordering of a symmetric block graph, as a read-only int32 array.
+
+    spec must be what :func:`~hamcolor.families.symmetric_coordinates`
+    recognizes g as; any other spec raises InvalidSpecError.
 
     Every branch's descendants are renamed 1..S, deepest depth group
     first and child tuples in radix order with the first index least
@@ -437,30 +442,56 @@ def sym_ordering(g: BlockGraph, coords: SymmetricCoordinates) -> np.ndarray:
     At diameter 2 there are no descendants, so the ordering is the hub
     followed by the depth-1 list.
 
-    The middle part is a (renamed position x stream) view of the output.
-    Starting from the stream roots, each depth group is one gather of the
-    previous group's children from ``coords.children``, written straight
-    into the group's rows with the new child index as the most significant
-    digit; the groups fill the rows from the last one back.
+    Depth is level / n, and each non-central block's parent is its one
+    shallowest member.  One stable sort of those blocks by parent gives the
+    child table: per parent, its k child blocks without the parent, as one
+    (k x n) row of ``children``; ``child_row`` maps a vertex to its row, or
+    -1.  Child i of a vertex is member ``i // k`` of block ``i % k``, and
+    the even-diameter hub's blocks give the depth-1 list the same way.
+    From the stream roots (the depth-1 list or the central block), each
+    depth group is one gather of the previous group's children, written
+    straight into a (renamed position x stream) view of the output with
+    the new child index as the most significant digit; the groups fill
+    the rows from the last one back.
     """
-    spec = coords.spec
-    center = detour_profile(g).center
-    if spec.diameter % 2 == 0:
-        head, tail, levels = center[0], coords.top_list, spec.r - 1
+    found = symmetric_coordinates(g)
+    if found != spec:
+        raise InvalidSpecError(f"the graph is {found}, not {spec}")
+    n, k = spec.n, spec.k
+    profile = detour_profile(g)
+    center = profile.center
+    members = g._members.reshape(-1, spec.block_size)
+    rise = (profile.level // n)[members]  # depth, then depth below the block's parent
+    rise -= rise.min(axis=1, keepdims=True)
+    up = members[np.arange(len(members)), rise.argmin(axis=1)]
+    is_child = rise.astype(bool)
+    del rise
+    if profile.omega == 1:
+        top = up == center[0]
+        roots = members[top][is_child[top]].reshape(spec.cut_degree, n).T.ravel()
+        head, tail, levels = center[0], roots, spec.r - 1
     else:
+        top = ~is_child.any(axis=1)
+        roots = np.array(center, dtype=_ID_DTYPE)
         head, tail, levels = center[-1], center[:-1], spec.r
+    blocks = np.flatnonzero(~top)
+    blocks = blocks[np.argsort(up[blocks], kind="stable")]
+    children = members[blocks][is_child[blocks]].reshape(-1, k, n)
+    child_row = np.full(g.p, -1, dtype=_ID_DTYPE)
+    child_row[up[blocks[::k]]] = np.arange(len(children))
+    del up, is_child, blocks
     ordering = np.empty(g.p, dtype=_ID_DTYPE)
     ordering[0] = head
     stop = g.p - len(tail)
     ordering[stop:] = tail
-    group = np.array(coords.top_list, dtype=_ID_DTYPE)[None, :]  # the stream roots
+    group = roots[None, :]
     for _ in range(levels):
-        rows = coords.child_row[group]
-        start = stop - rows.size * spec.k * spec.n
+        rows = child_row[group]
+        start = stop - rows.size * k * n
         if start < 1 or (rows < 0).any():
             raise AssertionError("the child table does not cover the streams")
-        out = ordering[start:stop].reshape(spec.n, spec.k, *rows.shape)
-        out[...] = coords.children[rows].transpose(3, 2, 0, 1)
+        out = ordering[start:stop].reshape(n, k, *rows.shape)
+        out[...] = children[rows].transpose(3, 2, 0, 1)
         group, stop = out.reshape(-1, rows.shape[1]), start
     seen = np.zeros(g.p, dtype=bool)
     if stop == 1:
@@ -488,6 +519,7 @@ def greedy_ordering(g: BlockGraph, profile: DetourProfile) -> list[int]:
     block is the least unused vertex of another block.  Whatever is still
     held at the end follows in order.
     """
+    _check_profile(g, profile)
     level, block = profile.level.tolist(), profile.owner_block.tolist()
     start = min(profile.center)
     order = [start]
@@ -541,13 +573,12 @@ def color_graph(g: BlockGraph) -> ColorResult:
     """
     profile = detour_profile(g)
     try:
-        coords = symmetric_coordinates(g)
+        spec = symmetric_coordinates(g)
     except NotSymmetricError:
-        coords = None
-    if coords is not None and coords.spec.k * coords.spec.n >= 2:
-        ordering = sym_ordering(g, coords)
-        method = "symmetric" if coords.spec.diameter >= 3 else "union"
-        del coords  # its p-sized arrays are not needed past the ordering
+        spec = None
+    if spec is not None and spec.k * spec.n >= 2:
+        ordering = sym_ordering(g, spec)
+        method = "symmetric" if spec.diameter >= 3 else "union"
     else:
         ordering = np.array(greedy_ordering(g, profile), dtype=_ID_DTYPE)
         ordering.flags.writeable = False

@@ -31,7 +31,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import SameVertexError
+from .errors import SameVertexError, SizeMismatchError
 from .graphs import _ID_DTYPE, BlockCutTree, BlockGraph, check_vertices
 
 RELATION_SAME = "same"
@@ -173,6 +173,12 @@ class DetourProfile:
         return hash((self.center, self.omega, self.xi, self.total_level))
 
 
+def _check_profile(g: BlockGraph, profile: DetourProfile) -> None:
+    """Raise SizeMismatchError unless profile has one level per vertex of g."""
+    if len(profile.level) != g.p:
+        raise SizeMismatchError(f"the profile has {len(profile.level)} levels for {g.p} vertices")
+
+
 def detour_profile(g: BlockGraph) -> DetourProfile:
     """Center, levels and branch ownership, cached on the graph.
 
@@ -288,6 +294,7 @@ def branch_relation(g: BlockGraph, profile: DetourProfile, u: int, v: int) -> st
     the same central vertex through different blocks; ``opposite`` for
     different central vertices.
     """
+    _check_profile(g, profile)
     check_vertices(g, u, v)
     if u == v:
         raise SameVertexError("branch relation needs distinct vertices")

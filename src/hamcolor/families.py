@@ -61,47 +61,14 @@ class SymmetricSpec:
         return self.diameter // 2
 
 
-@dataclass(frozen=True, eq=False)
-class SymmetricCoordinates:
-    """Canonical coordinates of a symmetric block graph's vertices.
-
-    ``top_list`` holds the roots of the interleaving streams: the
-    even-diameter depth-1 list in round-robin block order, or the central
-    block when the diameter is odd.  The center itself is the graph's
-    ``detour_profile(g).center``.
-
-    ``children`` is a read-only (parents x k x n) array: each row holds one
-    vertex's k child blocks in canonical order, with that vertex removed
-    from each block.  A vertex's children take the child blocks round-robin,
-    so its child i is member ``i // k`` of block ``i % k``.  ``child_row[v]``
-    is v's row in ``children``, and -1 when v has no child blocks (the
-    outermost depth) or is the even-diameter center, whose kappa blocks give
-    ``top_list`` the same way.  Both arrays are int32.  Records compare by
-    identity.
-    """
-
-    spec: SymmetricSpec
-    top_list: tuple[int, ...]
-    children: np.ndarray
-    child_row: np.ndarray
-
-    def __post_init__(self):
-        for a in (self.children, self.child_row):
-            a.flags.writeable = False
-
-
-def symmetric_coordinates(g: BlockGraph) -> SymmetricCoordinates:
-    """Derive canonical coordinates from the structure of g.
+def symmetric_coordinates(g: BlockGraph) -> SymmetricSpec:
+    """Recognize g as a symmetric block graph and return its spec.
 
     Works for any vertex labeling; raises NotSymmetricError when g is not
     a symmetric block graph with at least two blocks.  Block sizes, and the
     cut degrees that the block-cut tree holds, are checked before g's
-    cached :func:`detour_profile` is asked for the center and the levels.
-
-    With one block size m, detour distances are multiples of n = m - 1 and
-    a vertex's depth is its level divided by n.  Each non-central block's
-    parent is its one shallowest member; sorting those blocks by parent
-    stably gives each parent its k child blocks as one row of ``children``.
+    cached :func:`detour_profile` gives the center and the levels.  With
+    one block size m, a vertex's depth is its level divided by m - 1.
 
     On the profile only two checks can fail: a central vertex that is no
     cut vertex, and an end vertex above the outermost depth.  The rest hold
@@ -120,7 +87,6 @@ def symmetric_coordinates(g: BlockGraph) -> SymmetricCoordinates:
     m = int(sizes[0])
     if (sizes != m).any():
         raise NotSymmetricError(f"blocks have mixed sizes {sorted(set(sizes.tolist()))}")
-    n = m - 1
     bct = g.block_cut_tree()
     degree = np.diff(bct.indptr[bct.block_count :])  # of each cut vertex
     kappa = int(degree[0])
@@ -132,38 +98,15 @@ def symmetric_coordinates(g: BlockGraph) -> SymmetricCoordinates:
     is_cut = bct.anchor >= bct.block_count
     if not is_cut[list(profile.center)].all():
         raise NotSymmetricError("every central vertex must carry its own branches")
-    depth = profile.level // n
+    depth = profile.level // (m - 1)
     r = int(depth.max())
     if not (is_cut | (depth == r)).all():
         raise NotSymmetricError("end vertices sit at unequal depths")
-    del is_cut
-
-    members = g._members.reshape(-1, m)
-    rise = depth[members]
-    del depth
-    rise -= rise.min(axis=1, keepdims=True)
-    up = members[np.arange(len(members)), rise.argmin(axis=1)]
-    is_child = rise.astype(bool)
-    del rise
-    if profile.omega == 1:
-        top = up == profile.center[0]
-        hub = members[top][is_child[top]].reshape(kappa, n)
-        top_list = tuple(hub.T.ravel().tolist())
-    else:
-        top = ~is_child.any(axis=1)
-        top_list = profile.center
-    rows = np.flatnonzero(~top)
-    rows = rows[np.argsort(up[rows], kind="stable")]
-    children = members[rows][is_child[rows]].reshape(-1, kappa - 1, n)
-    child_row = np.full(g.p, -1, dtype=_ID_DTYPE)
-    child_row[up[rows[:: kappa - 1]]] = np.arange(len(children))
-
-    spec = SymmetricSpec(m, kappa, 2 * r + (profile.omega > 1))
-    return SymmetricCoordinates(spec, top_list, children, child_row)
+    return SymmetricSpec(m, kappa, 2 * r + (profile.omega > 1))
 
 
-def gen_symmetric(spec: SymmetricSpec) -> tuple[BlockGraph, SymmetricCoordinates]:
-    """Build the symmetric block graph for spec plus its coordinates.
+def gen_symmetric(spec: SymmetricSpec) -> tuple[BlockGraph, SymmetricSpec]:
+    """Build the symmetric block graph for spec, with the spec it is recognized as.
 
     The (blocks x m) member array is written in closed form: a branch with P
     parents takes the kn * P ids from its base; its parents are its root and
@@ -200,10 +143,10 @@ def gen_symmetric(spec: SymmetricSpec) -> tuple[BlockGraph, SymmetricCoordinates
     rows = rows[np.argsort(rows[:, 0].astype(np.int64) * p + rows[:, 1], kind="stable")]
     meta = {"family": "symmetric", "block_size": m, "cut_degree": kappa, "diameter": d}
     g = BlockGraph._from_members(p, rows.ravel(), np.arange(0, rows.size + 1, m), meta)
-    coords = symmetric_coordinates(g)
-    if coords.spec != spec:
-        raise AssertionError(f"generator produced {coords.spec}, wanted {spec}")
-    return g, coords
+    found = symmetric_coordinates(g)
+    if found != spec:
+        raise AssertionError(f"generator produced {found}, wanted {spec}")
+    return g, spec
 
 
 def _pairs(p: int, hub: bool, meta: dict) -> BlockGraph:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import warnings
 
-from .detour import DetourProfile
+from .detour import DetourProfile, _check_profile
 from .errors import InvalidSpecError, OutOfStatedRangeWarning
 from .families import SymmetricSpec
 from .graphs import BlockGraph, check_integer
@@ -26,6 +26,7 @@ def phi(r: int, x: int) -> int:
 
 def lower_bound(g: BlockGraph, profile: DetourProfile) -> int:
     """(p-1)(p-omega) - 2*total_level + xi, floored at zero."""
+    _check_profile(g, profile)
     value = (g.p - 1) * (g.p - profile.omega) - 2 * profile.total_level + profile.xi
     return max(0, value)
 

@@ -42,7 +42,7 @@ def corpus():
 
 @pytest.fixture(scope="session")
 def grid_instances():
-    """(spec, graph, coordinates, profile) for every grid member.
+    """(spec, graph, profile) for every grid member.
 
     Construction re-checks the two generator invariants everywhere: the
     closed-form order count matches the literal vertex count and the
@@ -50,10 +50,10 @@ def grid_instances():
     """
     out = []
     for spec in grid_specs():
-        g, coords = gen_symmetric(spec)
+        g, _ = gen_symmetric(spec)
         assert g.p == sym_order_count(spec), spec
         assert hop_diameter(g) == spec.diameter, spec
-        out.append((spec, g, coords, detour_profile(g)))
+        out.append((spec, g, detour_profile(g)))
     return out
 
 

@@ -52,11 +52,11 @@ from conftest import grid_specs
 
 
 def _sym_pipeline(spec: SymmetricSpec):
-    g, coords = gen_symmetric(spec)
+    g, _ = gen_symmetric(spec)
     profile = detour_profile(g)
-    ordering = sym_ordering(g, coords)
+    ordering = sym_ordering(g, spec)
     coloring = coloring_from_ordering(g, profile, ordering)
-    return g, coords, profile, ordering, coloring
+    return g, profile, ordering, coloring
 
 
 @pytest.mark.parametrize(
@@ -66,7 +66,7 @@ def _sym_pipeline(spec: SymmetricSpec):
 )
 def test_criterion_1_golden_values(spec: SymmetricSpec, value: int) -> None:
     start = time.perf_counter()
-    g, _, profile, _, coloring = _sym_pipeline(spec)
+    g, profile, _, coloring = _sym_pipeline(spec)
     assert sym_hc(spec) == value
     assert lower_bound(g, profile) == value
     assert coloring.span == value
@@ -114,7 +114,7 @@ def test_criterion_2_odd_order_erratum() -> None:
     ids=["sym(3,2,3)", "sym(3,3,3)", "sym(3,2,4)"],
 )
 def test_criterion_3_exceptional_trio(spec: SymmetricSpec, value: int) -> None:
-    g, _, profile, ordering, coloring = _sym_pipeline(spec)
+    g, profile, ordering, coloring = _sym_pipeline(spec)
     assert validate_coloring(g, list(coloring.colors)) == []
     assert coloring.span == lower_bound(g, profile) == value
     if spec == SymmetricSpec(3, 2, 3):
@@ -165,9 +165,9 @@ def test_criterion_4_expected_values_pin() -> None:
 
 def test_criterion_5_grid_identity(grid_instances) -> None:
     worst = 0.0
-    for spec, g, coords, profile in grid_instances:
+    for spec, g, profile in grid_instances:
         start = time.perf_counter()
-        ordering = sym_ordering(g, coords)
+        ordering = sym_ordering(g, spec)
         coloring = coloring_from_ordering(g, profile, ordering)
         assert validate_coloring(g, list(coloring.colors)) == [], spec
         assert coloring.span == lower_bound(g, profile) == sym_hc(spec), spec
@@ -197,7 +197,7 @@ def test_criterion_6_oracle_equivalence(corpus) -> None:
 
 def test_criterion_7_property_suites(grid_instances, corpus) -> None:
     # detour inequality plus the stated equality direction, vectorized per grid graph
-    for spec, g, coords, profile in grid_instances:
+    for spec, g, profile in grid_instances:
         dmat = detour_matrix(g)
         levels = np.array(profile.level, dtype=np.int64)
         cap = levels[:, None] + levels[None, :] + profile.omega - 1
@@ -214,7 +214,7 @@ def test_criterion_7_property_suites(grid_instances, corpus) -> None:
 
     # telescoping span identity on 100 random orderings per grid graph
     rng = random.Random(20240)
-    for spec, g, coords, profile in grid_instances:
+    for spec, g, profile in grid_instances:
         for _ in range(100):
             order = list(range(g.p))
             rng.shuffle(order)

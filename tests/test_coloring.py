@@ -16,8 +16,10 @@ from hamcolor import (
     InvalidSpecError,
     NegativeGapError,
     NotAPermutationError,
+    NotSymmetricError,
     SizeMismatchError,
     SymmetricSpec,
+    branch_relation,
     check_ordering_conditions,
     color_graph,
     coloring_from_ordering,
@@ -43,28 +45,28 @@ from conftest import grid_specs, reference_coordinates, relabeled
 
 
 def sym_instance(m: int, kappa: int, d: int):
-    g, coords = gen_symmetric(SymmetricSpec(m, kappa, d))
-    return g, coords, detour_profile(g)
+    g, spec = gen_symmetric(SymmetricSpec(m, kappa, d))
+    return g, spec, detour_profile(g)
 
 
 def test_conditions_hold_for_even_construction() -> None:
-    g, coords, profile = sym_instance(4, 2, 4)
-    report = check_ordering_conditions(g, profile, sym_ordering(g, coords))
+    g, spec, profile = sym_instance(4, 2, 4)
+    report = check_ordering_conditions(g, profile, sym_ordering(g, spec))
     assert report.all_ok
     assert report.endpoint_levels == (0, 3)
 
 
 def test_conditions_on_smallest_exception() -> None:
-    g, coords, profile = sym_instance(3, 2, 3)
-    report = check_ordering_conditions(g, profile, sym_ordering(g, coords))
+    g, spec, profile = sym_instance(3, 2, 3)
+    report = check_ordering_conditions(g, profile, sym_ordering(g, spec))
     assert report.cond1_endpoints and report.cond2_branches
     assert not report.cond3_halfp
     assert all(2 * d > g.p for _, d in report.cond3_violations)
 
 
 def test_conditions_reversed_ordering_breaks_endpoints() -> None:
-    g, coords, profile = sym_instance(4, 2, 4)
-    report = check_ordering_conditions(g, profile, sym_ordering(g, coords)[::-1])
+    g, spec, profile = sym_instance(4, 2, 4)
+    report = check_ordering_conditions(g, profile, sym_ordering(g, spec)[::-1])
     assert not report.cond1_endpoints
     assert report.endpoint_levels[0] == 3
     assert report.cond2_branches and report.cond3_halfp
@@ -93,22 +95,22 @@ def test_condition_check_rejects_non_permutation() -> None:
 def test_half_order_boundary_cases() -> None:
     # 2*D == p counts as within the cap (the comparison is the exact
     # rational one); the smallest tree row sits right on it
-    g, coords, profile = sym_instance(2, 3, 3)
+    g, spec, profile = sym_instance(2, 3, 3)
     assert g.p == 6
-    report = check_ordering_conditions(g, profile, sym_ordering(g, coords))
+    report = check_ordering_conditions(g, profile, sym_ordering(g, spec))
     assert report.all_ok
     # and 2*D == p - 1 on the 25-vertex even case, just inside the cap
-    g2, coords2, profile2 = sym_instance(4, 2, 4)
-    report2 = check_ordering_conditions(g2, profile2, sym_ordering(g2, coords2))
+    g2, spec2, profile2 = sym_instance(4, 2, 4)
+    report2 = check_ordering_conditions(g2, profile2, sym_ordering(g2, spec2))
     assert report2.cond3_halfp
 
 
 def test_half_order_failures_in_grid_are_exactly_three() -> None:
     failing = []
     for spec in grid_specs():
-        g, coords = gen_symmetric(spec)
+        g, _ = gen_symmetric(spec)
         profile = detour_profile(g)
-        report = check_ordering_conditions(g, profile, sym_ordering(g, coords))
+        report = check_ordering_conditions(g, profile, sym_ordering(g, spec))
         assert report.cond1_endpoints and report.cond2_branches, spec
         if not report.cond3_halfp:
             failing.append((spec.block_size, spec.cut_degree, spec.diameter))
@@ -116,10 +118,10 @@ def test_half_order_failures_in_grid_are_exactly_three() -> None:
 
 
 def test_construction_spans_match_goldens() -> None:
-    g, coords, profile = sym_instance(4, 2, 4)
-    assert coloring_from_ordering(g, profile, sym_ordering(g, coords)).span == 327
-    g5, coords5, profile5 = sym_instance(4, 2, 5)
-    assert coloring_from_ordering(g5, profile5, sym_ordering(g5, coords5)).span == 1944
+    g, spec, profile = sym_instance(4, 2, 4)
+    assert coloring_from_ordering(g, profile, sym_ordering(g, spec)).span == 327
+    g5, spec5, profile5 = sym_instance(4, 2, 5)
+    assert coloring_from_ordering(g5, profile5, sym_ordering(g5, spec5)).span == 1944
 
 
 def test_construction_on_complete_graph_is_all_zero() -> None:
@@ -130,8 +132,8 @@ def test_construction_on_complete_graph_is_all_zero() -> None:
 
 
 def test_sym_ordering_even_layout() -> None:
-    g, coords, profile = sym_instance(4, 2, 4)
-    order = sym_ordering(g, coords)
+    g, spec, profile = sym_instance(4, 2, 4)
+    order = sym_ordering(g, spec)
     assert len(order) == 25
     assert order[0] == 0
     assert order[-6:].tolist() == [1, 2, 3, 4, 5, 6]
@@ -139,18 +141,16 @@ def test_sym_ordering_even_layout() -> None:
 
 
 def test_sym_ordering_odd_endpoints_have_level_zero() -> None:
-    g, coords, profile = sym_instance(4, 2, 5)
-    order = sym_ordering(g, coords)
+    g, spec, profile = sym_instance(4, 2, 5)
+    order = sym_ordering(g, spec)
     assert profile.level[order[0]] == 0
     assert all(profile.level[v] == 0 for v in order[-3:])
     assert order[0] == 3 and order[-3:].tolist() == [0, 1, 2]
 
 
 def test_sym_ordering_alternates_branches() -> None:
-    from hamcolor import branch_relation
-
-    g, coords, profile = sym_instance(3, 3, 3)
-    order = sym_ordering(g, coords)
+    g, spec, profile = sym_instance(3, 3, 3)
+    order = sym_ordering(g, spec)
     for u, v in zip(order, order[1:]):
         if profile.owner[u] == -1 or profile.owner[v] == -1:
             continue
@@ -160,9 +160,8 @@ def test_sym_ordering_alternates_branches() -> None:
 def test_sym_ordering_takes_deepest_first_in_radix_order() -> None:
     # three depth levels: each branch stream must start at an outermost
     # vertex, and the first child index cycles fastest
-    g, coords, profile = sym_instance(3, 2, 6)
-    order = sym_ordering(g, coords)
-    spec = coords.spec
+    g, spec, profile = sym_instance(3, 2, 6)
+    order = sym_ordering(g, spec)
     streams = spec.cut_degree * spec.n
     assert profile.level[order[1]] // spec.n == spec.r
     # child indices from the branch root down to a vertex two below it
@@ -173,6 +172,49 @@ def test_sym_ordering_takes_deepest_first_in_radix_order() -> None:
     # the shallowest descendants come last before the depth-1 tail
     last_descendant = order[g.p - streams - 1]
     assert profile.level[last_descendant] // spec.n == 2
+
+
+@pytest.mark.parametrize(
+    "graph, given", [((4, 2, 4), (4, 2, 5)), ((4, 2, 5), (4, 2, 4))], ids=["even", "odd"]
+)
+def test_sym_ordering_refuses_another_graphs_spec(graph, given) -> None:
+    # the child table of one graph read with another's spec ended in
+    # "AssertionError: the child table does not cover the streams"
+    g, _ = gen_symmetric(SymmetricSpec(*graph))
+    with pytest.raises(InvalidSpecError) as caught:
+        sym_ordering(g, SymmetricSpec(*given))
+    assert str(SymmetricSpec(*graph)) in str(caught.value)
+    assert str(SymmetricSpec(*given)) in str(caught.value)
+
+
+def test_sym_ordering_refuses_a_graph_that_is_not_symmetric() -> None:
+    with pytest.raises(NotSymmetricError):
+        sym_ordering(gen_random_block_graph(0, max_p=9), SymmetricSpec(4, 2, 4))
+
+
+def _profile_users(g, profile):
+    """The five calls that take a caller's profile, each as a thunk."""
+    order = list(range(g.p))
+    return {
+        "lower_bound": lambda: lower_bound(g, profile),
+        "coloring_from_ordering": lambda: coloring_from_ordering(g, profile, order),
+        "check_ordering_conditions": lambda: check_ordering_conditions(g, profile, order),
+        "greedy_ordering": lambda: greedy_ordering(g, profile),
+        "branch_relation": lambda: branch_relation(g, profile, 1, 2),
+    }
+
+
+@pytest.mark.parametrize("name", list(_profile_users(gen_path(3), None)))
+@pytest.mark.parametrize("other", ["larger", "smaller"])
+def test_a_profile_of_another_size_is_refused(name, other) -> None:
+    # with sym(4,2,5)'s profile lower_bound gave sym(4,2,4) 0, and with
+    # gen_path(5)'s 565 (its bound is 327); the other four returned wrong
+    # results or raised a raw IndexError
+    g, _ = gen_symmetric(SymmetricSpec(4, 2, 4))
+    h = gen_symmetric(SymmetricSpec(4, 2, 5))[0] if other == "larger" else gen_path(5)
+    with pytest.raises(SizeMismatchError, match=f"^the profile has {h.p} levels for 25 vertices$"):
+        _profile_users(g, detour_profile(h))[name]()
+    assert _profile_users(g, detour_profile(g))["lower_bound"]() == 327
 
 
 def test_validate_union_explicit_coloring() -> None:
@@ -431,7 +473,7 @@ def test_color_graph_is_valid_and_only_claims_certified_optimality(corpus, grid_
         "corpus": corpus,
         "star": [gen_star(n) for n in range(2, 13)],
         "union": [gen_union(n, k) for n in range(2, 9) for k in range(2, 7)],
-        "grid": [g for _, g, _, _ in grid_instances],
+        "grid": [g for _, g, _ in grid_instances],
     }
     methods: dict[str, set[str]] = {name: set() for name in cases}
     for name, graphs in cases.items():
@@ -493,8 +535,8 @@ def test_a_corrupted_symmetric_ordering_never_claims_an_invalid_optimum(monkeypa
     # recurrence would give sym(4,2,4) an invalid coloring at the bound, 327
     real = hamcolor.coloring.sym_ordering
 
-    def swapped(g, coords):
-        ordering = real(g, coords).copy()
+    def swapped(g, spec):
+        ordering = real(g, spec).copy()
         ordering[[1, 2]] = ordering[[2, 1]]
         return ordering
 

@@ -296,7 +296,7 @@ def test_branch_relation_needs_distinct_vertices() -> None:
 
 
 def test_branch_relations_odd_symmetric() -> None:
-    g, coords = gen_symmetric(SymmetricSpec(4, 2, 5))
+    g, _ = gen_symmetric(SymmetricSpec(4, 2, 5))
     profile = detour_profile(g)
     under_first = next(v for v in range(g.p) if profile.owner[v] == 0)
     under_second = next(v for v in range(g.p) if profile.owner[v] == 1)

@@ -44,23 +44,25 @@ from hamcolor import (
 
 
 def test_sym_even_shape() -> None:
-    g, coords = gen_symmetric(SymmetricSpec(4, 2, 4))
+    g, spec = gen_symmetric(SymmetricSpec(4, 2, 4))
     assert g.p == 25
-    assert coords.spec.diameter % 2 == 0
+    assert spec.diameter % 2 == 0
     assert detour_profile(g).center == (0,)
-    assert coords.top_list == (1, 2, 3, 4, 5, 6)
+    # the ordering closes with the depth-1 list, the even diameter's stream roots
+    top_list = tuple(sym_ordering(g, spec)[-spec.cut_degree * spec.n :].tolist())
+    assert top_list == (1, 2, 3, 4, 5, 6)
     level = detour_profile(g).level
-    assert all(level[v] // coords.spec.n == 1 for v in coords.top_list)
+    assert all(level[v] // spec.n == 1 for v in top_list)
     # consecutive entries of the top list sit in different blocks at the center
     incidence = vertex_blocks(g)
-    for a, b in zip(coords.top_list, coords.top_list[1:]):
+    for a, b in zip(top_list, top_list[1:]):
         assert not set(incidence[a]) & set(incidence[b])
 
 
 def test_sym_odd_shape() -> None:
-    g, coords = gen_symmetric(SymmetricSpec(4, 2, 5))
+    g, spec = gen_symmetric(SymmetricSpec(4, 2, 5))
     assert g.p == 52
-    assert coords.spec.diameter % 2 == 1
+    assert spec.diameter % 2 == 1
     assert detour_profile(g).center == (0, 1, 2, 3)
     assert set(g.blocks[0]) == {0, 1, 2, 3}
 
@@ -81,7 +83,7 @@ def test_sym_small_hand_count() -> None:
     ],
 )
 def test_sym_structure_invariants(spec: SymmetricSpec) -> None:
-    g, coords = gen_symmetric(spec)
+    g, _ = gen_symmetric(spec)
     assert hop_diameter(g) == spec.diameter
     incidence, cuts = vertex_blocks(g), cut_vertices(g)
     for v in range(g.p):
@@ -97,9 +99,9 @@ def test_sym_structure_invariants(spec: SymmetricSpec) -> None:
 
 
 def test_sym_path_degenerate_family() -> None:
-    g, coords = gen_symmetric(SymmetricSpec(2, 2, 4))
+    g, spec = gen_symmetric(SymmetricSpec(2, 2, 4))
     assert g.p == 5
-    assert coords.spec.diameter % 2 == 0
+    assert spec.diameter % 2 == 0
     assert all(len(b) == 2 for b in g.blocks)
 
 
@@ -114,12 +116,9 @@ def test_sym_rejects_bad_parameters() -> None:
 
 def test_coordinates_rederive_from_structure() -> None:
     for spec in (SymmetricSpec(3, 3, 4), SymmetricSpec(4, 2, 5)):
-        g, coords = gen_symmetric(spec)
-        again = symmetric_coordinates(g)
-        for name in ("spec", "top_list"):
-            assert getattr(again, name) == getattr(coords, name)
-        for name in ("children", "child_row"):
-            assert np.array_equal(getattr(again, name), getattr(coords, name))
+        g, generated = gen_symmetric(spec)
+        assert generated == symmetric_coordinates(g) == spec
+        assert symmetric_coordinates(relabeled(g, 1)) == spec
 
 
 def test_coordinates_reject_non_symmetric() -> None:
@@ -167,9 +166,7 @@ def test_gen_union_shapes() -> None:
 
 
 def test_gen_union_equals_diameter_two_symmetric() -> None:
-    g = gen_union(4, 3)
-    coords = symmetric_coordinates(g)
-    assert coords.spec == SymmetricSpec(4, 3, 2)
+    assert symmetric_coordinates(gen_union(4, 3)) == SymmetricSpec(4, 3, 2)
 
 
 def test_gen_path_and_star() -> None:
@@ -303,9 +300,9 @@ def _list_symmetric(spec: SymmetricSpec) -> BlockGraph:
         blocks,
         meta={"family": "symmetric", "block_size": m, "cut_degree": kappa, "diameter": d},
     )
-    coords = symmetric_coordinates(g)
-    if coords.spec != spec:
-        raise AssertionError(f"generator produced {coords.spec}, wanted {spec}")
+    found = symmetric_coordinates(g)
+    if found != spec:
+        raise AssertionError(f"generator produced {found}, wanted {spec}")
     return g
 
 
@@ -398,24 +395,38 @@ def test_coloring_result_keeps_arrays_and_builds_the_tuple_on_read() -> None:
     assert (with_tuple - kept) / g.p > 30, (with_tuple - kept) / g.p
 
 
-def test_symmetric_coordinates_keep_a_child_table() -> None:
-    # Bytes per vertex that symmetric_coordinates keeps and peaks at on a
-    # relabeled sym(5,6,7), p = 42,105, with the detour profile cached.
-    # Five per-vertex coordinate arrays built by pointer doubling kept 40
-    # and peaked at 61.6; the child table and child_row keep 16.  Counting
-    # every vertex's blocks again, as an int64 bincount, peaked at 20.0;
-    # reading the cut degrees off the block-cut tree peaks at about 17.
-    g = relabeled(gen_symmetric(SymmetricSpec(5, 6, 7))[0], 1)
-    symmetric_coordinates(gen_symmetric(SymmetricSpec(3, 3, 4))[0])  # numpy's caches
+def _traced(call, g):
+    """call(g), with g's detour profile cached and numpy's caches warmed on a
+    small graph: the result and the bytes per vertex that the call keeps and
+    peaks at."""
+    call(gen_symmetric(SymmetricSpec(3, 3, 4))[0])
     detour_profile(g)
     tracemalloc.start()
     try:
-        coords = symmetric_coordinates(g)
+        result = call(g)
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert coords.spec == SymmetricSpec(5, 6, 7)
-    assert kept / g.p <= 24 and peak / g.p < 18, (kept / g.p, peak / g.p)
+    return result, kept / g.p, peak / g.p
+
+
+def test_symmetric_coordinates_keep_no_table() -> None:
+    # On a relabeled sym(5,6,7), p = 42,105.  Five per-vertex coordinate
+    # arrays built by pointer doubling kept 40 bytes per vertex and peaked
+    # at 61.6; a child table and child_row kept 8 and peaked at about 17.
+    # Recognizing the graph keeps only its spec and peaks at about 9.
+    g = relabeled(gen_symmetric(SymmetricSpec(5, 6, 7))[0], 1)
+    spec, kept, peak = _traced(symmetric_coordinates, g)
+    assert spec == SymmetricSpec(5, 6, 7)
+    assert kept < 0.05 and peak < 10, (kept, peak)  # no per-vertex array is kept
+
+
+def test_sym_ordering_builds_the_child_table() -> None:
+    # sym_ordering builds the child table itself, after its spec check,
+    # and peaks at about 17 bytes per vertex with the int32 ordering.
+    g = relabeled(gen_symmetric(SymmetricSpec(5, 6, 7))[0], 1)
+    ordering, _, peak = _traced(lambda h: sym_ordering(h, symmetric_coordinates(h)), g)
+    assert len(ordering) == g.p and peak < 18, peak
 
 
 def test_random_corpus_all_valid_and_varied(corpus) -> None:
@@ -466,23 +477,16 @@ def _reference_recurrence(g, profile, order):
     return tuple(colors)
 
 
-def _assert_coordinates_match(g, profile, coords, ref: dict) -> None:
-    """coords, with g's detour center as the endpoints, equal the reference's."""
-    assert (coords.spec, profile.center, coords.top_list) == (
-        ref["spec"], ref["roots"], ref["top_list"]
-    ), g
-    # each vertex's children in index order: member i // k of block i % k
-    spec, child_row = coords.spec, coords.child_row.tolist()
-    assert coords.children.shape == (len(coords.children), spec.k, spec.n), g
-    assert sorted(row for row in child_row if row >= 0) == list(range(len(coords.children)))
-    hub = profile.center[0] if spec.diameter % 2 == 0 else None
-    for v, kids in enumerate(ref["children"]):
-        if v == hub:
-            assert child_row[v] == -1 and kids == coords.top_list, g
-        elif kids:
-            assert coords.children[child_row[v]].T.ravel().tolist() == list(kids), g
-        else:
-            assert child_row[v] == -1, g
+def _assert_coordinates_match(g, profile, spec, ref: dict) -> np.ndarray:
+    """spec, g's detour center and sym_ordering(g, spec) equal the reference's.
+
+    The ordering reads every row of sym_ordering's child table, so a wrong
+    table shows up as a wrong ordering.  Returns the ordering.
+    """
+    assert (spec, profile.center) == (ref["spec"], ref["roots"]), g
+    ordering = sym_ordering(g, spec)
+    assert ordering.tolist() == _reference_ordering(g, ref), g
+    return ordering
 
 
 def test_array_symmetric_layer_matches_loop_reference(corpus) -> None:
@@ -503,10 +507,7 @@ def test_array_symmetric_layer_matches_loop_reference(corpus) -> None:
                 symmetric_coordinates(g)
             continue
         accepted += 1
-        coords = symmetric_coordinates(g)
-        _assert_coordinates_match(g, profile, coords, ref)
-        ordering = sym_ordering(g, coords)
-        assert ordering.tolist() == _reference_ordering(g, ref), g
+        ordering = _assert_coordinates_match(g, profile, symmetric_coordinates(g), ref)
         expected = _reference_recurrence(g, profile, ordering)
         if expected[0] == "negative":
             with pytest.raises(NegativeGapError) as caught:
@@ -545,7 +546,8 @@ REACHABLE = (
 def test_detection_on_uniform_block_graphs_matches_the_reference(corpus) -> None:
     # Graphs of one block size and one cut degree pass the first three checks
     # and reach the two on the detour center and the depths; the reference
-    # derives the coordinates layer by layer with every check it ever had.
+    # derives the coordinates layer by layer with every check it ever had,
+    # and its ordering checks sym_ordering's child table on every accepted graph.
     rng = random.Random(31)
     graphs = list(corpus) + [
         _uniform_block_graph(rng, rng.randint(2, 5), rng.randint(2, 4), rng.randint(1, 6))
@@ -559,13 +561,13 @@ def test_detection_on_uniform_block_graphs_matches_the_reference(corpus) -> None
         except NotSymmetricError:
             ref = None
         try:
-            coords = symmetric_coordinates(g)
+            spec = symmetric_coordinates(g)
         except NotSymmetricError as exc:
             assert ref is None, g
             raised[str(exc)] += 1
             continue
         assert ref is not None, g
-        _assert_coordinates_match(g, profile, coords, ref)
+        _assert_coordinates_match(g, profile, spec, ref)
         accepted += 1
     assert all(message.startswith(REACHABLE) for message in raised), raised
     assert raised[REACHABLE[3]] >= 100 and raised[REACHABLE[4]] >= 100, raised
